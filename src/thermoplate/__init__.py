@@ -12,9 +12,7 @@ from .symbols import (
     GAMMAS,
     ROOTS,
     SingularParameterError,
-    SpectralPoint,
     characteristic_roots,
-    determinant,
     determinant_pair,
     resolvent_matrix,
     scaled_resolvent_symbol,
@@ -29,9 +27,7 @@ __all__ = [
     "GAMMAS",
     "ROOTS",
     "SingularParameterError",
-    "SpectralPoint",
     "characteristic_roots",
-    "determinant",
     "determinant_pair",
     "resolvent_matrix",
     "scaled_resolvent_symbol",

@@ -27,7 +27,7 @@ v carries no boundary condition of its own.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -130,8 +130,6 @@ class DiscreteGenerator:
     steps: tuple
     ghost_condition: float
     stencil_notes: str = STENCIL_NOTES
-    _schur: tuple | None = field(default=None, repr=False, compare=False)
-    _projection: object = field(default=None, repr=False, compare=False)
 
     @property
     def n_cells(self) -> int:
@@ -147,12 +145,6 @@ class DiscreteGenerator:
             return (self.centers[0].copy(),)
         X, Y = np.meshgrid(self.centers[0], self.centers[1], indexing="ij")
         return X.ravel(), Y.ravel()
-
-    def schur(self) -> tuple:
-        if self._schur is None:
-            T, Z = sla.schur(self.matrix.astype(complex), output="complex")
-            self._schur = (T, Z)
-        return self._schur
 
     def pack(self, u, v, theta) -> np.ndarray:
         return np.concatenate([np.ravel(u), np.ravel(v), np.ravel(theta)])
@@ -553,7 +545,7 @@ class SpectrumReport:
 
     def to_csv_rows(self) -> list:
         rows = ["re,im"]
-        rows.extend(f"{lam.real!r},{lam.imag!r}" for lam in self.eigenvalues)
+        rows.extend(f"{float(lam.real)!r},{float(lam.imag)!r}" for lam in self.eigenvalues)
         return rows
 
     def to_json_dict(self) -> dict:
@@ -668,26 +660,19 @@ def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
     return KernelProjection(basis, int(d_right), P, cond, residual)
 
 
-def _cached_projection(gen: DiscreteGenerator, zero_tol=None) -> KernelProjection:
-    if gen._projection is None:
-        gen._projection = kernel_and_projection(gen, zero_tol)
-    return gen._projection
-
-
 # ---------------------------------------------------------------------------
 # evolution and decay
 
 def evolve_bounded(gen: DiscreteGenerator, u0: np.ndarray, t: float,
                    project_off_kernel: bool = False,
                    zero_tol: float | None = None) -> np.ndarray:
-    """exp(t gen) u0 through the Schur form; aborts on unstable assemblies."""
+    """exp(t gen) u0 by the dense matrix exponential; aborts on unstable assemblies."""
     if t < 0:
         raise ValueError("time must be nonnegative")
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (gen.state_size,):
         raise ValueError("state vector has the wrong size")
-    T, Z = gen.schur()
-    lams = np.diag(T)
+    lams = np.linalg.eigvals(gen.matrix)
     if zero_tol is None:
         zero_tol = ZERO_TOL_FACTOR * float(np.abs(lams).max())
     if float(lams.real.max()) > UNSTABLE_FACTOR * zero_tol:
@@ -695,9 +680,9 @@ def evolve_bounded(gen: DiscreteGenerator, u0: np.ndarray, t: float,
             f"unstable discretization (max Re = {lams.real.max():.3e}); aborting"
         )
     if project_off_kernel:
-        u0 = u0 - _cached_projection(gen, zero_tol).projector @ u0
-    # expm on the real matrix directly: the triangular Schur factor is too
-    # ill-conditioned under exponentiation for stiff assemblies.
+        u0 = u0 - kernel_and_projection(gen, zero_tol).projector @ u0
+    # expm on the real matrix directly: exponentiating a triangular Schur
+    # factor is too ill-conditioned for stiff assemblies.
     return sla.expm(t * gen.matrix) @ u0
 
 
@@ -714,7 +699,7 @@ class DecayFit:
 
     def to_csv_rows(self) -> list:
         rows = ["t,norm"]
-        rows.extend(f"{t!r},{n!r}" for t, n in zip(self.times, self.norms))
+        rows.extend(f"{float(t)!r},{float(n)!r}" for t, n in zip(self.times, self.norms))
         return rows
 
     def to_json_dict(self) -> dict:
@@ -752,7 +737,7 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
         u0 = rng.standard_normal(gen.state_size)
     u0 = np.asarray(u0, dtype=float)
     if project_off_kernel:
-        u0 = u0 - _cached_projection(gen, rep.zero_tol).projector @ u0
+        u0 = u0 - kernel_and_projection(gen, rep.zero_tol).projector @ u0
     dt = horizon / (samples - 1)
     try:
         step = sla.expm(gen.matrix * dt)
@@ -806,8 +791,8 @@ class ConvergenceReport:
             vals = []
             for gi in range(len(self.grids)):
                 lam = self.tracked[gi, k]
-                vals.extend([repr(lam.real), repr(lam.imag)])
-            rows.append(f"{k}," + ",".join(vals) + f",{self.orders[k]!r}")
+                vals.extend([repr(float(lam.real)), repr(float(lam.imag))])
+            rows.append(f"{k}," + ",".join(vals) + f",{float(self.orders[k])!r}")
         return rows
 
 

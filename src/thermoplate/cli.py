@@ -289,7 +289,7 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> tuple:
     b_shift = torus.resolvent_bound_sweep(cfg.j, lams_shift, grid)
     rows = ["k,lambda_origin,origin_bound,lambda_shifted,shifted_bound"]
     for k, lo, bo, ls, bs in zip(cfg.k_values, lams_origin, b_origin, lams_shift, b_shift):
-        rows.append(f"{k!r},{lo!r},{bo!r},{ls!r},{bs!r}")
+        rows.append(f"{k!r},{lo!r},{float(bo)!r},{ls!r},{float(bs)!r}")
         print(f"k={k:g}: B(origin)={bo:.6g} B(shifted)={bs:.6g}")
     artifacts = {}
     _write_text(outdir, "sweep.csv", "\n".join(rows) + "\n", artifacts)
@@ -318,7 +318,7 @@ def cmd_evolve(cfg: RunConfig, outdir: str) -> tuple:
     artifacts["state_initial.bin"] = p0
     artifacts["state_final.bin"] = p1
     rows = ["t,e_norm,imag_residue", f"{0.0!r},{e0!r},{0.0!r}",
-            f"{cfg.t!r},{e1!r},{residue!r}"]
+            f"{cfg.t!r},{e1!r},{float(residue)!r}"]
     _write_text(outdir, "energy.csv", "\n".join(rows) + "\n", artifacts)
     return {"residue_ok": residue <= torus.IMAG_RESIDUE_TOL,
             "semigroup_consistent": semigroup_ok}, artifacts

@@ -13,7 +13,6 @@ A pass is evidence over the sample, not a proof; report metadata says so.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -50,12 +49,18 @@ class SectorSample:
     dim: int = 2
 
     def __post_init__(self):
-        assert self.lambda0 >= 0.0
-        assert 0.0 < self.theta < math.pi
-        assert len(self.lambda_moduli) and len(self.xi_moduli) and len(self.arg_fractions)
-        assert min(self.lambda_moduli) > 0.0 and min(self.xi_moduli) > 0.0
-        assert all(-1.0 < f < 1.0 for f in self.arg_fractions)
-        assert self.dim >= 1
+        if not self.lambda0 >= 0.0:
+            raise ValueError(f"sector shift must be nonnegative, got {self.lambda0}")
+        if not 0.0 < self.theta < math.pi:
+            raise ValueError(f"sector angle must lie in (0, pi), got {self.theta}")
+        if not (len(self.lambda_moduli) and len(self.xi_moduli) and len(self.arg_fractions)):
+            raise ValueError("sample axes must be nonempty")
+        if not (min(self.lambda_moduli) > 0.0 and min(self.xi_moduli) > 0.0):
+            raise ValueError("sample moduli must be positive")
+        if not all(-1.0 < f < 1.0 for f in self.arg_fractions):
+            raise ValueError("arg fractions must lie in (-1, 1)")
+        if not self.dim >= 1:
+            raise ValueError(f"dimension must be at least 1, got {self.dim}")
 
     def lambda_points(self) -> np.ndarray:
         r = np.asarray(self.lambda_moduli, dtype=float)
@@ -257,16 +262,7 @@ def resolvent_entry_symbol(j: int, row: int, col: int):
     """Entry (row, col) of the scaled resolvent symbol M^{(j)} as a scannable symbol."""
 
     def symbol(xi, lam):
-        s = np.sum(xi * xi, axis=-1)
-        lam = np.asarray(lam, dtype=complex)
-        out = np.empty(s.shape, dtype=complex)
-        # batched helper takes one scalar lambda; group identical values
-        order = np.argsort(lam)
-        grouped = np.split(order, np.nonzero(np.diff(lam[order]))[0] + 1)
-        for idx in grouped:
-            M = _scaled_resolvent_from_s(j, s[idx], complex(lam[idx[0]]))
-            out[idx] = M[:, row, col]
-        return out
+        return _scaled_resolvent_from_s(j, np.sum(xi * xi, axis=-1), lam, row, col)
 
     symbol.__name__ = f"m{j}_{row + 1}{col + 1}"
     return symbol
@@ -346,18 +342,3 @@ def nonsectoriality_witness(k: float) -> float:
 
 def witness_closed_form(k: float) -> float:
     return (k * k + 1.0) / 5.0
-
-
-def operator_norm_probe(symbol, lam: complex, xi_grid: np.ndarray) -> float:
-    """Sup over grid frequencies of |symbol|; the discrete-torus operator norm."""
-    xi_grid = np.atleast_2d(np.asarray(xi_grid, dtype=float))
-    if xi_grid.shape[0] == 0:
-        raise ValueError("empty frequency grid")
-    vals = symbol(xi_grid, np.full(xi_grid.shape[0], lam, dtype=complex))
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("non-finite symbol value on probe grid")
-    return float(np.abs(vals).max())
-
-
-def report_list_to_json(reports: list[MultiplierReport]) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=2, sort_keys=True)

@@ -50,27 +50,6 @@ def _poly_deriv(t: complex) -> complex:
 
 
 @dataclass(frozen=True)
-class SpectralPoint:
-    """A (frequency, spectral parameter) pair relative to a shifted sector."""
-
-    xi: tuple
-    lam: complex
-    sector_shift: float = 0.0
-    sector_angle: float = math.pi / 2
-
-    def __post_init__(self):
-        if self.sector_shift < 0.0:
-            raise ValueError("sector shift must be nonnegative")
-        if not 0.0 < self.sector_angle < math.pi:
-            raise ValueError("sector angle must lie in (0, pi)")
-
-    @property
-    def in_sector(self) -> bool:
-        z = self.lam - self.sector_shift
-        return z != 0 and abs(cmath.phase(z)) < self.sector_angle
-
-
-@dataclass(frozen=True)
 class CharacteristicRoots:
     """Roots gamma_1, gamma_2, gamma_3 of the characteristic cubic.
 
@@ -182,58 +161,52 @@ def determinant_pair(xi, lam: complex) -> tuple[complex, complex]:
     return d_gamma, d_recip
 
 
-def determinant(xi, lam: complex) -> complex:
-    return determinant_pair(xi, lam)[0]
+#: adj(lambda - A(xi)) entry by entry as polynomials in (s, lambda);
+#: (lambda - A)^{-1} is this over det(lambda - A) = prod(lambda + gamma_j s)
+_ADJUGATE = (
+    (lambda s, lam: lam * (lam + s) + s * s, lambda s, lam: lam + s, lambda s, lam: s),
+    (lambda s, lam: -s * s * (lam + s), lambda s, lam: lam * (lam + s), lambda s, lam: lam * s),
+    (lambda s, lam: s ** 3, lambda s, lam: -lam * s, lambda s, lam: lam * lam + s * s),
+)
+
+#: (rows, cols) index arrays that select the whole 3x3 block
+BLOCK = tuple(np.indices((3, 3)))
 
 
-def _resolvent_from_s(s: float, lam: complex) -> np.ndarray:
-    det = complex(np.prod(lam + GAMMAS * s))
-    if abs(det) < SINGULAR_DET_FLOOR:
-        raise SingularParameterError(
-            f"lambda={lam} is on the symbol spectrum at |xi|^2={s}"
-        )
-    adj = np.array(
-        [
-            [lam * (lam + s) + s * s, lam + s, s],
-            [-s * s * (lam + s), lam * (lam + s), lam * s],
-            [s ** 3, -lam * s, lam * lam + s * s],
-        ],
-        dtype=complex,
-    )
-    return adj / det
+def _resolvent_entries(s, lam, rows, cols) -> np.ndarray:
+    """Entries (rows, cols) of (lambda - A(xi))^{-1} over broadcast arrays of s and lambda.
 
-
-def resolvent_matrix(xi, lam: complex) -> np.ndarray:
-    """(lambda - A(xi))^{-1} from the explicit adjugate over the determinant."""
-    return _resolvent_from_s(_squared_norm(xi), lam)
-
-
-def resolvent_matrices(s: np.ndarray, lam: complex) -> np.ndarray:
-    """Batched resolvent over an array of s = |xi|^2 values; shape (..., 3, 3).
-
-    Raises SingularParameterError naming the offending mode index if lambda
-    hits the symbol spectrum on any entry of s.
+    rows and cols are integers or index arrays; the result has shape
+    broadcast(s, lambda) + broadcast(rows, cols).  Only the requested entries
+    are formed, over one determinant and one singularity check.  Raises
+    SingularParameterError naming the flat index into broadcast(s, lambda)
+    where lambda hits the symbol spectrum.
     """
     s = np.asarray(s, dtype=float)
+    lam = np.asarray(lam, dtype=complex)
     det = (lam + GAMMAS[0] * s) * (lam + GAMMAS[1] * s) * (lam + GAMMAS[2] * s)
     bad = np.abs(det) < SINGULAR_DET_FLOOR
     if np.any(bad):
         idx = int(np.argmax(bad))
+        s_at, lam_at = (np.broadcast_to(x, det.shape).flat[idx] for x in (s, lam))
         raise SingularParameterError(
-            f"lambda={lam} singular at mode index {idx} (|xi|^2={s.flat[idx]})"
+            f"lambda={lam_at} singular at index {idx} (|xi|^2={s_at})"
         )
-    out = np.empty(s.shape + (3, 3), dtype=complex)
-    out[..., 0, 0] = lam * (lam + s) + s * s
-    out[..., 0, 1] = lam + s
-    out[..., 0, 2] = s
-    out[..., 1, 0] = -s * s * (lam + s)
-    out[..., 1, 1] = lam * (lam + s)
-    out[..., 1, 2] = lam * s
-    out[..., 2, 0] = s ** 3
-    out[..., 2, 1] = -lam * s
-    out[..., 2, 2] = lam * lam + s * s
-    out /= det[..., None, None]
+    rows, cols = np.broadcast_arrays(rows, cols)
+    out = np.empty(det.shape + rows.shape, dtype=complex)
+    for pos in np.ndindex(rows.shape):
+        out[(Ellipsis,) + pos] = _ADJUGATE[rows[pos]][cols[pos]](s, lam) / det
     return out
+
+
+def resolvent_matrix(xi, lam: complex) -> np.ndarray:
+    """(lambda - A(xi))^{-1} from the explicit adjugate over the determinant."""
+    return resolvent_matrices(_squared_norm(xi), lam)
+
+
+def resolvent_matrices(s, lam) -> np.ndarray:
+    """Resolvent over broadcast arrays of s = |xi|^2 and lambda; shape (..., 3, 3)."""
+    return _resolvent_entries(s, lam, *BLOCK)
 
 
 def scaling_matrix(j: int, xi) -> np.ndarray:
@@ -251,26 +224,27 @@ def scaled_resolvent_symbol(j: int, xi, lam: complex) -> np.ndarray:
     lambda^{j/2} uses the principal branch; every sector this library
     samples satisfies |arg lambda| < pi, where that branch is continuous.
     """
-    if j not in (0, 1, 2):
-        raise ValueError(f"scaling index must be 0, 1 or 2, got {j}")
-    s = _squared_norm(xi)
-    return _scaled_resolvent_from_s(j, np.array([s]), lam)[0]
+    return _scaled_resolvent_from_s(j, _squared_norm(xi), lam, *BLOCK)
 
 
-def _scaled_resolvent_from_s(j: int, s: np.ndarray, lam: complex) -> np.ndarray:
-    """Batched M^{(j)} over an array of s values; shape (..., 3, 3).
+def _scaled_resolvent_from_s(j: int, s, lam, rows, cols) -> np.ndarray:
+    """Entries (rows, cols) of M^{(j)} over broadcast arrays of s and lambda.
 
     Conjugation by the diagonal scaling matrices only multiplies the first
     row by a = 1+s and divides the first column by a, so it is applied
-    entrywise to the batched resolvent.
+    entry by entry to the resolvent entries.
     """
-    s = np.asarray(s, dtype=float)
-    R = resolvent_matrices(s, lam)
-    a = 1.0 + s
-    pref = lam ** (j / 2) * a ** ((2 - j) / 2)
-    R[..., 0, 1] *= a
-    R[..., 0, 2] *= a
-    R[..., 1, 0] /= a
-    R[..., 2, 0] /= a
-    R *= pref[..., None, None]
+    if j not in (0, 1, 2):
+        raise ValueError(f"scaling index must be 0, 1 or 2, got {j}")
+    R = _resolvent_entries(s, lam, rows, cols)
+    a = 1.0 + np.asarray(s, dtype=float)
+    rows, cols = np.broadcast_arrays(rows, cols)
+    for pos in np.ndindex(rows.shape):
+        entry = R[(Ellipsis,) + pos]
+        if rows[pos] == 0 and cols[pos] != 0:
+            entry *= a
+        elif cols[pos] == 0 and rows[pos] != 0:
+            entry /= a
+    pref = np.asarray(lam, dtype=complex) ** (j / 2) * a ** ((2 - j) / 2)
+    R *= pref[(Ellipsis,) + (None,) * rows.ndim]
     return R

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import ROOTS, resolvent_matrices, symbol_matrix, _scaled_resolvent_from_s
+from .symbols import BLOCK, resolvent_matrices, symbol_matrix, _scaled_resolvent_from_s
 
 MAGIC = b"TPLT"
 FORMAT_VERSION = 1
@@ -93,23 +93,6 @@ class StateField:
                 raise ValueError("field shape does not match grid")
             if np.iscomplexobj(f):
                 raise ValueError("state fields are real")
-
-    def fields(self) -> tuple:
-        return self.u, self.v, self.theta
-
-    def e_norm(self, j: int = 0) -> float:
-        return e_norm(self.grid, self.u, self.v, self.theta, j)
-
-
-@dataclass
-class ResolventApplication:
-    """(lambda - A)^{-1} applied to a state; complex for complex lambda."""
-
-    grid: TorusGrid
-    lam: complex
-    u: np.ndarray
-    v: np.ndarray
-    theta: np.ndarray
 
     def fields(self) -> tuple:
         return self.u, self.v, self.theta
@@ -201,8 +184,8 @@ def evolve(state: StateField, t: float) -> tuple:
     return StateField(g, *[f.real.copy() for f in fields]), residue
 
 
-def apply_resolvent(state: StateField, lam: complex) -> ResolventApplication:
-    """(lambda - A)^{-1} state, mode by mode.
+def apply_resolvent(state: StateField, lam: complex) -> tuple:
+    """(lambda - A)^{-1} state, mode by mode, as three complex fields (u, v, theta).
 
     Raises SingularParameterError when lambda hits an eigenvalue of some
     grid mode (the message names the offending mode).
@@ -211,8 +194,7 @@ def apply_resolvent(state: StateField, lam: complex) -> ResolventApplication:
     U = _coefficients(state).reshape(3, -1)
     R = resolvent_matrices(g.s_array().ravel(), lam)
     out = np.einsum("nij,jn->in", R, U)
-    fields = [np.fft.ifftn(out[i].reshape(g.shape), norm="ortho") for i in range(3)]
-    return ResolventApplication(g, complex(lam), *fields)
+    return tuple(np.fft.ifftn(row.reshape(g.shape), norm="ortho") for row in out)
 
 
 def sobolev_norm(grid: TorusGrid, field, order: float) -> float:
@@ -240,32 +222,9 @@ def resolvent_bound_sweep(j: int, lams, grid: TorusGrid) -> np.ndarray:
     s = np.unique(grid.s_array().ravel())
     out = np.empty(len(lams))
     for i, lam in enumerate(lams):
-        mats = _scaled_resolvent_from_s(j, s, complex(lam))
+        mats = _scaled_resolvent_from_s(j, s, complex(lam), *BLOCK)
         out[i] = np.linalg.svd(mats, compute_uv=False).max()
     return out
-
-
-def resolvent_ray_sweep(j: int, lambda0: float, theta: float, ray_fractions,
-                        lambda_moduli, grid: TorusGrid) -> dict:
-    """B(lambda) over rays of the shifted sector lambda0 + Sigma_theta.
-
-    Convenience wrapper around resolvent_bound_sweep: lambda points are
-    lambda0 + r * exp(i*theta*f) for every ray fraction f and modulus r.
-    """
-    if j not in (0, 1, 2):
-        raise ValueError("j must be 0, 1 or 2")
-    if not 0.0 < theta < ROOTS.theta0:
-        raise ValueError("ray angle must sit inside the resolvent sector")
-    fractions = np.asarray(ray_fractions, dtype=float)
-    moduli = np.asarray(lambda_moduli, dtype=float)
-    lams = (lambda0 + np.multiply.outer(
-        moduli, np.exp(1j * theta * fractions))).ravel()
-    bounds = resolvent_bound_sweep(j, lams, grid)
-    return {
-        "lambda": lams,
-        "bound": bounds,
-        "max_bound": float(bounds.max()),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +253,8 @@ def laplace_transform_error(state: StateField, lam: complex, steps: int = 4096,
         for a, f in zip(acc, st.fields()):
             a += wgt * f
     ref = apply_resolvent(state, lam)
-    gap = e_norm(state.grid, *[a - r for a, r in zip(acc, ref.fields())])
-    return gap / ref.e_norm()
+    gap = e_norm(state.grid, *[a - r for a, r in zip(acc, ref)])
+    return gap / e_norm(state.grid, *ref)
 
 
 def modal_decay_fit(grid: TorusGrid, k, amplitudes=(1.0, 1.0, 1.0),

@@ -159,6 +159,20 @@ class TestEvolution:
         b = bounded.evolve_bounded(gen1d, w0 - p @ w0, 5.0)
         assert np.abs(a - b).max() <= 1e-8
 
+    def test_projection_follows_zero_tol(self):
+        # a wider zero tolerance takes in a sixth eigenvalue; the projector
+        # must follow it rather than reuse the one built for the default
+        gen = bounded.assemble_generator(
+            bounded.interval(0.0, 1.0), 100, bounded.free_beta(0.5)
+        )
+        w0 = np.random.default_rng(5).standard_normal(gen.state_size)
+        bounded.evolve_bounded(gen, w0, 1.0, project_off_kernel=True)
+        wide = bounded.kernel_and_projection(gen, 20.0)
+        assert wide.algebraic_dimension == 6
+        a = bounded.evolve_bounded(gen, w0, 1.0, project_off_kernel=True, zero_tol=20.0)
+        b = bounded.evolve_bounded(gen, w0 - wide.projector @ w0, 1.0)
+        assert np.abs(a - b).max() <= 1e-8 * np.abs(b).max()
+
     def test_input_validation(self, gen1d):
         with pytest.raises(ValueError):
             bounded.evolve_bounded(gen1d, np.zeros(7), 1.0)

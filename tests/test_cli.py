@@ -198,6 +198,24 @@ class TestOutputs:
         st = torus.load_state(tmp_path / "state_final.bin")
         assert st.grid.modes == (32,)
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["sweep", "--modes", "16"], "sweep.csv"),
+            (["evolve", "--modes", "16"], "energy.csv"),
+            (["spectrum", "--grid", "20"], "spectrum.csv"),
+            (["decay", "--grid", "20"], "decay.csv"),
+            (["converge", "--grids", "16,32,64"], "converge.csv"),
+        ],
+    )
+    def test_csv_cells_are_plain_numbers(self, argv, name, tmp_path, monkeypatch):
+        assert run(argv, tmp_path, monkeypatch) == 0
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        assert rows
+        for cell in (c for row in rows for c in row.split(",")):
+            assert "np." not in cell
+            float(cell)
+
 
 class TestReproducibility:
     @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from thermoplate import multipliers as mp
+from thermoplate import multipliers as mp, symbols
 from thermoplate.symbols import ROOTS
 
 
@@ -40,8 +40,13 @@ class TestSectorSample:
         assert pts.shape[0] == 32 * 3
 
     def test_rejects_nonpositive_shift_angle(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             mp.SectorSample(theta=0.0)
+
+    def test_rejects_negative_shift_and_wide_angle(self):
+        # raised, not asserted, so the check survives python -O
+        with pytest.raises(ValueError):
+            mp.SectorSample(theta=4.0, lambda0=-1.0)
 
 
 class TestExampleSuite:
@@ -159,6 +164,20 @@ class TestResolventEntryScans:
         for (row, col), report in scans.items():
             assert report.passed, f"entry ({row},{col}) of order-{j} symbol failed"
 
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_entry_symbol_matches_scaled_symbol(self, j):
+        # one mixed-lambda batch through each entry symbol, against the 3x3
+        # symbol at every point; array and scalar arithmetic may round apart
+        rng = np.random.default_rng(4)
+        xi = 10.0 ** rng.uniform(-1.5, 1.5, size=(40, 2))
+        lam = 1.0 + 10.0 ** rng.uniform(-2, 2, 40) * np.exp(1j * rng.uniform(-1.6, 1.6, 40))
+        blocks = [symbols.scaled_resolvent_symbol(j, x, l) for x, l in zip(xi, lam)]
+        for row in range(3):
+            for col in range(3):
+                got = mp.resolvent_entry_symbol(j, row, col)(xi, lam)
+                want = [m[row, col] for m in blocks]
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
     def test_requires_shifted_sample(self):
         bad = mp.SectorSample(lambda0=0.0)
         with pytest.raises(ValueError):
@@ -182,13 +201,3 @@ class TestOriginBehavior:
     def test_witness_requires_positive_k(self):
         with pytest.raises(ValueError):
             mp.nonsectoriality_witness(0.0)
-
-
-class TestOperatorNormProbe:
-    def test_constant_symbol_norm(self):
-        grid = np.linspace(-3, 3, 64)[:, None]
-
-        def two(xi, lam):
-            return np.full(xi.shape[0], 2.0, dtype=complex)
-
-        assert mp.operator_norm_probe(two, 1.0, grid) == pytest.approx(2.0)

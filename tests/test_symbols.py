@@ -63,25 +63,6 @@ class TestRoots:
             bad.validate()
 
 
-class TestSpectralPoint:
-    def test_sector_membership(self):
-        p = symbols.SpectralPoint((1.0,), 2.0 + 0.5j, sector_shift=1.0,
-                                  sector_angle=1.0)
-        assert p.in_sector
-        # the shift itself is excluded
-        q = symbols.SpectralPoint((1.0,), 1.0, sector_shift=1.0, sector_angle=1.0)
-        assert not q.in_sector
-        # behind the sector apex
-        r = symbols.SpectralPoint((1.0,), -3.0, sector_shift=1.0, sector_angle=1.0)
-        assert not r.in_sector
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            symbols.SpectralPoint((1.0,), 1.0, sector_shift=-1.0)
-        with pytest.raises(ValueError):
-            symbols.SpectralPoint((1.0,), 1.0, sector_angle=math.pi)
-
-
 class TestSymbolMatrix:
     def test_entries(self):
         s = 2.5
@@ -132,12 +113,16 @@ class TestResolvent:
             assert abs(da - db) <= 1e-10 * max(abs(da), abs(db))
 
     def test_batched_matches_scalar(self):
-        lam = 0.3 + 0.9j
+        # one call over a broadcast (s, lambda) grid, s = 0 included, against
+        # a dense inverse at every grid point
         svals = np.array([0.0, 0.5, 1.0, 9.0])
-        batch = symbols.resolvent_matrices(svals, lam)
-        for k, s in enumerate(svals):
-            single = symbols.resolvent_matrix(math.sqrt(s), lam)
-            assert np.allclose(batch[k], single, rtol=1e-13, atol=1e-15)
+        lams = np.array([0.3 + 0.9j, 2.0, 1.0 - 4.0j])
+        batch = symbols.resolvent_matrices(svals[None, :], lams[:, None])
+        assert batch.shape == (3, 4, 3, 3)
+        for i, lam in enumerate(lams):
+            for k, s in enumerate(svals):
+                dense = np.linalg.inv(lam * np.eye(3) - symbols.symbol_matrix(math.sqrt(s)))
+                assert np.allclose(batch[i, k], dense, rtol=1e-13, atol=1e-15)
 
     def test_singular_parameter_rejected(self):
         # lambda on the spectrum of one mode
@@ -149,6 +134,11 @@ class TestResolvent:
         lam = -symbols.ROOTS.gamma1 * 4.0
         with pytest.raises(symbols.SingularParameterError, match="4"):
             symbols.resolvent_matrices(np.array([1.0, 4.0]), lam)
+
+    def test_singular_lambda_in_lambda_array_names_index(self):
+        lams = np.array([1.0, 2.0 + 1.0j, -symbols.ROOTS.gamma1 * 4.0, 3.0])
+        with pytest.raises(symbols.SingularParameterError, match="index 2 "):
+            symbols.resolvent_matrices(4.0, lams)
 
     def test_lambda_zero_rejected_at_zero_frequency(self):
         with pytest.raises(symbols.SingularParameterError):

@@ -171,7 +171,7 @@ class TestResolvent:
         lam = 2.0
         r = torus.apply_resolvent(st, lam)
         # apply (lam - A) in coefficient space and compare with the data
-        coeffs = [np.fft.fftn(f, norm="ortho") for f in (r.u, r.v, r.theta)]
+        coeffs = [np.fft.fftn(f, norm="ortho") for f in r]
         s = grid128.s_array()
         back_u = lam * coeffs[0] - coeffs[1]
         back_v = lam * coeffs[1] + s**2 * coeffs[0] - s * coeffs[2]
@@ -192,12 +192,12 @@ class TestResolvent:
         parts = []
         for take in (np.real, np.imag):
             comp = torus.StateField(
-                grid128, *[np.ascontiguousarray(take(f)) for f in r2.fields()]
+                grid128, *[np.ascontiguousarray(take(f)) for f in r2]
             )
             parts.append(torus.apply_resolvent(comp, l1))
-        chained = [pr + 1j * pi for pr, pi in zip(parts[0].fields(), parts[1].fields())]
-        scale = max(np.abs(a - b).max() for a, b in zip(r1.fields(), r2.fields()))
-        for a, b, c in zip(r1.fields(), r2.fields(), chained):
+        chained = [pr + 1j * pi for pr, pi in zip(*parts)]
+        scale = max(np.abs(a - b).max() for a, b in zip(r1, r2))
+        for a, b, c in zip(r1, r2, chained):
             assert np.abs((a - b) - (l2 - l1) * c).max() <= 1e-8 * max(scale, 1e-30)
 
     def test_singular_lambda_names_mode(self, grid128):
@@ -217,23 +217,14 @@ class TestResolvent:
         assert np.all(vals > 0)
 
     def test_ray_sweep_bounded_on_shifted_sector(self, grid128):
-        table = torus.resolvent_ray_sweep(
-            0,
-            1.0,
-            0.9 * ROOTS.theta0,
-            (0.0, 0.5, -0.5, 0.99, -0.99),
-            np.logspace(-2, 2, 9),
-            grid128,
-        )
-        assert table["lambda"].shape == table["bound"].shape
-        assert np.isfinite(table["max_bound"])
-        assert table["max_bound"] == pytest.approx(table["bound"].max())
-
-    def test_ray_sweep_validates_angle(self, grid128):
-        with pytest.raises(ValueError):
-            torus.resolvent_ray_sweep(0, 1.0, ROOTS.theta0 + 0.1, (0.0,), (1.0,), grid128)
-        with pytest.raises(ValueError):
-            torus.resolvent_ray_sweep(3, 1.0, 1.0, (0.0,), (1.0,), grid128)
+        # lambda on rays of the shifted sector 1 + Sigma_theta, theta < theta0
+        fractions = np.array([0.0, 0.5, -0.5, 0.99, -0.99])
+        lams = (1.0 + np.multiply.outer(
+            np.logspace(-2, 2, 9), np.exp(0.9j * ROOTS.theta0 * fractions))).ravel()
+        bounds = torus.resolvent_bound_sweep(0, lams, grid128)
+        assert bounds.shape == lams.shape
+        assert np.all(np.isfinite(bounds))
+        assert bounds.max() < 10.0
 
 
 class TestTwoDimensional:
