@@ -10,9 +10,10 @@ layers: two for u, one for theta.  Free edges impose
     (iii) theta_n = 0
 
 with c the flexural coupling coefficient (beta on intervals, mu on
-rectangles; tangential terms vanish in 1D).  The damped variant keeps (i),
-adds the boundary feedback u + b theta to (ii) through the theta-flux
-substitution, and turns (iii) into the Robin condition theta_n + b theta = 0.
+rectangles).  The tangential terms vanish in 1D, so beta does not enter the
+interval generator.  The damped variant keeps (i), adds the boundary
+feedback u + b theta to (ii) through the theta-flux substitution, and turns
+(iii) into the Robin condition theta_n + b theta = 0.
 Rectangle corner ghosts are closed by second-order diagonal extrapolation in
 the zero-cross-difference form u(gc) = u(gx) + u(gy) - u(cc), which is exact
 on quadratics and keeps the assembled operator stable; corner cells sit
@@ -22,6 +23,19 @@ Interior stencils are the centered five-point (1D) and thirteen-point (2D)
 biharmonic and the centered three/five-point Laplacian; lap v falls back to
 one-sided second-order rows at the first and last cell off each edge since
 v carries no boundary condition of its own.
+
+One assembly serves both domains; the interval is the rectangle code with no
+tangential axis.  The state is (u cells, v cells, theta cells), cells
+row-major.  Ghosts are numbered: along each axis and for each tangential
+position the u ghosts at normal indices -1, -2, M, M+1; then the four corner
+ghosts (-1,-1), (Mx,-1), (-1,My), (Mx,My); then along each axis and
+tangential position the theta ghosts at -1, M.  The ghost system has, per
+axis, per side (low, then high) and per tangential position, the rows (i),
+(ii), (iii), and the corner closures last.  Its solve gives the extension
+rows T: ghost g equals T[g] applied to the interior (u, theta) unknowns.  A
+stencil point adds its weight to one entry when it is a cell and weight
+times T[g] when it is ghost g.  These orders fix the floating-point
+accumulation, so the generator is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -112,14 +126,6 @@ def lt_variant(mu: float = 0.3, b: float = 1.0) -> BCVariant:
     return BCVariant("lt_variant", mu=mu, b=b)
 
 
-STENCIL_NOTES = (
-    "state ordering (u cells, v cells, theta cells), cells row-major; "
-    "rows 0..M-1: u' = v; rows M..2M-1: v' = -lap^2 u - lap theta; "
-    "rows 2M..3M-1: theta' = lap theta + lap v; centered 5/13-point lap^2, "
-    "centered lap theta, one-sided lap v at edge cells; ghosts eliminated"
-)
-
-
 @dataclass
 class DiscreteGenerator:
     domain: DomainSpec
@@ -129,7 +135,6 @@ class DiscreteGenerator:
     centers: tuple
     steps: tuple
     ghost_condition: float
-    stencil_notes: str = STENCIL_NOTES
 
     @property
     def n_cells(self) -> int:
@@ -157,6 +162,13 @@ class DiscreteGenerator:
 # ---------------------------------------------------------------------------
 # assembly
 
+# centered second and fourth differences, and the one-sided second difference
+# at the first cell off a face (offsets point into the grid)
+LAP3 = ((-1, 1.0), (0, -2.0), (1, 1.0))
+BIHARM5 = ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0))
+ONE_SIDED = ((0, 2.0), (1, -5.0), (2, 4.0), (3, -1.0))
+
+
 def assemble_generator(domain: DomainSpec, grid_points, bc: BCVariant) -> DiscreteGenerator:
     cells = tuple(int(m) for m in np.atleast_1d(grid_points))
     if len(cells) == 1 and domain.dim == 2:
@@ -167,10 +179,10 @@ def assemble_generator(domain: DomainSpec, grid_points, bc: BCVariant) -> Discre
         raise AssemblyError(f"need at least {MIN_CELLS} cells per axis")
     if domain.dim == 1 and bc.tag != "free_beta":
         raise AssemblyError(f"{bc.tag} requires a rectangle domain")
-    if domain.dim == 1:
-        matrix, centers, steps, cond = _assemble_1d(domain, cells, bc)
-    else:
-        matrix, centers, steps, cond = _assemble_2d(domain, cells, bc)
+    steps = tuple((b - a) / m for (a, b), m in zip(domain.bounds, cells))
+    centers = tuple(a + (np.arange(m) + 0.5) * h
+                    for (a, _), m, h in zip(domain.bounds, cells, steps))
+    matrix, cond = _assemble(cells, steps, bc)
     if not np.all(np.isfinite(matrix)):
         raise AssemblyError("non-finite entries after ghost elimination")
     return DiscreteGenerator(domain, bc, cells, matrix, centers, steps, cond)
@@ -185,308 +197,110 @@ def _ghost_solve(Eg: np.ndarray, Ei: np.ndarray) -> tuple:
     return T, float(np.linalg.cond(Eg))
 
 
-def _assemble_1d(domain: DomainSpec, cells: tuple, bc: BCVariant) -> tuple:
-    (a, b), = domain.bounds
-    (M,) = cells
-    h = (b - a) / M
-    # ghost unknowns, lexicographic: u(-1), u(-2), u(M), u(M+1), th(-1), th(M)
-    UL1, UL2, UR1, UR2, TL, TR = range(6)
-    Eg = np.zeros((6, 6))
-    Ei = np.zeros((6, 2 * M))
-    # left face, row (i) scaled by 2h^2: u1 - u0 - u(-1) + u(-2) + h^2 (th0 + th(-1)) = 0
-    Eg[0, UL1] = -1.0
-    Eg[0, UL2] = 1.0
-    Ei[0, 1] += 1.0
-    Ei[0, 0] += -1.0
-    Ei[0, M] += h * h
-    Eg[0, TL] += h * h
-    # left row (ii) scaled by h^3: u1 - 3 u0 + 3 u(-1) - u(-2) = 0
-    Eg[1, UL1] = 3.0
-    Eg[1, UL2] = -1.0
-    Ei[1, 1] += 1.0
-    Ei[1, 0] += -3.0
-    # left row (iii): th(-1) = th0
-    Eg[2, TL] = 1.0
-    Ei[2, M] = -1.0
-    # right face, mirrored
-    Eg[3, UR1] = -1.0
-    Eg[3, UR2] = 1.0
-    Ei[3, M - 2] += 1.0
-    Ei[3, M - 1] += -1.0
-    Ei[3, 2 * M - 1] += h * h
-    Eg[3, TR] += h * h
-    Eg[4, UR1] = -3.0
-    Eg[4, UR2] = 1.0
-    Ei[4, M - 1] += 3.0
-    Ei[4, M - 2] += -1.0
-    Eg[5, TR] = 1.0
-    Ei[5, 2 * M - 1] = -1.0
-    T, cond = _ghost_solve(Eg, Ei)
-    ghost_u = {-1: UL1, -2: UL2, M: UR1, M + 1: UR2}
-    ghost_t = {-1: TL, M: TR}
-
-    def urow(i):
-        out = np.zeros(2 * M)
-        if 0 <= i < M:
-            out[i] = 1.0
-        else:
-            out[:] = T[ghost_u[i]]
-        return out
-
-    def trow(i):
-        out = np.zeros(2 * M)
-        if 0 <= i < M:
-            out[M + i] = 1.0
-        else:
-            out[:] = T[ghost_t[i]]
-        return out
-
-    D4 = np.zeros((M, 2 * M))
-    D2t = np.zeros((M, 2 * M))
-    Lv = np.zeros((M, M))
-    for i in range(M):
-        for d, w in ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)):
-            D4[i] += w / h ** 4 * urow(i + d)
-        for d, w in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-            D2t[i] += w / h ** 2 * trow(i + d)
-        if i == 0:
-            for d, w in ((0, 2.0), (1, -5.0), (2, 4.0), (3, -1.0)):
-                Lv[i, i + d] += w / h ** 2
-        elif i == M - 1:
-            for d, w in ((0, 2.0), (-1, -5.0), (-2, 4.0), (-3, -1.0)):
-                Lv[i, i + d] += w / h ** 2
-        else:
-            for d, w in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-                Lv[i, i + d] += w / h ** 2
-    matrix = _block_generator(D4, D2t, Lv, M)
-    centers = (a + (np.arange(M) + 0.5) * h,)
-    return matrix, centers, (h,), cond
+def _at(p: tuple, axis: int, k: int) -> tuple:
+    """The point with index k along axis and tangential position p."""
+    return p[:axis] + (k,) + p[axis:]
 
 
-def _assemble_2d(domain: DomainSpec, cells: tuple, bc: BCVariant) -> tuple:
-    (ax, bx), (ay, by) = domain.bounds
-    Mx, My = cells
-    hx = (bx - ax) / Mx
-    hy = (by - ay) / My
-    M = Mx * My
+def _shift(pt: tuple, axis: int, d: int) -> tuple:
+    return pt[:axis] + (pt[axis] + d,) + pt[axis + 1:]
+
+
+def _tangential(cells: tuple, axis: int):
+    return np.ndindex(*(cells[:axis] + cells[axis + 1:]))
+
+
+def _assemble(cells: tuple, steps: tuple, bc: BCVariant) -> tuple:
+    dim = len(cells)
+    M = int(np.prod(cells))
     c = bc.coefficient
-    damped = bc.damped
-    rob = bc.b
+    robin = bc.b if bc.damped else 0.0
+    # column of each (field, point), field 0 = u and 1 = theta: interior
+    # cells row-major, then the ghosts in the order of the module docstring
+    interior = list(np.ndindex(*cells))
+    col = {(f, pt): f * M + k for f in (0, 1) for k, pt in enumerate(interior)}
+    for a in range(dim):
+        for p in _tangential(cells, a):
+            for k in (-1, -2, cells[a], cells[a] + 1):
+                col[0, _at(p, a, k)] = len(col)
+    corners = []
+    if dim == 2:
+        # corner ghost, its two edge-ghost neighbours and the corner cell
+        Mx, My = cells
+        for gy, cy in ((-1, 0), (My, My - 1)):
+            for gx, cx in ((-1, 0), (Mx, Mx - 1)):
+                corners.append(((gx, gy), (gx, cy), (cx, gy), (cx, cy)))
+                col[0, (gx, gy)] = len(col)
+    for a in range(dim):
+        for p in _tangential(cells, a):
+            for k in (-1, cells[a]):
+                col[1, _at(p, a, k)] = len(col)
 
-    def iidx(i, j):
-        return i * My + j
+    rows = []
 
-    # ghost enumerations: u gets two layers per edge plus the four corner
-    # ghosts of the first layer; theta gets one layer per edge
-    ug = {}
-    for j in range(My):
-        for i in (-1, -2, Mx, Mx + 1):
-            ug[(i, j)] = len(ug)
-    for i in range(Mx):
-        for j in (-1, -2, My, My + 1):
-            ug[(i, j)] = len(ug)
-    for cidx in ((-1, -1), (Mx, -1), (-1, My), (Mx, My)):
-        ug[cidx] = len(ug)
-    tg = {}
-    for j in range(My):
-        tg[(-1, j)] = len(tg)
-        tg[(Mx, j)] = len(tg)
-    for i in range(Mx):
-        tg[(i, -1)] = len(tg)
-        tg[(i, My)] = len(tg)
+    def equation(*terms):
+        row = np.zeros(len(col))
+        for f, pt, w in terms:
+            row[col[f, pt]] += w
+        rows.append(row)
 
-    NU = len(ug)
-    G = NU + len(tg)
-    Eg = np.zeros((G, G))
-    Ei = np.zeros((G, 2 * M))
-    row = 0
+    # rows (i), (ii), (iii) per face point, scaled by 2 h^2, h^3 and h to keep
+    # the ghost system O(1)-conditioned; (ii) is oriented along the axis and
+    # the damped variant moves nu (u + b theta) to its left side
+    for a, h in enumerate(steps):
+        tan = [(t, d, w, steps[t]) for t in range(dim) if t != a for d, w in LAP3]
+        for nu in (-1.0, 1.0):
+            first = 0 if nu < 0 else cells[a] - 1
+            for p in _tangential(cells, a):
+                c1, c0, g1, g2 = (_at(p, a, first + int(nu) * m) for m in (-1, 0, 1, 2))
+                equation(
+                    (0, c1, 1.0), (0, c0, -1.0), (0, g1, -1.0), (0, g2, 1.0),
+                    *((0, _shift(pt, t, d), c * w * (h * h) / (ht * ht))
+                      for t, d, w, ht in tan for pt in (c0, g1)),
+                    (1, c0, h * h), (1, g1, h * h))
+                feedback = [(f, pt, -nu * k * 0.5 * h ** 3) for pt in (c0, g1)
+                            for f, k in ((0, 1.0), (1, robin))] if bc.damped else []
+                equation(
+                    (0, c1, -nu), (0, c0, 3.0 * nu), (0, g1, -3.0 * nu), (0, g2, nu),
+                    *((0, _shift(pt, t, d), (2.0 - c) * sgn * w * (h * h) / (ht * ht))
+                      for pt, sgn in ((c0, -nu), (g1, nu)) for t, d, w, ht in tan),
+                    *feedback)
+                equation((1, g1, 1.0 + 0.5 * robin * h), (1, c0, -(1.0 - 0.5 * robin * h)))
+    for gc, e1, e2, cc in corners:
+        equation((0, gc, 1.0), (0, e1, -1.0), (0, e2, -1.0), (0, cc, 1.0))
+    E = np.array(rows)
+    T, cond = _ghost_solve(E[:, 2 * M:], E[:, :2 * M])
 
-    def add_u(r, i, j, w):
-        if 0 <= i < Mx and 0 <= j < My:
-            Ei[r, iidx(i, j)] += w
+    def add(dst, r, f, pt, w):
+        # an interior point feeds one entry, a ghost its row of T
+        k = col[f, pt]
+        if k < 2 * M:
+            dst[r, k] += w
         else:
-            Eg[r, ug[(i, j)]] += w
-
-    def add_t(r, i, j, w):
-        if 0 <= i < Mx and 0 <= j < My:
-            Ei[r, M + iidx(i, j)] += w
-        else:
-            Eg[r, NU + tg[(i, j)]] += w
-
-    # edges with normal along x; rows scaled by 2 hn^2, hn^3, hn to keep the
-    # ghost system O(1)-conditioned
-    for side in ("L", "R"):
-        nu = -1.0 if side == "L" else 1.0
-        for j in range(My):
-            if side == "L":
-                c1, c0, g1, g2 = (1, j), (0, j), (-1, j), (-2, j)
-            else:
-                c1, c0, g1, g2 = (Mx - 2, j), (Mx - 1, j), (Mx, j), (Mx + 1, j)
-            # (i) u_nn + c u_tt + theta = 0 at the face
-            r = row
-            row += 1
-            add_u(r, *c1, 1.0)
-            add_u(r, *c0, -1.0)
-            add_u(r, *g1, -1.0)
-            add_u(r, *g2, 1.0)
-            for dj, w in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-                cf = c * w * (hx * hx) / (hy * hy)
-                add_u(r, c0[0], j + dj, cf)
-                add_u(r, g1[0], j + dj, cf)
-            add_t(r, *c0, hx * hx)
-            add_t(r, *g1, hx * hx)
-            # (ii) u_nnn + (2-c) u_ntt = 0, oriented along increasing x;
-            # the damped variant moves nu*(u + b theta) to the left side
-            r = row
-            row += 1
-            if side == "L":
-                add_u(r, *c1, 1.0)
-                add_u(r, *c0, -3.0)
-                add_u(r, *g1, 3.0)
-                add_u(r, *g2, -1.0)
-                fpos, fneg = c0, g1
-            else:
-                add_u(r, *g2, 1.0)
-                add_u(r, *g1, -3.0)
-                add_u(r, *c0, 3.0)
-                add_u(r, *c1, -1.0)
-                fpos, fneg = g1, c0
-            for (fi, fj), sgn in ((fpos, 1.0), (fneg, -1.0)):
-                for dj, w in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-                    add_u(r, fi, fj + dj, (2.0 - c) * sgn * w * (hx * hx) / (hy * hy))
-            if damped:
-                for fi, fj in (c0, g1):
-                    add_u(r, fi, fj, -nu * 0.5 * hx ** 3)
-                    add_t(r, fi, fj, -nu * rob * 0.5 * hx ** 3)
-            # (iii) theta flux
-            r = row
-            row += 1
-            if damped:
-                add_t(r, *g1, 1.0 + 0.5 * rob * hx)
-                add_t(r, *c0, -(1.0 - 0.5 * rob * hx))
-            else:
-                add_t(r, *g1, 1.0)
-                add_t(r, *c0, -1.0)
-
-    for side in ("B", "T"):
-        nu = -1.0 if side == "B" else 1.0
-        for i in range(Mx):
-            if side == "B":
-                c1, c0, g1, g2 = (i, 1), (i, 0), (i, -1), (i, -2)
-            else:
-                c1, c0, g1, g2 = (i, My - 2), (i, My - 1), (i, My), (i, My + 1)
-            r = row
-            row += 1
-            add_u(r, *c1, 1.0)
-            add_u(r, *c0, -1.0)
-            add_u(r, *g1, -1.0)
-            add_u(r, *g2, 1.0)
-            for di, w in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-                cf = c * w * (hy * hy) / (hx * hx)
-                add_u(r, i + di, c0[1], cf)
-                add_u(r, i + di, g1[1], cf)
-            add_t(r, *c0, hy * hy)
-            add_t(r, *g1, hy * hy)
-            r = row
-            row += 1
-            if side == "B":
-                add_u(r, *c1, 1.0)
-                add_u(r, *c0, -3.0)
-                add_u(r, *g1, 3.0)
-                add_u(r, *g2, -1.0)
-                fpos, fneg = c0, g1
-            else:
-                add_u(r, *g2, 1.0)
-                add_u(r, *g1, -3.0)
-                add_u(r, *c0, 3.0)
-                add_u(r, *c1, -1.0)
-                fpos, fneg = g1, c0
-            for (fi, fj), sgn in ((fpos, 1.0), (fneg, -1.0)):
-                for di, w in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-                    add_u(r, fi + di, fj, (2.0 - c) * sgn * w * (hy * hy) / (hx * hx))
-            if damped:
-                for fi, fj in (c0, g1):
-                    add_u(r, fi, fj, -nu * 0.5 * hy ** 3)
-                    add_t(r, fi, fj, -nu * rob * 0.5 * hy ** 3)
-            r = row
-            row += 1
-            if damped:
-                add_t(r, *g1, 1.0 + 0.5 * rob * hy)
-                add_t(r, *c0, -(1.0 - 0.5 * rob * hy))
-            else:
-                add_t(r, *g1, 1.0)
-                add_t(r, *c0, -1.0)
-
-    # corner ghosts: zero cross-difference closure, exact on quadratics
-    for gc, e1, e2, cc in (
-        ((-1, -1), (-1, 0), (0, -1), (0, 0)),
-        ((Mx, -1), (Mx, 0), (Mx - 1, -1), (Mx - 1, 0)),
-        ((-1, My), (-1, My - 1), (0, My), (0, My - 1)),
-        ((Mx, My), (Mx, My - 1), (Mx - 1, My), (Mx - 1, My - 1)),
-    ):
-        r = row
-        row += 1
-        add_u(r, *gc, 1.0)
-        add_u(r, *e1, -1.0)
-        add_u(r, *e2, -1.0)
-        add_u(r, *cc, 1.0)
-
-    assert row == G
-    T, cond = _ghost_solve(Eg, Ei)
-
-    def urow(i, j):
-        out = np.zeros(2 * M)
-        if 0 <= i < Mx and 0 <= j < My:
-            out[iidx(i, j)] = 1.0
-        else:
-            out[:] = T[ug[(i, j)]]
-        return out
-
-    def trow(i, j):
-        out = np.zeros(2 * M)
-        if 0 <= i < Mx and 0 <= j < My:
-            out[M + iidx(i, j)] = 1.0
-        else:
-            out[:] = T[NU + tg[(i, j)]]
-        return out
+            dst[r] += w * T[k - 2 * M]
 
     D4 = np.zeros((M, 2 * M))
     D2t = np.zeros((M, 2 * M))
     Lv = np.zeros((M, M))
-    for i in range(Mx):
-        for j in range(My):
-            r = iidx(i, j)
-            for d, w in ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)):
-                D4[r] += w / hx ** 4 * urow(i + d, j)
-                D4[r] += w / hy ** 4 * urow(i, j + d)
-            for dx, wx in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-                for dy, wy in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-                    D4[r] += 2.0 * wx * wy / (hx * hx * hy * hy) * urow(i + dx, j + dy)
-            for d, w in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-                D2t[r] += w / hx ** 2 * trow(i + d, j)
-                D2t[r] += w / hy ** 2 * trow(i, j + d)
-            if i == 0:
-                for d, w in ((0, 2.0), (1, -5.0), (2, 4.0), (3, -1.0)):
-                    Lv[r, iidx(i + d, j)] += w / hx ** 2
-            elif i == Mx - 1:
-                for d, w in ((0, 2.0), (-1, -5.0), (-2, 4.0), (-3, -1.0)):
-                    Lv[r, iidx(i + d, j)] += w / hx ** 2
-            else:
-                for d, w in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-                    Lv[r, iidx(i + d, j)] += w / hx ** 2
-            if j == 0:
-                for d, w in ((0, 2.0), (1, -5.0), (2, 4.0), (3, -1.0)):
-                    Lv[r, iidx(i, j + d)] += w / hy ** 2
-            elif j == My - 1:
-                for d, w in ((0, 2.0), (-1, -5.0), (-2, 4.0), (-3, -1.0)):
-                    Lv[r, iidx(i, j + d)] += w / hy ** 2
-            else:
-                for d, w in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-                    Lv[r, iidx(i, j + d)] += w / hy ** 2
-
-    matrix = _block_generator(D4, D2t, Lv, M)
-    centers = (ax + (np.arange(Mx) + 0.5) * hx, ay + (np.arange(My) + 0.5) * hy)
-    return matrix, centers, (hx, hy), cond
+    for r, cell in enumerate(interior):
+        for d, w in BIHARM5:
+            for a, h in enumerate(steps):
+                add(D4, r, 0, _shift(cell, a, d), w / h ** 4)
+        if dim == 2:
+            hx, hy = steps
+            for dx, wx in LAP3:
+                for dy, wy in LAP3:
+                    add(D4, r, 0, (cell[0] + dx, cell[1] + dy),
+                        2.0 * wx * wy / (hx * hx * hy * hy))
+        for d, w in LAP3:
+            for a, h in enumerate(steps):
+                add(D2t, r, 1, _shift(cell, a, d), w / h ** 2)
+        # v has no boundary condition: one-sided lap v on the first and last cell
+        for a, h in enumerate(steps):
+            last = cell[a] == cells[a] - 1
+            for d, w in ONE_SIDED if cell[a] == 0 or last else LAP3:
+                Lv[r, col[0, _shift(cell, a, -d if last else d)]] += w / h ** 2
+    return _block_generator(D4, D2t, Lv, M), cond
 
 
 def _block_generator(D4, D2t, Lv, M):
@@ -607,7 +421,6 @@ def spectrum(gen: DiscreteGenerator, zero_tol: float | None = None) -> SpectrumR
 
 @dataclass
 class KernelProjection:
-    kernel_basis: np.ndarray
     algebraic_dimension: int
     projector: np.ndarray
     pairing_condition: float
@@ -616,7 +429,7 @@ class KernelProjection:
 
 def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
                           ) -> KernelProjection:
-    """Numerical kernel basis plus the oblique projection onto the zero cluster.
+    """The oblique projection onto the zero cluster.
 
     The generalized-kernel invariant subspace comes from a sorted complex
     Schur form; the left subspace from the adjoint's.  P = V (W* V)^{-1} W*
@@ -637,11 +450,8 @@ def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
         raise NumericalError(
             f"left/right zero-cluster dimensions disagree ({d_left} vs {d_right})"
         )
-    _, svals, vh = np.linalg.svd(gen.matrix)
-    kernel_tol = KERNEL_SV_FACTOR * MACHINE_EPS * float(svals[0])
-    basis = vh[svals <= kernel_tol].conj().T.real
     if d_right == 0:
-        return KernelProjection(basis, 0, np.zeros((n, n)), 1.0, 0.0)
+        return KernelProjection(0, np.zeros((n, n)), 1.0, 0.0)
     V = ZR[:, :d_right]
     W = ZL[:, :d_left]
     C = W.conj().T @ V
@@ -657,7 +467,7 @@ def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
     residual = float(np.abs(P @ P - P).max() / max(np.abs(P).max(), 1.0))
     if residual > IDEMPOTENCY_TOL:
         raise NumericalError(f"projection is not idempotent (residual {residual:.3e})")
-    return KernelProjection(basis, int(d_right), P, cond, residual)
+    return KernelProjection(int(d_right), P, cond, residual)
 
 
 # ---------------------------------------------------------------------------

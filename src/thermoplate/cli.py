@@ -201,7 +201,7 @@ def cmd_roots(cfg: RunConfig, outdir: str) -> tuple:
     ok = True
     try:
         roots.validate()
-    except AssertionError as exc:
+    except ValueError as exc:
         ok = False
         print(f"roots: invariant violated: {exc}")
     record = {
@@ -379,11 +379,8 @@ def cmd_decay(cfg: RunConfig, outdir: str) -> tuple:
 
 
 def cmd_converge(cfg: RunConfig, outdir: str) -> tuple:
-    try:
-        rep = bounded.convergence_study(_domain_from_config(cfg), _bc_from_config(cfg),
-                                        cfg.grids, count=cfg.count)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    rep = bounded.convergence_study(_domain_from_config(cfg), _bc_from_config(cfg),
+                                    cfg.grids, count=cfg.count)
     orders_ok = bool(np.all((rep.orders >= 1.5) & (rep.orders <= 2.5)))
     print("converge: orders", np.array2string(rep.orders, precision=3), f"ok={orders_ok}")
     artifacts = {}
@@ -506,16 +503,15 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         outdir = _outdir(cfg)
         checks, artifacts = _DISPATCH[cfg.command](cfg, outdir)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except bounded.AssemblyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (torus.NumericalError, symbols.SingularParameterError,
-            multipliers.EvaluationError) as exc:
+            multipliers.EvaluationError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (UsageError, ValueError) as exc:
+        # after the numerical branch, whose exceptions include ValueErrors;
+        # library ValueErrors (bounded.AssemblyError among them) are bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _write_manifest(outdir, cfg, checks, artifacts, time.perf_counter() - start)
     if not all(checks.values()):
         failed = [name for name, ok in checks.items() if not ok]

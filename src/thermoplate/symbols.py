@@ -68,18 +68,23 @@ class CharacteristicRoots:
         return np.array([self.gamma1, self.gamma2, self.gamma3])
 
     def validate(self) -> None:
-        """Raise AssertionError unless every structural invariant holds."""
+        """Raise ValueError unless every structural invariant holds."""
         residual = max(abs(poly_eval(-g)) for g in self.as_array())
-        assert residual <= ROOT_RESIDUAL_TOL, f"root residual {residual:.3e}"
-        assert 0.0 < self.gamma1 < 1.0
-        assert self.gamma3 == self.gamma2.conjugate()
-        assert self.gamma2.imag > 0.0
-        assert 0.0 < self.gamma2.real < 0.5
         prod = self.gamma1 * self.gamma2 * self.gamma3
         total = self.gamma1 + self.gamma2 + self.gamma3
-        assert abs(prod - 1.0) <= ROOT_RESIDUAL_TOL, f"Vieta product {prod}"
-        assert abs(total - 1.0) <= ROOT_RESIDUAL_TOL, f"Vieta sum {total}"
-        assert math.pi / 2 < self.theta0 < math.pi
+        checks = (
+            (residual <= ROOT_RESIDUAL_TOL, f"root residual {residual:.3e}"),
+            (0.0 < self.gamma1 < 1.0, f"gamma1 = {self.gamma1!r} outside (0, 1)"),
+            (self.gamma3 == self.gamma2.conjugate(), "gamma3 is not conj(gamma2)"),
+            (self.gamma2.imag > 0.0, "Im gamma2 is not positive"),
+            (0.0 < self.gamma2.real < 0.5, f"Re gamma2 = {self.gamma2.real!r} outside (0, 1/2)"),
+            (abs(prod - 1.0) <= ROOT_RESIDUAL_TOL, f"Vieta product {prod}"),
+            (abs(total - 1.0) <= ROOT_RESIDUAL_TOL, f"Vieta sum {total}"),
+            (math.pi / 2 < self.theta0 < math.pi, f"theta0 = {self.theta0!r} outside (pi/2, pi)"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(message)
 
 
 def characteristic_roots() -> CharacteristicRoots:

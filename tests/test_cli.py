@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -102,6 +104,29 @@ class TestExitCodes:
             ["roots"], tmp_path, monkeypatch, env={cli.ENV_PERTURB: "1e-3"}
         )
         assert rc == cli.EXIT_CHECK
+
+    def test_perturbed_roots_fail_check_under_optimize(self, tmp_path):
+        # validation must not rest on assert, which python -O strips
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, **{cli.ENV_PERTURB: "0.1",
+                                                  cli.ENV_OUT: str(tmp_path)})
+        proc = subprocess.run([sys.executable, "-O", "-m", "thermoplate.cli", "roots"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_CHECK, proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--modes", "100"],
+            ["evolve", "--t", "-1"],
+            ["decay", "--samples", "3"],
+            ["sweep", "--k-values", "abc"],
+        ],
+    )
+    def test_library_value_error_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        assert run(argv, tmp_path, monkeypatch) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_numerical_error_maps_to_three(self, tmp_path, monkeypatch):
         def boom(state, t):

@@ -59,7 +59,7 @@ class TestRoots:
         from dataclasses import replace
 
         bad = replace(symbols.ROOTS, gamma1=symbols.ROOTS.gamma1 + 1e-6)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="root residual"):
             bad.validate()
 
 
