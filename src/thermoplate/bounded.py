@@ -40,7 +40,6 @@ accumulation, so the generator is reproducible bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,6 @@ ZERO_TOL_FACTOR = 1e-6
 KERNEL_SV_FACTOR = 10.0
 PAIRING_CONDITION_LIMIT = 1e10
 IDEMPOTENCY_TOL = 1e-8
-UNSTABLE_FACTOR = 10.0
 MAX_DENSE_SIZE = 20000
 MIN_CELLS = 8
 
@@ -377,6 +375,27 @@ class SpectrumReport:
         }
 
 
+def _eigenvalues(gen: DiscreteGenerator) -> tuple:
+    """Dense eigenvalues in report order and the default zero tolerance.
+
+    The order is descending real part, then descending imaginary part.
+    """
+    if gen.state_size > MAX_DENSE_SIZE:
+        raise ValueError("matrix too large for a dense eigensolve")
+    try:
+        ev = np.linalg.eigvals(gen.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+    ev = ev[np.lexsort((-ev.imag, -ev.real))]
+    return ev, ZERO_TOL_FACTOR * float(np.abs(ev).max())
+
+
+def _decay_margin(ev: np.ndarray, zero_tol: float) -> float:
+    """Minus the spectral abscissa off the zero cluster (inf if nothing is off it)."""
+    nonzero = ev[np.abs(ev) > zero_tol]
+    return float(-nonzero.real.max()) if len(nonzero) else float("inf")
+
+
 def spectrum(gen: DiscreteGenerator, zero_tol: float | None = None) -> SpectrumReport:
     """Dense eigensolve with zero-cluster bookkeeping.
 
@@ -387,30 +406,23 @@ def spectrum(gen: DiscreteGenerator, zero_tol: float | None = None) -> SpectrumR
     zero_cluster_count counts eigenvalues with |lambda| <= zero_tol and so
     includes generalized (Jordan) directions.
     """
-    if gen.state_size > MAX_DENSE_SIZE:
-        raise ValueError("matrix too large for a dense eigensolve")
+    ev, default_tol = _eigenvalues(gen)
+    if zero_tol is None:
+        zero_tol = default_tol
     try:
-        ev = np.linalg.eigvals(gen.matrix)
         sv = np.linalg.svd(gen.matrix, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    largest = float(np.abs(ev).max())
-    if zero_tol is None:
-        zero_tol = ZERO_TOL_FACTOR * largest
-    order = np.lexsort((-ev.imag, -ev.real))
-    ev = ev[order]
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
     kernel_tol = KERNEL_SV_FACTOR * MACHINE_EPS * float(sv[0])
-    nonzero = ev[np.abs(ev) > zero_tol]
-    margin = float(-nonzero.real.max()) if len(nonzero) else float("inf")
     return SpectrumReport(
         eigenvalues=ev,
         grid=gen.cells,
         zero_tol=float(zero_tol),
         kernel_dimension=int((sv <= kernel_tol).sum()),
         zero_cluster_count=int((np.abs(ev) <= zero_tol).sum()),
-        decay_margin=margin,
+        decay_margin=_decay_margin(ev, zero_tol),
         max_real_part=float(ev.real.max()),
-        largest_modulus=largest,
+        largest_modulus=float(np.abs(ev).max()),
         kernel_tolerance=kernel_tol,
         smallest_singular_values=sv[-8:][::-1].copy(),
     )
@@ -431,19 +443,19 @@ def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
                           ) -> KernelProjection:
     """The oblique projection onto the zero cluster.
 
-    The generalized-kernel invariant subspace comes from a sorted complex
-    Schur form; the left subspace from the adjoint's.  P = V (W* V)^{-1} W*
-    reproduces the Riesz projection for the cluster; an empty cluster gives
-    P = 0.
+    The right invariant subspace V of the cluster comes from a real Schur
+    form of A sorted to put |lambda| <= zero_tol first, the left subspace W
+    from that of A^T.  P = V (W^T V)^{-1} W^T is the real Riesz projection
+    for the cluster; an empty cluster gives P = 0.
     """
     if zero_tol is None:
-        zero_tol = ZERO_TOL_FACTOR * spectrum(gen).largest_modulus
+        zero_tol = _eigenvalues(gen)[1]
     n = gen.state_size
-    A = gen.matrix.astype(complex)
-    keep = lambda lam: abs(lam) <= zero_tol
+    A = gen.matrix
+    keep = lambda x, y: np.hypot(x, y) <= zero_tol
     try:
-        _, ZR, d_right = sla.schur(A, output="complex", sort=keep)
-        _, ZL, d_left = sla.schur(A.conj().T, output="complex", sort=keep)
+        _, ZR, d_right = sla.schur(A, output="real", sort=keep)
+        _, ZL, d_left = sla.schur(A.T, output="real", sort=keep)
     except sla.LinAlgError as exc:
         raise NumericalError(f"Schur decomposition failed: {exc}") from exc
     if d_right != d_left:
@@ -454,16 +466,11 @@ def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
         return KernelProjection(0, np.zeros((n, n)), 1.0, 0.0)
     V = ZR[:, :d_right]
     W = ZL[:, :d_left]
-    C = W.conj().T @ V
+    C = W.T @ V
     cond = float(np.linalg.cond(C))
     if cond > PAIRING_CONDITION_LIMIT:
         raise NumericalError(f"ill-conditioned subspace pairing (cond {cond:.3e})")
-    P = V @ np.linalg.solve(C, W.conj().T)
-    # complex-Schur rounding leaves an imaginary dust amplified by the
-    # pairing conditioning; anything above 1e-6 relative means trouble
-    if np.abs(P.imag).max() > 1e-6 * max(np.abs(P.real).max(), 1.0):
-        raise NumericalError("projection has a non-negligible imaginary part")
-    P = P.real
+    P = V @ np.linalg.solve(C, W.T)
     residual = float(np.abs(P @ P - P).max() / max(np.abs(P).max(), 1.0))
     if residual > IDEMPOTENCY_TOL:
         raise NumericalError(f"projection is not idempotent (residual {residual:.3e})")
@@ -471,30 +478,7 @@ def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
 
 
 # ---------------------------------------------------------------------------
-# evolution and decay
-
-def evolve_bounded(gen: DiscreteGenerator, u0: np.ndarray, t: float,
-                   project_off_kernel: bool = False,
-                   zero_tol: float | None = None) -> np.ndarray:
-    """exp(t gen) u0 by the dense matrix exponential; aborts on unstable assemblies."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (gen.state_size,):
-        raise ValueError("state vector has the wrong size")
-    lams = np.linalg.eigvals(gen.matrix)
-    if zero_tol is None:
-        zero_tol = ZERO_TOL_FACTOR * float(np.abs(lams).max())
-    if float(lams.real.max()) > UNSTABLE_FACTOR * zero_tol:
-        raise NumericalError(
-            f"unstable discretization (max Re = {lams.real.max():.3e}); aborting"
-        )
-    if project_off_kernel:
-        u0 = u0 - kernel_and_projection(gen, zero_tol).projector @ u0
-    # expm on the real matrix directly: exponentiating a triangular Schur
-    # factor is too ill-conditioned for stiff assemblies.
-    return sla.expm(t * gen.matrix) @ u0
-
+# decay
 
 @dataclass
 class DecayFit:
@@ -506,6 +490,10 @@ class DecayFit:
     window_start: float
     decaying: bool
     seed: int
+    # projector diagnostics, None when the kernel was not projected out
+    projector_dimension: int | None = None
+    pairing_condition: float | None = None
+    idempotency_residual: float | None = None
 
     def to_csv_rows(self) -> list:
         rows = ["t,norm"]
@@ -520,6 +508,9 @@ class DecayFit:
             "window_start": self.window_start,
             "decaying": self.decaying,
             "seed": self.seed,
+            "projector_dimension": self.projector_dimension,
+            "pairing_condition": self.pairing_condition,
+            "idempotency_residual": self.idempotency_residual,
         }
 
 
@@ -536,8 +527,10 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
     """
     if samples < 8:
         raise ValueError("need at least 8 samples for a stable fit")
-    rep = spectrum(gen, zero_tol)
-    eps_spec = rep.decay_margin
+    ev, default_tol = _eigenvalues(gen)
+    if zero_tol is None:
+        zero_tol = default_tol
+    eps_spec = _decay_margin(ev, zero_tol)
     if not np.isfinite(eps_spec) or eps_spec <= 0:
         raise NumericalError(f"no positive spectral decay margin (got {eps_spec})")
     if horizon is None:
@@ -546,8 +539,13 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
         rng = np.random.default_rng(seed)
         u0 = rng.standard_normal(gen.state_size)
     u0 = np.asarray(u0, dtype=float)
+    diagnostics = {}
     if project_off_kernel:
-        u0 = u0 - kernel_and_projection(gen, rep.zero_tol).projector @ u0
+        proj = kernel_and_projection(gen, zero_tol)
+        u0 = u0 - proj.projector @ u0
+        diagnostics = dict(projector_dimension=proj.algebraic_dimension,
+                           pairing_condition=proj.pairing_condition,
+                           idempotency_residual=proj.idempotency_residual)
     dt = horizon / (samples - 1)
     try:
         step = sla.expm(gen.matrix * dt)
@@ -574,6 +572,7 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
         window_start=float(0.5 * horizon),
         decaying=fitted > 0.1 * eps_spec,
         seed=seed,
+        **diagnostics,
     )
 
 
@@ -607,10 +606,9 @@ class ConvergenceReport:
 
 
 def _slow_modes(gen: DiscreteGenerator, count: int) -> np.ndarray:
-    rep = spectrum(gen)
-    ev = rep.eigenvalues
-    nz = ev[np.abs(ev) > rep.zero_tol]
-    nz = nz[nz.imag >= -1e-9 * rep.largest_modulus]
+    ev, zero_tol = _eigenvalues(gen)
+    nz = ev[np.abs(ev) > zero_tol]
+    nz = nz[nz.imag >= -1e-9 * float(np.abs(ev).max())]
     nz = nz[np.argsort(np.abs(nz))]
     if len(nz) < count:
         raise NumericalError("not enough nonzero eigenvalues to track")
@@ -634,16 +632,6 @@ def _match_modes(ref: np.ndarray, cand: np.ndarray) -> np.ndarray:
         used.add(k)
         out[i] = cand[k]
     return out
-
-
-def eigenvalue_differences(domain: DomainSpec, bc: BCVariant, grid_a, grid_b,
-                           count: int = 5) -> np.ndarray:
-    """Distances between the tracked slow modes of two grids (zero if equal)."""
-    ga = assemble_generator(domain, grid_a, bc)
-    gb = assemble_generator(domain, grid_b, bc)
-    ref = _slow_modes(ga, count)
-    matched = _match_modes(ref, _slow_modes(gb, count))
-    return np.abs(matched - ref)
 
 
 def convergence_study(domain: DomainSpec, bc: BCVariant, grids,
@@ -677,16 +665,3 @@ def convergence_study(domain: DomainSpec, bc: BCVariant, grids,
         raise NumericalError("zero eigenvalue difference; cannot form order estimate")
     orders = np.log2(diffs[:-1] / diffs[1:]).mean(axis=0)
     return ConvergenceReport(tuple(norm_grids), tracked, diffs, orders)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-def save_triplets(path, gen: DiscreteGenerator) -> None:
-    """Sparse triplet text export: header, then one 'row col value' per line."""
-    rows, cols = np.nonzero(gen.matrix)
-    with open(path, "w") as fh:
-        fh.write(f"# generator {gen.state_size} {gen.state_size} {len(rows)}\n")
-        fh.write(f"# cells {'x'.join(map(str, gen.cells))} bc {gen.bc.tag}\n")
-        for r, cidx in zip(rows, cols):
-            fh.write(f"{r} {cidx} {float(gen.matrix[r, cidx])!r}\n")

@@ -5,8 +5,10 @@ then flags), runs one analysis, writes its data files plus a manifest.json
 (config snapshot, version, wall time, per-check pass/fail, sha256 per
 artifact) into the output directory, and exits 0 on success, 1 on usage
 errors, 2 when a check fails, 3 on numerical failure.  Given the same
-config and seed, every data file is byte-identical across reruns; only the
-wall time inside the manifest varies.
+config and seed, every data file is byte-identical across reruns on one
+numpy/scipy/BLAS build with one BLAS thread count; only the wall time inside
+the manifest varies.  Another thread count can move the spectrum, decay and
+converge results at roundoff level.
 
 Config files are flat UTF-8 `key = value` lines with `#` comments; unknown
 keys are rejected.  The output root can also be set through the

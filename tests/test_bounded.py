@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from thermoplate import bounded
-from thermoplate.torus import NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +136,20 @@ class TestProjection:
         p = bounded.kernel_and_projection(gen1d).projector
         assert np.trace(p) == pytest.approx(5.0, abs=1e-6)
 
+    def test_real_projector_on_fine_grid(self):
+        # n = 600: a projector built in complex arithmetic leaves an
+        # imaginary part above 1e-6 here, so the real path must hold
+        gen = bounded.assemble_generator(
+            bounded.interval(0.0, 1.0), 200, bounded.free_beta(0.5)
+        )
+        proj = bounded.kernel_and_projection(gen)
+        p, a = proj.projector, gen.matrix
+        assert p.dtype == np.float64
+        assert proj.algebraic_dimension == 5
+        assert np.trace(p) == pytest.approx(5.0, abs=1e-6)
+        assert proj.idempotency_residual <= bounded.IDEMPOTENCY_TOL
+        assert np.abs(p @ a - a @ p).max() <= 1e-6 * np.abs(a).max()
+
     def test_empty_cluster_for_damped_variant(self):
         gen = bounded.assemble_generator(
             bounded.rectangle(), 12, bounded.lt_variant(0.3, 1.0)
@@ -147,43 +160,14 @@ class TestProjection:
 
 
 class TestEvolution:
-    def test_jordan_drift(self, gen1d):
-        m = gen1d.n_cells
-        z = np.zeros(m)
-        u0 = gen1d.pack(z, np.ones(m), z)
-        for t in (0.01, 0.1):
-            out = bounded.evolve_bounded(gen1d, u0, t)
-            u, v, _ = gen1d.unpack(out)
-            assert np.abs(u - t).max() <= 1e-8
-            assert np.abs(v - 1.0).max() <= 1e-8
-
-    def test_projected_evolution_consistency(self, gen1d):
-        rng = np.random.default_rng(3)
-        w0 = rng.standard_normal(gen1d.state_size)
-        p = bounded.kernel_and_projection(gen1d).projector
-        a = bounded.evolve_bounded(gen1d, w0, 5.0, project_off_kernel=True)
-        b = bounded.evolve_bounded(gen1d, w0 - p @ w0, 5.0)
-        assert np.abs(a - b).max() <= 1e-8
-
-    def test_projection_follows_zero_tol(self):
+    def test_projection_follows_zero_tol(self, gen1d):
         # a wider zero tolerance takes in a sixth eigenvalue; the projector
         # must follow it rather than reuse the one built for the default
-        gen = bounded.assemble_generator(
-            bounded.interval(0.0, 1.0), 100, bounded.free_beta(0.5)
-        )
-        w0 = np.random.default_rng(5).standard_normal(gen.state_size)
-        bounded.evolve_bounded(gen, w0, 1.0, project_off_kernel=True)
-        wide = bounded.kernel_and_projection(gen, 20.0)
+        wide = bounded.kernel_and_projection(gen1d, 20.0)
+        p, a = wide.projector, gen1d.matrix
         assert wide.algebraic_dimension == 6
-        a = bounded.evolve_bounded(gen, w0, 1.0, project_off_kernel=True, zero_tol=20.0)
-        b = bounded.evolve_bounded(gen, w0 - wide.projector @ w0, 1.0)
-        assert np.abs(a - b).max() <= 1e-8 * np.abs(b).max()
-
-    def test_input_validation(self, gen1d):
-        with pytest.raises(ValueError):
-            bounded.evolve_bounded(gen1d, np.zeros(7), 1.0)
-        with pytest.raises(ValueError):
-            bounded.evolve_bounded(gen1d, np.zeros(gen1d.state_size), -1.0)
+        assert np.abs(p @ p - p).max() <= bounded.IDEMPOTENCY_TOL
+        assert np.abs(p @ a - a @ p).max() <= 1e-6 * np.abs(a).max()
 
 
 class TestDecayRate:
@@ -197,6 +181,15 @@ class TestDecayRate:
         fit = bounded.decay_rate_experiment(gen1d, project_off_kernel=False)
         # the generalized kernel freezes the norm, so no decay is seen
         assert not fit.decaying
+
+    def test_projector_diagnostics(self, gen1d):
+        d = bounded.decay_rate_experiment(gen1d).to_json_dict()
+        assert d["projector_dimension"] == 5
+        assert d["pairing_condition"] < bounded.PAIRING_CONDITION_LIMIT
+        assert d["idempotency_residual"] <= bounded.IDEMPOTENCY_TOL
+        bare = bounded.decay_rate_experiment(gen1d, project_off_kernel=False).to_json_dict()
+        assert [bare[k] for k in ("projector_dimension", "pairing_condition",
+                                  "idempotency_residual")] == [None, None, None]
 
     def test_deterministic_given_seed(self, gen1d):
         a = bounded.decay_rate_experiment(gen1d, seed=4)
@@ -212,12 +205,6 @@ class TestDecayRate:
 
 
 class TestConvergence:
-    def test_identical_grids_give_zero(self):
-        d = bounded.eigenvalue_differences(
-            bounded.interval(), bounded.free_beta(0.5), 100, 100, count=4
-        )
-        assert np.all(d == 0.0)
-
     def test_orders_in_second_order_window(self):
         rep = bounded.convergence_study(
             bounded.interval(), bounded.free_beta(0.5), (50, 100, 200), count=4
@@ -298,23 +285,6 @@ class TestNonSquareRectangle:
 
 
 class TestExport:
-    def test_triplets_reconstruct_matrix(self, tmp_path, gen1d):
-        path = tmp_path / "gen.txt"
-        bounded.save_triplets(path, gen1d)
-        lines = path.read_text().splitlines()
-        header = lines[0].split()
-        assert header[:2] == ["#", "generator"]
-        n = int(header[2])
-        nnz = int(header[4])
-        assert n == gen1d.state_size
-        rebuilt = np.zeros((n, n))
-        body = [ln for ln in lines if not ln.startswith("#")]
-        assert len(body) == nnz
-        for ln in body:
-            i, j, val = ln.split()
-            rebuilt[int(i), int(j)] = float(val)
-        assert np.array_equal(rebuilt, gen1d.matrix)
-
     def test_spectrum_report_serialization(self, spec1d):
         d = spec1d.to_json_dict()
         assert d["zero_cluster_count"] == 5

@@ -211,6 +211,13 @@ class TestOutputs:
         report = json.loads((tmp_path / "spectrum.json").read_text())
         assert report["kernel_dimension"] == 3
 
+    def test_decay_on_fine_free_interval(self, tmp_path, monkeypatch):
+        # n = 600, where a projector built in complex arithmetic aborts
+        assert run(["decay", "--grid", "200"], tmp_path, monkeypatch) == cli.EXIT_OK
+        fit = json.loads((tmp_path / "decay.json").read_text())
+        assert fit["relative_gap"] <= 0.1
+        assert fit["projector_dimension"] == 5
+
     def test_evolve_states_reload(self, tmp_path, monkeypatch):
         from thermoplate import torus
 
