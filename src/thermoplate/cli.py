@@ -2,13 +2,14 @@
 
 Every command resolves a RunConfig (defaults, then an optional config file,
 then flags), runs one analysis, writes its data files plus a manifest.json
-(config snapshot, version, wall time, per-check pass/fail, sha256 per
-artifact) into the output directory, and exits 0 on success, 1 on usage
-errors, 2 when a check fails, 3 on numerical failure.  Given the same
-config and seed, every data file is byte-identical across reruns on one
-numpy/scipy/BLAS build with one BLAS thread count; only the wall time inside
-the manifest varies.  Another thread count can move the spectrum, decay and
-converge results at roundoff level.
+(config snapshot, version, numerical environment, wall time, per-check
+pass/fail, sha256 per artifact) into the output directory, and exits 0 on
+success, 1 on usage errors, 2 when a check fails, 3 on numerical failure.
+Given the same config and seed, every data file is byte-identical across
+reruns on one numpy/scipy/BLAS build with one BLAS thread count; only the
+wall time inside the manifest varies.  The manifest's environment block
+records that build and the BLAS thread variables, since another thread
+count can move the spectrum, decay and converge results at roundoff level.
 
 Config files are flat UTF-8 `key = value` lines with `#` comments; unknown
 keys are rejected.  The output root can also be set through the
@@ -24,16 +25,19 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+import scipy
 
 from . import __version__, bounded, multipliers, symbols, torus
 
 ENV_OUT = "THERMOPLATE_OUT"
 ENV_PERTURB = "THERMOPLATE_PERTURB_ROOTS"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -178,11 +182,24 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
+def _environment() -> dict:
+    """The numerical environment: versions, BLAS build and thread variables."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+    }
+
+
 def _write_manifest(outdir: str, cfg: RunConfig, checks: dict, artifacts: dict,
                     wall: float) -> None:
     manifest = {
         "command": cfg.command,
         "version": __version__,
+        "environment": _environment(),
         "config": _config_json(cfg),
         "checks": checks,
         "wall_time_s": wall,

@@ -7,27 +7,52 @@ matrix acting on the coefficient triple (u, v, theta)^ is
 
     A(xi) = [[0, 1, 0], [-s^2, 0, s], [0, -s, -s]],   s = |xi|^2,
 
-whose eigenvalues are -gamma_j * s.  Its exponential is computed through the
+whose eigenvalues are -gamma_j * s.  Its exponential goes through the
 constant matrix A1 = A(s=1): A(xi) = D (s A1) D^{-1} with D = diag(1, s, s),
-so one eigendecomposition serves every mode.
+so exp(t A(xi)) = D exp(tau A1) D^{-1} with tau = s t.  Sylvester's formula
+gives exp(tau A1) in real arithmetic from the spectral projectors of A1:
+R_r for the real eigenvalue -gamma1 and P = 2 Re R_c, Q = 2 Im R_c for the
+complex pair, exp(tau A1) = e^{-gamma1 tau} R_r + Re(e^{w tau}) P
+- Im(e^{w tau}) Q with w = -gamma2.  Below tau = 0.25, where that sum would
+cancel, a Horner-evaluated Taylor series of exp(tau A1) takes over, so every
+entry keeps its relative accuracy as s t -> 0.  The nilpotent mode s = 0 is
+exactly I + t A(0).  Each distinct s is evaluated once and gathered back to
+the modes that share it.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import BLOCK, resolvent_matrices, symbol_matrix, _scaled_resolvent_from_s
+from .symbols import BLOCK, ROOTS, resolvent_matrices, symbol_matrix, _scaled_resolvent_from_s
 
 MAGIC = b"TPLT"
 FORMAT_VERSION = 1
 IMAG_RESIDUE_TOL = 1e-10
 
 _A1 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, -1.0]])
-_W1, _V1 = np.linalg.eig(_A1)
-_V1INV = np.linalg.inv(_V1)
+_W_REAL, _W_PAIR = -ROOTS.gamma1, -ROOTS.gamma2
+
+
+def _real_projectors() -> tuple:
+    """R_r, P = 2 Re R_c, Q = 2 Im R_c from Sylvester's formula for A1."""
+    eye = np.eye(3)
+    wr, wc = _W_REAL, _W_PAIR
+    r_real = (_A1 - wc * eye) @ (_A1 - wc.conjugate() * eye) / abs(wr - wc) ** 2
+    r_pair = (_A1 - wr * eye) @ (_A1 - wc.conjugate() * eye) / ((wc - wr) * 2j * wc.imag)
+    return r_real.real, 2.0 * r_pair.real, 2.0 * r_pair.imag
+
+
+_R_REAL, _P_PAIR, _Q_PAIR = _real_projectors()
+# Taylor coefficients A1^k / k! for k = 0..15.  At the cut the first dropped
+# term is below 1e-21 and the smallest entry of exp(tau A1) is about 0.03;
+# below the cut the dropped term shrinks like tau^16, the entries like tau^2.
+_TAYLOR_CUT = 0.25
+_TAYLOR = [np.linalg.matrix_power(_A1, k) / math.factorial(k) for k in range(16)]
 
 
 class NumericalError(RuntimeError):
@@ -47,8 +72,8 @@ class TorusGrid:
         for m in self.modes:
             if m < 4 or m & (m - 1):
                 raise ValueError(f"modes per axis must be a power of two >= 4, got {m}")
-        if min(self.lengths) <= 0.0:
-            raise ValueError("axis lengths must be positive")
+        if not all(0.0 < length < math.inf for length in self.lengths):
+            raise ValueError(f"axis lengths must be positive and finite, got {self.lengths!r}")
 
     @property
     def dim(self) -> int:
@@ -101,11 +126,6 @@ class StateField:
         return e_norm(self.grid, self.u, self.v, self.theta, j)
 
 
-def zero_state(grid: TorusGrid) -> StateField:
-    z = np.zeros(grid.shape)
-    return StateField(grid, z, z.copy(), z.copy())
-
-
 def cosine_mode_state(grid: TorusGrid, k, amplitudes=(1.0, 0.0, 0.0)) -> StateField:
     """State whose three fields are multiples of one cosine mode."""
     k = np.atleast_1d(np.asarray(k, dtype=int))
@@ -137,27 +157,35 @@ def random_state(grid: TorusGrid, rng, decay: float = 2.0) -> StateField:
 # ---------------------------------------------------------------------------
 # mode propagators
 
-def _mode_propagators(s_flat: np.ndarray, t: float) -> np.ndarray:
-    """exp(t A(xi)) for every s in the flat array; shape (n, 3, 3)."""
-    zero = s_flat == 0.0
-    d = np.where(zero, 1.0, s_flat)
-    E = np.exp(np.multiply.outer(s_flat * t, _W1))
-    core = np.einsum("ij,nj,jk->nik", _V1, E, _V1INV)
-    D = np.stack([np.ones_like(d), d, d], axis=1)
-    out = core * D[:, :, None] / D[:, None, :]
-    if np.any(zero):
-        # s = 0 is nilpotent: exp(t A(0)) = I + t A(0)
-        flat = np.broadcast_to(np.eye(3, dtype=complex), (int(zero.sum()), 3, 3)).copy()
-        flat[:, 0, 1] = t
-        out[zero] = flat
+def _exp_tau_a1(tau: np.ndarray) -> np.ndarray:
+    """exp(tau A1) for a flat array of tau >= 0; shape (n, 3, 3)."""
+    out = np.empty(tau.shape + (3, 3))
+    small = tau < _TAYLOR_CUT
+    ts = tau[small][:, None, None]
+    acc = np.broadcast_to(_TAYLOR[-1], ts.shape[:1] + (3, 3))
+    for term in _TAYLOR[-2::-1]:
+        acc = term + ts * acc
+    out[small] = acc
+    tl = tau[~small]
+    mag = np.exp(_W_PAIR.real * tl)
+    re = (mag * np.cos(_W_PAIR.imag * tl))[:, None, None]
+    im = (mag * np.sin(_W_PAIR.imag * tl))[:, None, None]
+    out[~small] = np.exp(_W_REAL * tl)[:, None, None] * _R_REAL + re * _P_PAIR - im * _Q_PAIR
     return out
 
 
-def mode_exponential(xi, t: float) -> np.ndarray:
-    """exp(t A(xi)) for a single frequency (scalar modulus or vector)."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    s = float(np.dot(xi, xi)) if xi.ndim == 1 else float(xi)
-    return _mode_propagators(np.array([s]), t)[0]
+def _mode_propagators(s_flat: np.ndarray, t: float) -> np.ndarray:
+    """exp(t A(xi)) for every s in the flat array; real, shape (n, 3, 3)."""
+    s, inverse = np.unique(s_flat, return_inverse=True)
+    out = _exp_tau_a1(s * t)
+    zero = s == 0.0
+    d = np.where(zero, 1.0, s)[:, None]
+    out[:, 0, 1:] /= d
+    out[:, 1:, 0] *= d
+    # s = 0 is nilpotent: exp(t A(0)) = I + t A(0)
+    out[zero] = np.eye(3)
+    out[zero, 0, 1] = t
+    return out[inverse]
 
 
 def _coefficients(state: StateField) -> np.ndarray:
@@ -170,8 +198,8 @@ def evolve(state: StateField, t: float) -> tuple:
     The result of a real initial state is real up to rounding; the relative
     imaginary residue is measured, checked against 1e-10, and truncated.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
     g = state.grid
     U = _coefficients(state).reshape(3, -1)
     P = _mode_propagators(g.s_array().ravel(), t)

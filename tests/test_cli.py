@@ -119,6 +119,10 @@ class TestExitCodes:
         [
             ["evolve", "--modes", "100"],
             ["evolve", "--t", "-1"],
+            ["evolve", "--t", "nan"],
+            ["evolve", "--t", "inf"],
+            ["evolve", "--length", "inf"],
+            ["sweep", "--length", "nan"],
             ["decay", "--samples", "3"],
             ["sweep", "--k-values", "abc"],
         ],
@@ -180,6 +184,11 @@ class TestManifest:
         assert manifest["command"] == "witness"
         assert manifest["checks"]["matches_closed_form"] is True
         assert isinstance(manifest["wall_time_s"], float)
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "threads"}
+        assert set(env["blas"]) == {"name", "version"}
+        assert set(env["threads"]) == set(cli.THREAD_VARS)
+        assert env["numpy"] == np.__version__
         for name, digest in manifest["artifacts"].items():
             payload = (tmp_path / name).read_bytes()
             assert hashlib.sha256(payload).hexdigest() == digest

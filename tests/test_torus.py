@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from thermoplate import torus
 from thermoplate.symbols import GAMMAS, ROOTS, SingularParameterError, symbol_matrix
@@ -51,6 +52,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             torus.TorusGrid((8,), (0.0,))
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_length(self, length):
+        with pytest.raises(ValueError):
+            torus.TorusGrid((8, 8), (TWO_PI, length))
+
     def test_state_shape_checked(self, grid128):
         with pytest.raises(ValueError):
             torus.StateField(grid128, np.zeros(64), np.zeros(128), np.zeros(128))
@@ -66,9 +72,6 @@ class TestEnergyNorm:
         st = torus.cosine_mode_state(grid128, (1,), (1.0, 0.0, 0.0))
         # each +1 in j multiplies the u weight by (1+s) = 2, the norm by sqrt(2)
         assert st.e_norm(1) == pytest.approx(16.0 * math.sqrt(2.0), rel=1e-12)
-
-    def test_zero_state(self, grid128):
-        assert torus.zero_state(grid128).e_norm(0) == 0.0
 
     def test_sobolev_norm_single_mode(self, grid128):
         # cos(x): squared coefficient mass 64, weight (1+1)^s
@@ -90,6 +93,11 @@ class TestEnergyNorm:
 
 
 class TestEvolution:
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_time(self, grid128, t):
+        with pytest.raises(ValueError):
+            torus.evolve(bump_state(grid128), t)
+
     def test_zero_time_identity(self, grid128):
         st = bump_state(grid128)
         out, residue = torus.evolve(st, 0.0)
@@ -147,9 +155,10 @@ class TestEvolution:
         assert late.e_norm(0) < 1e-2 * st.e_norm(0)
 
     def test_zero_mode_jordan_block(self):
-        # the constant mode drifts linearly: exp(tA(0)) = I + tA(0)
-        p = torus.mode_exponential(0.0, 2.5)
-        assert np.allclose(p, np.eye(3) + 2.5 * symbol_matrix(0.0), atol=1e-14)
+        # the constant mode drifts linearly: exp(tA(0)) = I + tA(0), exactly
+        for t in (0.0, 1e-8, 2.5, 7.0):
+            p = torus._mode_propagators(np.array([0.0]), t)
+            assert np.array_equal(p[0], np.eye(3) + t * symbol_matrix(0.0))
 
     def test_modal_decay_fit(self, grid128):
         fit = torus.modal_decay_fit(grid128, (1,))
@@ -163,6 +172,52 @@ class TestEvolution:
         assert fit["slowest_rate"] == pytest.approx(
             -ROOTS.gamma2.real * s0, rel=1e-6
         )
+
+
+def mode_matrix(s):
+    """A(xi) built from s = |xi|^2 itself, with no square root in between."""
+    return np.array([[0.0, 1.0, 0.0], [-s * s, 0.0, s], [0.0, -s, -s]])
+
+
+def entry_error(got, want):
+    """Largest relative error over the entries of want above 1e-300."""
+    mask = np.abs(want) > 1e-300
+    return float(np.max(np.abs(got - want)[mask] / np.abs(want)[mask]))
+
+
+class TestPropagator:
+    CUT = torus._TAYLOR_CUT
+
+    @pytest.mark.parametrize(
+        "s, t",
+        [
+            (1e-6, 1.0),  # s t -> 0 through s
+            (1.0, 1e-8),  # s t -> 0 through t
+            (1.0, 0.999 * CUT),  # just below the Taylor cut
+            (1.0, 1.001 * CUT),  # just above it
+            (2.0, 0.999 * CUT / 2.0),
+            (2.0, 1.001 * CUT / 2.0),
+        ],
+    )
+    def test_entries_match_expm_near_small_tau(self, s, t):
+        got = torus._mode_propagators(np.array([s]), t)[0]
+        assert got.dtype == np.float64
+        assert entry_error(got, expm(t * mode_matrix(s))) <= 1e-14
+
+    @pytest.mark.parametrize("s", [1e-4, 1.0, 50.0, 3e4])
+    def test_entries_match_expm_up_to_large_tau(self, s):
+        for tau in np.logspace(-8, 3, 23):
+            got = torus._mode_propagators(np.array([s]), tau / s)[0]
+            want = expm(tau / s * mode_matrix(s))
+            assert entry_error(got, want) <= 1e-10, tau
+
+    def test_grid_gather_matches_single_modes(self):
+        # t = 0.1 puts s = 0, Taylor (s = 1, 2) and projector modes on one grid
+        s = torus.TorusGrid((64, 64), (TWO_PI, TWO_PI)).s_array().ravel()
+        full = torus._mode_propagators(s, 0.1)
+        assert full.shape == (s.size, 3, 3) and full.dtype == np.float64
+        alone = {v: torus._mode_propagators(np.array([v]), 0.1)[0] for v in np.unique(s)}
+        assert all(np.array_equal(p, alone[v]) for p, v in zip(full, s))
 
 
 class TestResolvent:
