@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .torus import NumericalError
+from .symbols import NumericalError
 
 MACHINE_EPS = np.finfo(float).eps
 ZERO_TOL_FACTOR = 1e-6
@@ -131,7 +131,6 @@ class DiscreteGenerator:
     cells: tuple
     matrix: np.ndarray
     centers: tuple
-    steps: tuple
     ghost_condition: float
 
     @property
@@ -183,7 +182,7 @@ def assemble_generator(domain: DomainSpec, grid_points, bc: BCVariant) -> Discre
     matrix, cond = _assemble(cells, steps, bc)
     if not np.all(np.isfinite(matrix)):
         raise AssemblyError("non-finite entries after ghost elimination")
-    return DiscreteGenerator(domain, bc, cells, matrix, centers, steps, cond)
+    return DiscreteGenerator(domain, bc, cells, matrix, centers, cond)
 
 
 def _ghost_solve(Eg: np.ndarray, Ei: np.ndarray) -> tuple:
@@ -355,25 +354,6 @@ class SpectrumReport:
     kernel_tolerance: float
     smallest_singular_values: np.ndarray
 
-    def to_csv_rows(self) -> list:
-        rows = ["re,im"]
-        rows.extend(f"{float(lam.real)!r},{float(lam.imag)!r}" for lam in self.eigenvalues)
-        return rows
-
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": list(self.grid),
-            "zero_tol": self.zero_tol,
-            "kernel_dimension": self.kernel_dimension,
-            "zero_cluster_count": self.zero_cluster_count,
-            "decay_margin": self.decay_margin,
-            "max_real_part": self.max_real_part,
-            "largest_modulus": self.largest_modulus,
-            "kernel_tolerance": self.kernel_tolerance,
-            "smallest_singular_values": [float(s) for s in self.smallest_singular_values],
-            "eigenvalues": [[lam.real, lam.imag] for lam in self.eigenvalues],
-        }
-
 
 def _eigenvalues(gen: DiscreteGenerator) -> tuple:
     """Dense eigenvalues in report order and the default zero tolerance.
@@ -396,7 +376,7 @@ def _decay_margin(ev: np.ndarray, zero_tol: float) -> float:
     return float(-nonzero.real.max()) if len(nonzero) else float("inf")
 
 
-def spectrum(gen: DiscreteGenerator, zero_tol: float | None = None) -> SpectrumReport:
+def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
     """Dense eigensolve with zero-cluster bookkeeping.
 
     kernel_dimension counts singular values at the rounding floor (a fixed
@@ -406,9 +386,7 @@ def spectrum(gen: DiscreteGenerator, zero_tol: float | None = None) -> SpectrumR
     zero_cluster_count counts eigenvalues with |lambda| <= zero_tol and so
     includes generalized (Jordan) directions.
     """
-    ev, default_tol = _eigenvalues(gen)
-    if zero_tol is None:
-        zero_tol = default_tol
+    ev, zero_tol = _eigenvalues(gen)
     try:
         sv = np.linalg.svd(gen.matrix, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -417,7 +395,7 @@ def spectrum(gen: DiscreteGenerator, zero_tol: float | None = None) -> SpectrumR
     return SpectrumReport(
         eigenvalues=ev,
         grid=gen.cells,
-        zero_tol=float(zero_tol),
+        zero_tol=zero_tol,
         kernel_dimension=int((sv <= kernel_tol).sum()),
         zero_cluster_count=int((np.abs(ev) <= zero_tol).sum()),
         decay_margin=_decay_margin(ev, zero_tol),
@@ -495,30 +473,10 @@ class DecayFit:
     pairing_condition: float | None = None
     idempotency_residual: float | None = None
 
-    def to_csv_rows(self) -> list:
-        rows = ["t,norm"]
-        rows.extend(f"{float(t)!r},{float(n)!r}" for t, n in zip(self.times, self.norms))
-        return rows
-
-    def to_json_dict(self) -> dict:
-        return {
-            "fitted_rate": self.fitted_rate,
-            "spectral_rate": self.spectral_rate,
-            "relative_gap": self.relative_gap,
-            "window_start": self.window_start,
-            "decaying": self.decaying,
-            "seed": self.seed,
-            "projector_dimension": self.projector_dimension,
-            "pairing_condition": self.pairing_condition,
-            "idempotency_residual": self.idempotency_residual,
-        }
-
 
 def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
                           horizon: float | None = None, seed: int = 0,
-                          project_off_kernel: bool = True,
-                          u0: np.ndarray | None = None,
-                          zero_tol: float | None = None) -> DecayFit:
+                          project_off_kernel: bool = True) -> DecayFit:
     """Fit exp(-eps t) to the norm history of a random trajectory.
 
     The fit window is the second half of the horizon, where the slowest
@@ -527,18 +485,13 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
     """
     if samples < 8:
         raise ValueError("need at least 8 samples for a stable fit")
-    ev, default_tol = _eigenvalues(gen)
-    if zero_tol is None:
-        zero_tol = default_tol
+    ev, zero_tol = _eigenvalues(gen)
     eps_spec = _decay_margin(ev, zero_tol)
     if not np.isfinite(eps_spec) or eps_spec <= 0:
         raise NumericalError(f"no positive spectral decay margin (got {eps_spec})")
     if horizon is None:
         horizon = 8.0 / eps_spec
-    if u0 is None:
-        rng = np.random.default_rng(seed)
-        u0 = rng.standard_normal(gen.state_size)
-    u0 = np.asarray(u0, dtype=float)
+    u0 = np.random.default_rng(seed).standard_normal(gen.state_size)
     diagnostics = {}
     if project_off_kernel:
         proj = kernel_and_projection(gen, zero_tol)
@@ -553,7 +506,7 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
         raise NumericalError(f"propagator construction failed: {exc}") from exc
     times = np.linspace(0.0, horizon, samples)
     norms = np.empty(samples)
-    state = u0.copy()
+    state = u0
     for i in range(samples):
         norms[i] = np.linalg.norm(state)
         state = step @ state
@@ -585,24 +538,6 @@ class ConvergenceReport:
     tracked: np.ndarray
     differences: np.ndarray
     orders: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {
-            "grids": [list(g) for g in self.grids],
-            "tracked": [[[lam.real, lam.imag] for lam in row] for row in self.tracked],
-            "differences": [[float(v) for v in row] for row in self.differences],
-            "orders": [float(v) for v in self.orders],
-        }
-
-    def to_csv_rows(self) -> list:
-        rows = ["mode," + ",".join(f"re_{g},im_{g}" for g in ["x".join(map(str, gr)) for gr in self.grids]) + ",order"]
-        for k in range(self.tracked.shape[1]):
-            vals = []
-            for gi in range(len(self.grids)):
-                lam = self.tracked[gi, k]
-                vals.extend([repr(float(lam.real)), repr(float(lam.imag))])
-            rows.append(f"{k}," + ",".join(vals) + f",{float(self.orders[k])!r}")
-        return rows
 
 
 def _slow_modes(gen: DiscreteGenerator, count: int) -> np.ndarray:

@@ -5,11 +5,14 @@ then flags), runs one analysis, writes its data files plus a manifest.json
 (config snapshot, version, numerical environment, wall time, per-check
 pass/fail, sha256 per artifact) into the output directory, and exits 0 on
 success, 1 on usage errors, 2 when a check fails, 3 on numerical failure.
-Given the same config and seed, every data file is byte-identical across
-reruns on one numpy/scipy/BLAS build with one BLAS thread count; only the
-wall time inside the manifest varies.  The manifest's environment block
-records that build and the BLAS thread variables, since another thread
-count can move the spectrum, decay and converge results at roundoff level.
+The artifact formats live in this module only: the library returns plain
+dataclasses, `_plain` turns them into JSON values and `_csv` writes every
+CSV table.  Given the same config and seed, every data file is
+byte-identical across reruns on one numpy/scipy/BLAS build with one BLAS
+thread count; only the wall time inside the manifest varies.  The
+manifest's environment block records that build and the BLAS thread
+variables, since another thread count can move the spectrum, decay and
+converge results at roundoff level.
 
 Config files are flat UTF-8 `key = value` lines with `#` comments; unknown
 keys are rejected.  The output root can also be set through the
@@ -28,7 +31,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 import scipy
@@ -139,14 +142,6 @@ def config_from_text(text: str, base: RunConfig | None = None) -> RunConfig:
     return replace(base, **updates)
 
 
-def _config_json(cfg: RunConfig) -> dict:
-    out = {}
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -172,14 +167,35 @@ def _write_text(outdir: str, name: str, text: str, artifacts: dict) -> str:
     return path
 
 
-def _json_default(obj):
-    if hasattr(obj, "item"):  # numpy scalar
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+def _plain(obj):
+    """obj as plain JSON values, converted all the way down.
+
+    Dataclasses become dicts of their fields, arrays and numpy scalars go
+    through tolist(), tuples become lists and complex numbers [re, im].
+    """
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _plain(obj.tolist())
+    if isinstance(obj, (tuple, list)):
+        return [_plain(val) for val in obj]
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    return obj
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: int cells with str, every other cell as repr(float(x))."""
+    lines = [header]
+    lines.extend(",".join(str(x) if isinstance(x, int) else repr(float(x)) for x in row)
+                 for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _environment() -> dict:
@@ -200,7 +216,7 @@ def _write_manifest(outdir: str, cfg: RunConfig, checks: dict, artifacts: dict,
         "command": cfg.command,
         "version": __version__,
         "environment": _environment(),
-        "config": _config_json(cfg),
+        "config": cfg,
         "checks": checks,
         "wall_time_s": wall,
         "artifacts": {name: _sha256(path) for name, path in sorted(artifacts.items())},
@@ -225,8 +241,8 @@ def cmd_roots(cfg: RunConfig, outdir: str) -> tuple:
         print(f"roots: invariant violated: {exc}")
     record = {
         "gamma1": roots.gamma1,
-        "gamma2": [roots.gamma2.real, roots.gamma2.imag],
-        "gamma3": [roots.gamma3.real, roots.gamma3.imag],
+        "gamma2": roots.gamma2,
+        "gamma3": roots.gamma3,
         "theta0": roots.theta0,
         "residuals": [abs(symbols.poly_eval(-g)) for g in roots.as_array()],
         "invariants_ok": ok,
@@ -250,17 +266,16 @@ def cmd_witness(cfg: RunConfig, outdir: str) -> tuple:
         raise UsageError("witness needs at least one k value")
     if min(ks) <= 0:
         raise UsageError("witness values k must be positive")
-    rows = ["k,witness,closed_form,relative_difference"]
-    ok = True
+    rows = []
     for k in ks:
         w = multipliers.nonsectoriality_witness(k)
         c = multipliers.witness_closed_form(k)
-        rel = abs(w - c) / c
-        ok = ok and rel <= 1e-12
-        rows.append(f"{k!r},{w!r},{c!r},{rel!r}")
+        rows.append((k, w, c, abs(w - c) / c))
         print(f"k={k:g}: witness={w!r} closed_form={c!r}")
+    ok = all(rel <= 1e-12 for *_, rel in rows)
     artifacts = {}
-    _write_text(outdir, "witness.csv", "\n".join(rows) + "\n", artifacts)
+    _write_text(outdir, "witness.csv",
+                _csv("k,witness,closed_form,relative_difference", rows), artifacts)
     return {"matches_closed_form": ok}, artifacts
 
 
@@ -270,7 +285,7 @@ def cmd_multscan(cfg: RunConfig, outdir: str) -> tuple:
     ok = all(r.passed for r in reports)
     growth = ext / base
     payload = {
-        "reports": [r.to_json_dict() for r in reports],
+        "reports": [{**_plain(r), "passed": r.passed} for r in reports],
         "origin_growth": {"base_c0": base, "extended_c0": ext, "ratio": growth},
     }
     for r in reports:
@@ -287,7 +302,7 @@ def cmd_entries(cfg: RunConfig, outdir: str) -> tuple:
     ok = True
     for j in (0, 2):
         scans = multipliers.scaled_resolvent_entry_scans(j)
-        payload[f"j{j}"] = {f"{r + 1}{c + 1}": rep.to_json_dict()
+        payload[f"j{j}"] = {f"{r + 1}{c + 1}": {**_plain(rep), "passed": rep.passed}
                             for (r, c), rep in scans.items()}
         passed = all(rep.passed for rep in scans.values())
         worst = max(rec.c_alpha for rep in scans.values() for rec in rep.records)
@@ -306,12 +321,13 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> tuple:
     lams_shift = [1.0 + k ** -2.0 for k in cfg.k_values]
     b_origin = torus.resolvent_bound_sweep(cfg.j, lams_origin, grid)
     b_shift = torus.resolvent_bound_sweep(cfg.j, lams_shift, grid)
-    rows = ["k,lambda_origin,origin_bound,lambda_shifted,shifted_bound"]
-    for k, lo, bo, ls, bs in zip(cfg.k_values, lams_origin, b_origin, lams_shift, b_shift):
-        rows.append(f"{k!r},{lo!r},{float(bo)!r},{ls!r},{float(bs)!r}")
+    rows = list(zip(cfg.k_values, lams_origin, b_origin, lams_shift, b_shift))
+    for k, _, bo, _, bs in rows:
         print(f"k={k:g}: B(origin)={bo:.6g} B(shifted)={bs:.6g}")
     artifacts = {}
-    _write_text(outdir, "sweep.csv", "\n".join(rows) + "\n", artifacts)
+    _write_text(outdir, "sweep.csv",
+                _csv("k,lambda_origin,origin_bound,lambda_shifted,shifted_bound", rows),
+                artifacts)
     finite = bool(np.all(np.isfinite(b_origin)) and np.all(np.isfinite(b_shift)))
     return {"finite_bounds": finite}, artifacts
 
@@ -336,9 +352,9 @@ def cmd_evolve(cfg: RunConfig, outdir: str) -> tuple:
     torus.save_state(p1, state1)
     artifacts["state_initial.bin"] = p0
     artifacts["state_final.bin"] = p1
-    rows = ["t,e_norm,imag_residue", f"{0.0!r},{e0!r},{0.0!r}",
-            f"{cfg.t!r},{e1!r},{float(residue)!r}"]
-    _write_text(outdir, "energy.csv", "\n".join(rows) + "\n", artifacts)
+    _write_text(outdir, "energy.csv",
+                _csv("t,e_norm,imag_residue", [(0.0, e0, 0.0), (cfg.t, e1, residue)]),
+                artifacts)
     return {"residue_ok": residue <= torus.IMAG_RESIDUE_TOL,
             "semigroup_consistent": semigroup_ok}, artifacts
 
@@ -374,8 +390,9 @@ def cmd_spectrum(cfg: RunConfig, outdir: str) -> tuple:
           f"cluster={rep.zero_cluster_count} decay_margin={rep.decay_margin:.6g} "
           f"max_re={rep.max_real_part:.3e} ok={ok}")
     artifacts = {}
-    _write_text(outdir, "spectrum.csv", "\n".join(rep.to_csv_rows()) + "\n", artifacts)
-    _write_text(outdir, "spectrum.json", _json_text(rep.to_json_dict()), artifacts)
+    _write_text(outdir, "spectrum.csv",
+                _csv("re,im", zip(rep.eigenvalues.real, rep.eigenvalues.imag)), artifacts)
+    _write_text(outdir, "spectrum.json", _json_text(rep), artifacts)
     return {"spectral_enclosure": ok}, artifacts
 
 
@@ -392,8 +409,9 @@ def cmd_decay(cfg: RunConfig, outdir: str) -> tuple:
     print(f"decay: fitted={fit.fitted_rate!r} spectral={fit.spectral_rate!r} "
           f"relative_gap={fit.relative_gap:.4f}")
     artifacts = {}
-    _write_text(outdir, "decay.csv", "\n".join(fit.to_csv_rows()) + "\n", artifacts)
-    _write_text(outdir, "decay.json", _json_text(fit.to_json_dict()), artifacts)
+    _write_text(outdir, "decay.csv", _csv("t,norm", zip(fit.times, fit.norms)), artifacts)
+    summary = {key: val for key, val in _plain(fit).items() if key not in ("times", "norms")}
+    _write_text(outdir, "decay.json", _json_text(summary), artifacts)
     return {"rate_matches_spectrum": fit.relative_gap <= 0.1}, artifacts
 
 
@@ -403,8 +421,12 @@ def cmd_converge(cfg: RunConfig, outdir: str) -> tuple:
     orders_ok = bool(np.all((rep.orders >= 1.5) & (rep.orders <= 2.5)))
     print("converge: orders", np.array2string(rep.orders, precision=3), f"ok={orders_ok}")
     artifacts = {}
-    _write_text(outdir, "converge.csv", "\n".join(rep.to_csv_rows()) + "\n", artifacts)
-    _write_text(outdir, "converge.json", _json_text(rep.to_json_dict()), artifacts)
+    names = ["x".join(map(str, cells)) for cells in rep.grids]
+    header = ",".join(["mode", *(f"re_{g},im_{g}" for g in names), "order"])
+    rows = [(k, *(x for lam in rep.tracked[:, k] for x in (lam.real, lam.imag)), order)
+            for k, order in enumerate(rep.orders)]
+    _write_text(outdir, "converge.csv", _csv(header, rows), artifacts)
+    _write_text(outdir, "converge.json", _json_text(rep), artifacts)
     return {"orders_second_order": orders_ok}, artifacts
 
 
@@ -522,8 +544,8 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         outdir = _outdir(cfg)
         checks, artifacts = _DISPATCH[cfg.command](cfg, outdir)
-    except (torus.NumericalError, symbols.SingularParameterError,
-            multipliers.EvaluationError, np.linalg.LinAlgError) as exc:
+    except (symbols.NumericalError, symbols.SingularParameterError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (UsageError, ValueError) as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import GAMMAS, ROOTS, _scaled_resolvent_from_s
+from .symbols import GAMMAS, ROOTS, NumericalError, _scaled_resolvent_from_s
 
 EPS = np.finfo(float).eps
 #: relative central-difference step; eps^(1/3) balances truncation against
@@ -26,10 +26,6 @@ EPS = np.finfo(float).eps
 STEP_FACTOR = EPS ** (1.0 / 3.0)
 
 DEFAULT_CEILING = 1e6
-
-
-class EvaluationError(RuntimeError):
-    """A symbol returned a non-finite value inside the sampled sector."""
 
 
 @dataclass(frozen=True)
@@ -105,41 +101,6 @@ class MultiplierReport:
                 return r.c_alpha
         raise KeyError(alpha)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "symbol_id": self.symbol_id,
-            "order_s": self.order_s,
-            "max_alpha": self.max_alpha,
-            "sample_points": self.sample_points,
-            "ceiling": self.ceiling,
-            "passed": self.passed,
-            "note": self.note,
-            "records": [
-                {
-                    "alpha": list(r.alpha),
-                    "c_alpha": r.c_alpha,
-                    "argmax_xi": list(r.argmax_xi),
-                    "argmax_lambda": [r.argmax_lambda.real, r.argmax_lambda.imag],
-                }
-                for r in self.records
-            ],
-        }
-
-    def to_csv_rows(self) -> list[str]:
-        rows = ["alpha,c_alpha,argmax_xi,argmax_lambda_re,argmax_lambda_im"]
-        for r in self.records:
-            rows.append(
-                '"%s",%r,"%s",%r,%r'
-                % (
-                    " ".join(map(str, r.alpha)),
-                    r.c_alpha,
-                    " ".join(repr(v) for v in r.argmax_xi),
-                    r.argmax_lambda.real,
-                    r.argmax_lambda.imag,
-                )
-            )
-        return rows
-
 
 def _multi_indices(dim: int, max_order: int):
     for alpha in itertools.product(range(max_order + 1), repeat=dim):
@@ -174,7 +135,7 @@ def _central_difference(symbol, xi: np.ndarray, lam: np.ndarray, alpha: tuple,
         vals = np.asarray(vals, dtype=complex)
         if not np.all(np.isfinite(vals)):
             idx = int(np.argmin(np.isfinite(vals)))
-            raise EvaluationError(
+            raise NumericalError(
                 f"non-finite symbol value at xi={xi[idx] + shift[idx]}, lambda={lam[idx]}"
             )
         acc += weight * vals

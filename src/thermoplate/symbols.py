@@ -37,6 +37,10 @@ class SingularParameterError(ValueError):
     """lambda coincides (numerically) with an eigenvalue -gamma_j*|xi|^2."""
 
 
+class NumericalError(RuntimeError):
+    """A spectral computation left the accuracy envelope it promised."""
+
+
 def poly_eval(t: complex) -> complex:
     """Evaluate the characteristic cubic by Horner's rule."""
     acc = 0.0 + 0.0j

@@ -24,15 +24,19 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import BLOCK, ROOTS, resolvent_matrices, symbol_matrix, _scaled_resolvent_from_s
+from .symbols import (BLOCK, ROOTS, NumericalError, resolvent_matrices, symbol_matrix,
+                      _scaled_resolvent_from_s)
 
 MAGIC = b"TPLT"
 FORMAT_VERSION = 1
 IMAG_RESIDUE_TOL = 1e-10
+#: largest |xi| whose s^3 = |xi|^6 is finite; the symbol determinant is cubic in s
+_XI_LIMIT = sys.float_info.max ** (1.0 / 6.0)
 
 _A1 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, -1.0]])
 _W_REAL, _W_PAIR = -ROOTS.gamma1, -ROOTS.gamma2
@@ -55,10 +59,6 @@ _TAYLOR_CUT = 0.25
 _TAYLOR = [np.linalg.matrix_power(_A1, k) / math.factorial(k) for k in range(16)]
 
 
-class NumericalError(RuntimeError):
-    """A spectral computation left the accuracy envelope it promised."""
-
-
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform periodic grid; modes per axis must be powers of two >= 4."""
@@ -74,6 +74,11 @@ class TorusGrid:
                 raise ValueError(f"modes per axis must be a power of two >= 4, got {m}")
         if not all(0.0 < length < math.inf for length in self.lengths):
             raise ValueError(f"axis lengths must be positive and finite, got {self.lengths!r}")
+        # the Nyquist frequency pi*M/L is the largest |xi| along each axis
+        xi_max = math.hypot(*(math.pi * m / length for m, length in zip(self.modes, self.lengths)))
+        if not xi_max <= _XI_LIMIT:
+            raise ValueError(f"grid too fine for double precision: |xi| reaches {xi_max:.3e}, "
+                             f"and |xi|^6 overflows")
 
     @property
     def dim(self) -> int:

@@ -183,25 +183,19 @@ class TestDecayRate:
         assert not fit.decaying
 
     def test_projector_diagnostics(self, gen1d):
-        d = bounded.decay_rate_experiment(gen1d).to_json_dict()
-        assert d["projector_dimension"] == 5
-        assert d["pairing_condition"] < bounded.PAIRING_CONDITION_LIMIT
-        assert d["idempotency_residual"] <= bounded.IDEMPOTENCY_TOL
-        bare = bounded.decay_rate_experiment(gen1d, project_off_kernel=False).to_json_dict()
-        assert [bare[k] for k in ("projector_dimension", "pairing_condition",
-                                  "idempotency_residual")] == [None, None, None]
+        fit = bounded.decay_rate_experiment(gen1d)
+        assert fit.projector_dimension == 5
+        assert fit.pairing_condition < bounded.PAIRING_CONDITION_LIMIT
+        assert fit.idempotency_residual <= bounded.IDEMPOTENCY_TOL
+        bare = bounded.decay_rate_experiment(gen1d, project_off_kernel=False)
+        assert [bare.projector_dimension, bare.pairing_condition,
+                bare.idempotency_residual] == [None, None, None]
 
     def test_deterministic_given_seed(self, gen1d):
         a = bounded.decay_rate_experiment(gen1d, seed=4)
         b = bounded.decay_rate_experiment(gen1d, seed=4)
         assert a.fitted_rate == b.fitted_rate
         assert np.array_equal(a.norms, b.norms)
-
-    def test_csv_rows(self, gen1d):
-        fit = bounded.decay_rate_experiment(gen1d)
-        rows = fit.to_csv_rows()
-        assert rows[0] == "t,norm"
-        assert len(rows) == len(fit.times) + 1
 
 
 class TestConvergence:
@@ -282,12 +276,3 @@ class TestNonSquareRectangle:
         assert len(fields) == 4
         for _, v in fields:
             assert np.linalg.norm(gen.matrix @ v) / np.linalg.norm(v) <= floor
-
-
-class TestExport:
-    def test_spectrum_report_serialization(self, spec1d):
-        d = spec1d.to_json_dict()
-        assert d["zero_cluster_count"] == 5
-        rows = spec1d.to_csv_rows()
-        assert rows[0] == "re,im"
-        assert len(rows) == len(spec1d.eigenvalues) + 1

@@ -5,13 +5,13 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from thermoplate import cli
-from thermoplate.torus import NumericalError
+from thermoplate import bounded, cli, multipliers
+from thermoplate.symbols import NumericalError
 
 
 def run(argv, tmp_path, monkeypatch, env=None):
@@ -125,6 +125,10 @@ class TestExitCodes:
             ["sweep", "--length", "nan"],
             ["decay", "--samples", "3"],
             ["sweep", "--k-values", "abc"],
+            # grids so fine that s^3 overflows, s = |xi|^2
+            ["evolve", "--modes", "8", "--length", "1e-100"],
+            ["evolve", "--modes", "8", "--length", "1e-160"],
+            ["sweep", "--modes", "8", "--length", "1e-100"],
         ],
     )
     def test_library_value_error_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
@@ -201,6 +205,27 @@ class TestManifest:
         assert cfg["grid"] == 50
 
 
+class TestPlain:
+    def test_nested_dataclass_becomes_json_values(self):
+        @dataclass
+        class Inner:
+            values: np.ndarray
+            pair: tuple
+
+        @dataclass
+        class Outer:
+            inner: Inner
+            count: np.int64
+            missing: None
+
+        obj = Outer(Inner(np.array([1.0 + 2.0j, -0.5j]), (1, 2.5)), np.int64(7), None)
+        plain = cli._plain(obj)
+        assert plain == {"inner": {"values": [[1.0, 2.0], [0.0, -0.5]], "pair": [1, 2.5]},
+                         "count": 7, "missing": None}
+        assert type(plain["count"]) is int
+        assert json.loads(cli._json_text(obj)) == plain
+
+
 class TestOutputs:
     def test_roots_json_parseable(self, tmp_path, monkeypatch, capsys):
         assert run(["roots", "--json"], tmp_path, monkeypatch) == cli.EXIT_OK
@@ -216,9 +241,12 @@ class TestOutputs:
 
     def test_spectrum_writes_csv_and_json(self, tmp_path, monkeypatch):
         assert run(["spectrum", "--grid", "50"], tmp_path, monkeypatch) == 0
-        assert (tmp_path / "spectrum.csv").exists()
         report = json.loads((tmp_path / "spectrum.json").read_text())
         assert report["kernel_dimension"] == 3
+        assert report["zero_cluster_count"] == 5
+        rows = (tmp_path / "spectrum.csv").read_text().splitlines()
+        assert rows[0] == "re,im"
+        assert len(rows) == len(report["eigenvalues"]) + 1 == 151
 
     def test_decay_on_fine_free_interval(self, tmp_path, monkeypatch):
         # n = 600, where a projector built in complex arithmetic aborts
@@ -226,6 +254,30 @@ class TestOutputs:
         fit = json.loads((tmp_path / "decay.json").read_text())
         assert fit["relative_gap"] <= 0.1
         assert fit["projector_dimension"] == 5
+        assert fit["pairing_condition"] < bounded.PAIRING_CONDITION_LIMIT
+        assert fit["idempotency_residual"] <= bounded.IDEMPOTENCY_TOL
+        assert "times" not in fit and "norms" not in fit
+        rows = (tmp_path / "decay.csv").read_text().splitlines()
+        assert rows[0] == "t,norm"
+        assert len(rows) == cli.RunConfig().samples + 1
+
+    def test_decay_without_projection_writes_null_diagnostics(self, tmp_path, monkeypatch):
+        # the damped rectangle has no kernel, so nothing is projected out
+        argv = ["decay", "--domain", "rectangle", "--bc", "lt", "--grid", "12"]
+        assert run(argv, tmp_path, monkeypatch) == cli.EXIT_OK
+        fit = json.loads((tmp_path / "decay.json").read_text())
+        assert [fit[k] for k in ("projector_dimension", "pairing_condition",
+                                 "idempotency_residual")] == [None, None, None]
+
+    def test_multscan_reports_keep_id_and_note(self, tmp_path, monkeypatch):
+        assert run(["multscan"], tmp_path, monkeypatch) == cli.EXIT_OK
+        reports = json.loads((tmp_path / "multscan.json").read_text())["reports"]
+        assert [r["symbol_id"] for r in reports] == [c[0] for c in multipliers.EXAMPLE_CASES]
+        for r in reports:
+            assert "not a proof" in r["note"]
+            assert r["passed"] is True
+            assert len(r["records"]) == 10
+            assert set(r["records"][0]) == {"alpha", "c_alpha", "argmax_xi", "argmax_lambda"}
 
     def test_evolve_states_reload(self, tmp_path, monkeypatch):
         from thermoplate import torus

@@ -71,14 +71,6 @@ class TestExampleSuite:
                 assert np.isfinite(rec.c_alpha)
                 assert rec.c_alpha >= 0.0
 
-    def test_json_and_csv_round_trip(self, suite):
-        report = suite[0]
-        d = report.to_json_dict()
-        assert d["symbol_id"] == report.symbol_id
-        assert "not a proof" in d["note"]
-        rows = report.to_csv_rows()
-        assert rows[0].startswith("alpha,")
-        assert len(rows) == len(report.records) + 1
 
 
 class TestScanMechanics:
@@ -110,6 +102,13 @@ class TestScanMechanics:
     def test_max_alpha_cap(self, default_sample):
         with pytest.raises(ValueError):
             mp.multiplier_order_scan(mp.sym_one, 0.0, default_sample, max_alpha=5)
+
+    def test_non_finite_symbol_names_the_point(self, default_sample):
+        def nan_symbol(xi, lam):
+            return np.full(xi.shape[0], np.nan, dtype=complex)
+
+        with pytest.raises(symbols.NumericalError, match=r"at xi=\[.*\], lambda=\("):
+            mp.multiplier_order_scan(nan_symbol, 0.0, default_sample)
 
     def test_ceiling_marks_failure(self, default_sample):
         report = mp.multiplier_order_scan(

@@ -57,6 +57,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             torus.TorusGrid((8, 8), (TWO_PI, length))
 
+    def test_rejects_grid_whose_s_cubed_overflows(self):
+        # s = |xi|^2 reaches (pi M / L)^2; its cube must stay a finite double
+        torus.TorusGrid((8,), (2e-50,))
+        for lengths in ((1e-50,), (1e-160,), (TWO_PI, 1e-100)):
+            with pytest.raises(ValueError, match="overflows"):
+                torus.TorusGrid((8,) * len(lengths), lengths)
+
     def test_state_shape_checked(self, grid128):
         with pytest.raises(ValueError):
             torus.StateField(grid128, np.zeros(64), np.zeros(128), np.zeros(128))
