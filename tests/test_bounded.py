@@ -1,9 +1,11 @@
 """Discrete generators on intervals and rectangles: spectra, kernels, decay."""
 
+import json
+
 import numpy as np
 import pytest
 
-from thermoplate import bounded
+from thermoplate import bounded, cli
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +199,12 @@ class TestDecayRate:
         assert a.fitted_rate == b.fitted_rate
         assert np.array_equal(a.norms, b.norms)
 
+    def test_csv_rows(self, gen1d):
+        fit = bounded.decay_rate_experiment(gen1d)
+        rows = cli._csv("t,norm", zip(fit.times, fit.norms)).splitlines()
+        assert rows[0] == "t,norm"
+        assert len(rows) == len(fit.times) + 1
+
 
 class TestConvergence:
     def test_orders_in_second_order_window(self):
@@ -276,3 +284,14 @@ class TestNonSquareRectangle:
         assert len(fields) == 4
         for _, v in fields:
             assert np.linalg.norm(gen.matrix @ v) / np.linalg.norm(v) <= floor
+
+
+class TestExport:
+    def test_spectrum_report_serialization(self, spec1d):
+        d = json.loads(cli._json_text(spec1d))
+        assert d["zero_cluster_count"] == 5
+        assert len(d["eigenvalues"]) == len(spec1d.eigenvalues)
+        rows = cli._csv("re,im", zip(spec1d.eigenvalues.real,
+                                     spec1d.eigenvalues.imag)).splitlines()
+        assert rows[0] == "re,im"
+        assert len(rows) == len(spec1d.eigenvalues) + 1
