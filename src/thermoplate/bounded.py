@@ -40,6 +40,7 @@ accumulation, so the generator is reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,7 +167,12 @@ BIHARM5 = ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0))
 ONE_SIDED = ((0, 2.0), (1, -5.0), (2, 4.0), (3, -1.0))
 
 
-def assemble_generator(domain: DomainSpec, grid_points, bc: BCVariant) -> DiscreteGenerator:
+def _grid_cells(domain: DomainSpec, grid_points) -> tuple:
+    """Cells per axis (one count on a rectangle means a square grid).
+
+    Checked against the domain dimension, MIN_CELLS and MAX_DENSE_SIZE
+    before anything is allocated.
+    """
     cells = tuple(int(m) for m in np.atleast_1d(grid_points))
     if len(cells) == 1 and domain.dim == 2:
         cells = (cells[0], cells[0])
@@ -174,6 +180,15 @@ def assemble_generator(domain: DomainSpec, grid_points, bc: BCVariant) -> Discre
         raise AssemblyError("grid_points do not match the domain dimension")
     if min(cells) < MIN_CELLS:
         raise AssemblyError(f"need at least {MIN_CELLS} cells per axis")
+    size = 3 * math.prod(cells)
+    if size > MAX_DENSE_SIZE:
+        raise AssemblyError(f"grid {'x'.join(map(str, cells))} gives state size {size}, "
+                            f"above the dense limit {MAX_DENSE_SIZE}")
+    return cells
+
+
+def assemble_generator(domain: DomainSpec, grid_points, bc: BCVariant) -> DiscreteGenerator:
+    cells = _grid_cells(domain, grid_points)
     if domain.dim == 1 and bc.tag != "free_beta":
         raise AssemblyError(f"{bc.tag} requires a rectangle domain")
     steps = tuple((b - a) / m for (a, b), m in zip(domain.bounds, cells))
@@ -360,8 +375,6 @@ def _eigenvalues(gen: DiscreteGenerator) -> tuple:
 
     The order is descending real part, then descending imaginary part.
     """
-    if gen.state_size > MAX_DENSE_SIZE:
-        raise ValueError("matrix too large for a dense eigensolve")
     try:
         ev = np.linalg.eigvals(gen.matrix)
     except np.linalg.LinAlgError as exc:
@@ -485,6 +498,8 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
     """
     if samples < 8:
         raise ValueError("need at least 8 samples for a stable fit")
+    if horizon is not None and not 0.0 < horizon < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     ev, zero_tol = _eigenvalues(gen)
     eps_spec = _decay_margin(ev, zero_tol)
     if not np.isfinite(eps_spec) or eps_spec <= 0:
@@ -576,12 +591,9 @@ def convergence_study(domain: DomainSpec, bc: BCVariant, grids,
     Grids must each refine the previous by exactly 2x per axis; three grids
     give one order estimate per tracked mode.
     """
-    norm_grids = []
-    for g in grids:
-        cells = tuple(int(m) for m in np.atleast_1d(g))
-        if len(cells) == 1 and domain.dim == 2:
-            cells = (cells[0], cells[0])
-        norm_grids.append(cells)
+    if count < 1:
+        raise ValueError(f"need at least one mode to track (count {count})")
+    norm_grids = [_grid_cells(domain, g) for g in grids]
     if len(norm_grids) < 3:
         raise ValueError("need at least 3 grids")
     for a, b in zip(norm_grids, norm_grids[1:]):

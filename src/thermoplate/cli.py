@@ -15,10 +15,13 @@ variables, since another thread count can move the spectrum, decay and
 converge results at roundoff level.
 
 Config files are flat UTF-8 `key = value` lines with `#` comments; unknown
-keys are rejected.  The output root can also be set through the
-THERMOPLATE_OUT environment variable.  Setting THERMOPLATE_PERTURB_ROOTS
-(test hook) perturbs the computed characteristic roots so the `roots`
-invariant check trips.
+keys are rejected.  Flags reach the config as raw strings too, so flag and
+config values go through one parser, `_coerce`, which also checks the
+allowed choices: a bad value exits 1 with one `error:` line that names the
+key.  The output root can also be set through the THERMOPLATE_OUT
+environment variable.  Setting THERMOPLATE_PERTURB_ROOTS (test hook)
+perturbs the computed characteristic roots so the `roots` invariant check
+trips.
 """
 
 from __future__ import annotations
@@ -46,9 +49,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK = 2
 EXIT_NUMERICAL = 3
-
-COMMANDS = ("roots", "witness", "multscan", "entries", "sweep", "evolve",
-            "spectrum", "decay", "converge")
 
 
 class UsageError(Exception):
@@ -86,45 +86,41 @@ class RunConfig:
 
 
 _INT_TUPLES = {"grids"}
-_FLOAT_TUPLES = {"k_values"}
-
-
-def config_to_text(cfg: RunConfig) -> str:
-    lines = ["# thermoplate run configuration"]
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = ",".join(repr(float(x)) if f.name in _FLOAT_TUPLES else str(int(x)) for x in v)
-        elif isinstance(v, bool):
-            v = "true" if v else "false"
-        elif isinstance(v, float):
-            v = repr(v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
+_CHOICES = {
+    "domain": ("interval", "rectangle"),
+    "bc": ("free", "lt"),
+    "dim": (1, 2),
+    "j": (0, 1, 2),
+}
 
 
 def _coerce(name: str, default, raw: str):
+    """raw as a value of default's type: the one parser of flags and config lines."""
     raw = raw.strip()
-    if isinstance(default, bool):
-        if raw not in ("true", "false"):
-            raise ConfigError(f"key {name!r}: expected true/false, got {raw!r}")
-        return raw == "true"
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    if isinstance(default, tuple):
-        if not raw:
-            return ()
-        parts = [p.strip() for p in raw.split(",")]
-        return tuple(int(p) for p in parts) if name in _INT_TUPLES \
-            else tuple(float(p) for p in parts)
-    return raw
+    try:
+        if isinstance(default, bool):
+            if raw not in ("true", "false"):
+                raise ValueError(f"expected true/false, got {raw!r}")
+            value = raw == "true"
+        elif isinstance(default, tuple):
+            if not raw:
+                raise ValueError("expected a comma-separated list, got nothing")
+            kind = int if name in _INT_TUPLES else float
+            value = tuple(kind(p) for p in raw.split(","))
+        else:
+            value = type(default)(raw)
+    except ValueError as exc:
+        raise ConfigError(f"key {name!r}: {exc}") from None
+    choices = _CHOICES.get(name)
+    if choices and value not in choices:
+        raise ConfigError(f"key {name!r}: {raw!r} is not one of "
+                          f"{', '.join(map(str, choices))}")
+    return value
 
 
 def config_from_text(text: str, base: RunConfig | None = None) -> RunConfig:
     base = base or RunConfig()
-    valid = {f.name: getattr(base, f.name) for f in fields(RunConfig)}
+    valid = {f.name: f.default for f in fields(RunConfig)}
     updates = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -137,8 +133,8 @@ def config_from_text(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ConfigError(f"config line {ln}: unknown key {key!r}")
         try:
             updates[key] = _coerce(key, valid[key], val)
-        except ValueError as exc:
-            raise ConfigError(f"config line {ln}: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"config line {ln}: {exc}") from None
     return replace(base, **updates)
 
 
@@ -262,8 +258,6 @@ def cmd_roots(cfg: RunConfig, outdir: str) -> tuple:
 
 def cmd_witness(cfg: RunConfig, outdir: str) -> tuple:
     ks = cfg.k_values
-    if not ks:
-        raise UsageError("witness needs at least one k value")
     if min(ks) <= 0:
         raise UsageError("witness values k must be positive")
     rows = []
@@ -360,21 +354,13 @@ def cmd_evolve(cfg: RunConfig, outdir: str) -> tuple:
 
 
 def _domain_from_config(cfg: RunConfig) -> bounded.DomainSpec:
-    if cfg.domain == "interval":
-        return bounded.interval()
-    if cfg.domain == "rectangle":
-        return bounded.rectangle()
-    raise UsageError(f"unknown domain {cfg.domain!r} (interval or rectangle)")
+    return bounded.interval() if cfg.domain == "interval" else bounded.rectangle()
 
 
 def _bc_from_config(cfg: RunConfig) -> bounded.BCVariant:
-    if cfg.bc == "free":
-        if cfg.domain == "interval":
-            return bounded.free_beta(cfg.beta)
-        return bounded.free_2d(cfg.mu)
     if cfg.bc == "lt":
         return bounded.lt_variant(cfg.mu, cfg.b)
-    raise UsageError(f"unknown bc {cfg.bc!r} (free or lt)")
+    return bounded.free_beta(cfg.beta) if cfg.domain == "interval" else bounded.free_2d(cfg.mu)
 
 
 def cmd_spectrum(cfg: RunConfig, outdir: str) -> tuple:
@@ -430,16 +416,31 @@ def cmd_converge(cfg: RunConfig, outdir: str) -> tuple:
     return {"orders_second_order": orders_ok}, artifacts
 
 
-_DISPATCH = {
-    "roots": cmd_roots,
-    "witness": cmd_witness,
-    "multscan": cmd_multscan,
-    "entries": cmd_entries,
-    "sweep": cmd_sweep,
-    "evolve": cmd_evolve,
-    "spectrum": cmd_spectrum,
-    "decay": cmd_decay,
-    "converge": cmd_converge,
+_TORUS = ("modes", "dim", "length")
+_BOUNDED = ("domain", "bc", "beta", "mu", "b")
+
+# command -> (function, help line, the RunConfig fields it takes as flags)
+_COMMANDS = {
+    "roots": (cmd_roots, "characteristic roots with invariant checks", ()),
+    "witness": (cmd_witness, "non-sectoriality witness values", ()),
+    "multscan": (cmd_multscan, "multiplier order scans for the example symbols", ()),
+    "entries": (cmd_entries, "order-0 scans of all scaled resolvent symbol entries", ()),
+    "sweep": (cmd_sweep, "resolvent bound sweep toward the origin and shifted",
+              _TORUS + ("j", "k_values")),
+    "evolve": (cmd_evolve, "periodic-grid evolution of a random smooth state",
+               _TORUS + ("t",)),
+    "spectrum": (cmd_spectrum, "bounded-domain generator spectrum report",
+                 _BOUNDED + ("grid",)),
+    "decay": (cmd_decay, "decay-rate experiment against the spectral abscissa",
+              _BOUNDED + ("grid", "horizon", "samples")),
+    "converge": (cmd_converge, "eigenvalue convergence study across refined grids",
+                 _BOUNDED + ("grids", "count")),
+}
+COMMANDS = tuple(_COMMANDS)
+_FLAG_HELP = {
+    "out": "output directory",
+    "k_values": "comma-separated k list (lambda = 1/k^2)",
+    "grids": "comma-separated grid list, each 2x the last",
 }
 
 
@@ -454,79 +455,41 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """Every flag keeps its raw string; _resolve_config parses it."""
     parser = _Parser(prog="thermoplate",
                      description="thermoelastic plate analysis batch runner")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name, helptext, *flags):
+    for name, (_, helptext, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="config file (key = value lines)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
-        for flag in flags:
-            flag(p)
-        return p
-
-    f_domain = lambda p: p.add_argument("--domain", choices=("interval", "rectangle"))
-    f_bc = lambda p: p.add_argument("--bc", choices=("free", "lt"))
-    f_beta = lambda p: p.add_argument("--beta", type=float)
-    f_mu = lambda p: p.add_argument("--mu", type=float)
-    f_b = lambda p: p.add_argument("--b", type=float)
-    f_grid = lambda p: p.add_argument("--grid", type=int)
-    f_modes = lambda p: p.add_argument("--modes", type=int)
-    f_dim = lambda p: p.add_argument("--dim", type=int, choices=(1, 2))
-    f_length = lambda p: p.add_argument("--length", type=float)
-
-    p = add("roots", "characteristic roots with invariant checks")
-    p.add_argument("--json", dest="json_output", action="store_true", default=None)
-    p = add("witness", "non-sectoriality witness values")
-    p.add_argument("k", nargs="*", type=float, help="witness points (default 1 10 100)")
-    add("multscan", "multiplier order scans for the example symbols")
-    add("entries", "order-0 scans of all scaled resolvent symbol entries")
-    p = add("sweep", "resolvent bound sweep toward the origin and shifted",
-            f_modes, f_dim, f_length)
-    p.add_argument("--j", type=int, choices=(0, 1, 2))
-    p.add_argument("--k-values", dest="k_values",
-                   help="comma-separated k list (lambda = 1/k^2)")
-    p = add("evolve", "periodic-grid evolution of a random smooth state",
-            f_modes, f_dim, f_length)
-    p.add_argument("--t", type=float)
-    add("spectrum", "bounded-domain generator spectrum report",
-        f_domain, f_bc, f_beta, f_mu, f_b, f_grid)
-    p = add("decay", "decay-rate experiment against the spectral abscissa",
-            f_domain, f_bc, f_beta, f_mu, f_b, f_grid)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--samples", type=int)
-    p = add("converge", "eigenvalue convergence study across refined grids",
-            f_domain, f_bc, f_beta, f_mu, f_b)
-    p.add_argument("--grids", help="comma-separated grid list, each 2x the last")
-    p.add_argument("--count", type=int)
+        for field in ("out", "seed") + flags:
+            choices = _CHOICES.get(field)
+            metavar = "{" + ",".join(map(str, choices)) + "}" if choices else None
+            p.add_argument("--" + field.replace("_", "-"), dest=field, metavar=metavar,
+                           help=_FLAG_HELP.get(field))
+        if name == "roots":
+            p.add_argument("--json", dest="json_output", action="store_const", const="true")
+        if name == "witness":
+            p.add_argument("k", nargs="*", help="witness points (default 1 10 100)")
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    path = getattr(args, "config", None)
-    if path:
+    if args.config:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 cfg = config_from_text(fh.read(), cfg)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-    overrides = {"command": args.command}
+    overrides = {}
     for f in fields(RunConfig):
-        if f.name == "command" or not hasattr(args, f.name):
-            continue
-        val = getattr(args, f.name)
-        if val is None:
-            continue
-        if isinstance(val, str) and isinstance(getattr(cfg, f.name), tuple):
-            val = _coerce(f.name, getattr(cfg, f.name), val)
-        overrides[f.name] = val
-    k_pos = getattr(args, "k", None)
-    if k_pos:
-        overrides["k_values"] = tuple(float(k) for k in k_pos)
+        raw = getattr(args, f.name, None)
+        if raw is not None:
+            overrides[f.name] = _coerce(f.name, f.default, raw)
+    if getattr(args, "k", None):
+        overrides["k_values"] = tuple(_coerce("k", 0.0, k) for k in args.k)
     return replace(cfg, **overrides)
 
 
@@ -543,7 +506,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         outdir = _outdir(cfg)
-        checks, artifacts = _DISPATCH[cfg.command](cfg, outdir)
+        checks, artifacts = _COMMANDS[cfg.command][0](cfg, outdir)
     except (symbols.NumericalError, symbols.SingularParameterError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

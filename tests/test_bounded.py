@@ -44,6 +44,20 @@ class TestValidation:
         with pytest.raises(bounded.AssemblyError):
             bounded.assemble_generator(bounded.interval(), 4, bounded.free_beta())
 
+    def test_dense_size_limit_before_assembly(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("assembled a grid above the dense limit")
+
+        monkeypatch.setattr(bounded, "_assemble", refuse)
+        cells = bounded.MAX_DENSE_SIZE // 3 + 1
+        with pytest.raises(bounded.AssemblyError, match="dense limit"):
+            bounded.assemble_generator(bounded.interval(), cells, bounded.free_beta())
+        with pytest.raises(bounded.AssemblyError, match="dense limit"):
+            bounded.assemble_generator(bounded.rectangle(), 10**10, bounded.lt_variant())
+        with pytest.raises(bounded.AssemblyError, match="dense limit"):
+            bounded.convergence_study(bounded.rectangle(), bounded.lt_variant(),
+                                      (25, 50, 100))
+
     def test_lt_requires_positive_robin_coefficient(self):
         with pytest.raises(ValueError):
             bounded.lt_variant(0.3, 0.0)
@@ -199,6 +213,11 @@ class TestDecayRate:
         assert a.fitted_rate == b.fitted_rate
         assert np.array_equal(a.norms, b.norms)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
+    def test_horizon_must_be_positive_and_finite(self, gen1d, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            bounded.decay_rate_experiment(gen1d, horizon=horizon)
+
     def test_csv_rows(self, gen1d):
         fit = bounded.decay_rate_experiment(gen1d)
         rows = cli._csv("t,norm", zip(fit.times, fit.norms)).splitlines()
@@ -218,6 +237,13 @@ class TestConvergence:
         with pytest.raises(ValueError, match="non-nested"):
             bounded.convergence_study(
                 bounded.interval(), bounded.free_beta(0.5), (50, 75, 100)
+            )
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_needs_a_mode_to_track(self, count):
+        with pytest.raises(ValueError, match="at least one mode"):
+            bounded.convergence_study(
+                bounded.interval(), bounded.free_beta(0.5), (8, 16, 32), count=count
             )
 
     def test_needs_three_grids(self):

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -23,36 +25,42 @@ def run(argv, tmp_path, monkeypatch, env=None):
 
 
 class TestConfigRoundTrip:
-    def test_defaults_round_trip(self):
-        cfg = cli.RunConfig(command="roots")
-        assert cli.config_from_text(cli.config_to_text(cfg)) == cfg
-
-    def test_randomized_round_trip(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            cfg = cli.RunConfig(
-                command=str(rng.choice(cli.COMMANDS)),
-                domain=str(rng.choice(["interval", "rectangle"])),
-                bc=str(rng.choice(["free", "lt"])),
-                beta=float(rng.uniform(0, 1)),
-                mu=float(rng.uniform(0, 0.5)),
-                b=float(10.0 ** rng.uniform(-3, 3)),
-                grid=int(rng.integers(8, 300)),
-                grids=tuple(int(x) for x in rng.integers(8, 200, size=3)),
-                seed=int(rng.integers(0, 2**31)),
-                k_values=tuple(float(x) for x in 10.0 ** rng.uniform(-2, 4, 3)),
-                j=int(rng.integers(0, 3)),
-                modes=int(2 ** rng.integers(2, 12)),
-                dim=int(rng.integers(1, 3)),
-                length=float(rng.uniform(0.1, 1000.0)),
-                t=float(rng.uniform(0, 10)),
-                horizon=float(rng.uniform(0, 100)),
-                samples=int(rng.integers(2, 500)),
-                count=int(rng.integers(1, 9)),
-                json_output=bool(rng.integers(0, 2)),
-            )
-            text = cli.config_to_text(cfg)
-            assert cli.config_from_text(text) == cfg
+    def test_every_field_parses(self):
+        text = """
+            command = decay
+            domain = rectangle
+            bc = lt
+            beta = 0.25
+            mu = -0.5
+            b = 1e-3
+            grid = 24
+            grids = 8, 16,32
+            seed = 42
+            out = runs/a
+            k_values = 1,2.5,1e3
+            j = 0
+            modes = 64
+            dim = 2
+            length = 3.5
+            t = 0.125
+            horizon = 12
+            samples = 33
+            count = 3
+            json_output = true
+        """
+        keys = [line.split("=")[0].strip() for line in text.strip().splitlines()]
+        assert keys == [f.name for f in fields(cli.RunConfig)]
+        cfg = cli.config_from_text(text)
+        assert cfg == cli.RunConfig(
+            command="decay", domain="rectangle", bc="lt", beta=0.25, mu=-0.5, b=1e-3,
+            grid=24, grids=(8, 16, 32), seed=42, out="runs/a", k_values=(1.0, 2.5, 1e3),
+            j=0, modes=64, dim=2, length=3.5, t=0.125, horizon=12.0, samples=33,
+            count=3, json_output=True)
+        # equality alone would let 12 stand for 12.0 and 1 for True
+        for f in fields(cli.RunConfig):
+            assert type(getattr(cfg, f.name)) is type(f.default), f.name
+        assert [type(g) for g in cfg.grids] == [int] * 3
+        assert [type(k) for k in cfg.k_values] == [float] * 3
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# leading comment\n\ngrid = 64\n   # indented comment\nseed = 9\n"
@@ -76,6 +84,20 @@ class TestConfigRoundTrip:
         cfg = cli.config_from_text("grids = 16,32,64\nk_values = 1,2.5,30\n")
         assert cfg.grids == (16, 32, 64)
         assert cfg.k_values == (1.0, 2.5, 30.0)
+
+
+class TestCommandTable:
+    def test_every_flag_sets_a_config_field(self):
+        names = {f.name for f in fields(cli.RunConfig)}
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        assert tuple(sub.choices) == cli.COMMANDS == tuple(cli._COMMANDS)
+        settable = set()
+        for command, (_, _, flags) in cli._COMMANDS.items():
+            dests = {a.dest for a in sub.choices[command]._actions if a.option_strings}
+            dests -= {"help", "config"}
+            assert set(flags) <= dests <= names, command
+            settable |= dests
+        assert settable == names - {"command"}
 
 
 class TestExitCodes:
@@ -129,12 +151,49 @@ class TestExitCodes:
             ["evolve", "--modes", "8", "--length", "1e-100"],
             ["evolve", "--modes", "8", "--length", "1e-160"],
             ["sweep", "--modes", "8", "--length", "1e-100"],
+            ["converge", "--grids", "8,16,32", "--count", "0"],
+            ["converge", "--grids", "8,16,32", "--count", "-1"],
+            ["decay", "--horizon", "nan"],
+            ["decay", "--horizon", "inf"],
+            ["decay", "--horizon", "-1"],
+            ["sweep", "--k-values="],
+            # above the dense size limit, rejected before assembly
+            ["spectrum", "--domain", "rectangle", "--grid", "100"],
+            ["converge", "--domain", "rectangle", "--grids", "25,50,100"],
         ],
     )
     def test_library_value_error_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        assemble = bounded._assemble
+
+        def small_only(cells, *rest):
+            # every probe fails at the default grid or before any assembly
+            if math.prod(cells) > cli.RunConfig().grid:
+                raise AssertionError(f"assembled a {cells} grid")
+            return assemble(cells, *rest)
+
+        monkeypatch.setattr(bounded, "_assemble", small_only)
+        start = time.perf_counter()
         assert run(argv, tmp_path, monkeypatch) == cli.EXIT_USAGE
+        assert time.perf_counter() - start < 2.0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, flag, key, value",
+        [
+            ("evolve", "--dim", "dim", "3"),
+            ("spectrum", "--grid", "grid", "banana"),
+            ("sweep", "--k-values", "k_values", ""),
+        ],
+    )
+    def test_bad_value_fails_alike_as_flag_and_config_line(self, command, flag, key, value,
+                                                           tmp_path, monkeypatch, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        for argv in ([command, f"{flag}={value}"], [command, "--config", str(cfgfile)]):
+            assert run(argv, tmp_path, monkeypatch) == cli.EXIT_USAGE
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and repr(key) in err[0]
 
     def test_numerical_error_maps_to_three(self, tmp_path, monkeypatch):
         def boom(state, t):
@@ -238,6 +297,11 @@ class TestOutputs:
         rows = (tmp_path / "witness.csv").read_text().splitlines()
         assert rows[0] == "k,witness,closed_form,relative_difference"
         assert len(rows) == 4
+
+    def test_witness_without_k_uses_the_default_points(self, tmp_path, monkeypatch):
+        assert run(["witness"], tmp_path, monkeypatch) == cli.EXIT_OK
+        rows = (tmp_path / "witness.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [1.0, 10.0, 100.0]
 
     def test_spectrum_writes_csv_and_json(self, tmp_path, monkeypatch):
         assert run(["spectrum", "--grid", "50"], tmp_path, monkeypatch) == 0
