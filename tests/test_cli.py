@@ -24,7 +24,52 @@ def run(argv, tmp_path, monkeypatch, env=None):
     return cli.main(argv)
 
 
+def _config_text(cfg):
+    """cfg written as config lines: the inverse config_from_text must honour."""
+    lines = []
+    for f in fields(cli.RunConfig):
+        v = getattr(cfg, f.name)
+        if isinstance(v, tuple):
+            v = ",".join(map(repr, v))
+        elif isinstance(v, bool):
+            v = "true" if v else "false"
+        elif isinstance(v, float):
+            v = repr(v)
+        lines.append(f"{f.name} = {v}")
+    return "\n".join(lines) + "\n"
+
+
 class TestConfigRoundTrip:
+    def test_defaults_round_trip(self):
+        cfg = cli.RunConfig(command="roots")
+        assert cli.config_from_text(_config_text(cfg)) == cfg
+
+    def test_randomized_round_trip(self):
+        rng = np.random.default_rng(17)
+        for _ in range(25):
+            cfg = cli.RunConfig(
+                command=str(rng.choice(cli.COMMANDS)),
+                domain=str(rng.choice(["interval", "rectangle"])),
+                bc=str(rng.choice(["free", "lt"])),
+                beta=float(rng.uniform(0, 1)),
+                mu=float(rng.uniform(0, 0.5)),
+                b=float(10.0 ** rng.uniform(-3, 3)),
+                grid=int(rng.integers(8, 300)),
+                grids=tuple(int(x) for x in rng.integers(8, 200, size=3)),
+                seed=int(rng.integers(0, 2**31)),
+                k_values=tuple(float(x) for x in 10.0 ** rng.uniform(-2, 4, 3)),
+                j=int(rng.integers(0, 3)),
+                modes=int(2 ** rng.integers(2, 12)),
+                dim=int(rng.integers(1, 3)),
+                length=float(rng.uniform(0.1, 1000.0)),
+                t=float(rng.uniform(0, 10)),
+                horizon=float(rng.uniform(0, 100)),
+                samples=int(rng.integers(2, 500)),
+                count=int(rng.integers(1, 9)),
+                json_output=bool(rng.integers(0, 2)),
+            )
+            assert cli.config_from_text(_config_text(cfg)) == cfg
+
     def test_every_field_parses(self):
         text = """
             command = decay
