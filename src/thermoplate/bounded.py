@@ -561,7 +561,8 @@ def _slow_modes(gen: DiscreteGenerator, count: int) -> np.ndarray:
     nz = nz[nz.imag >= -1e-9 * float(np.abs(ev).max())]
     nz = nz[np.argsort(np.abs(nz))]
     if len(nz) < count:
-        raise NumericalError("not enough nonzero eigenvalues to track")
+        raise ValueError(f"count {count} exceeds the {len(nz)} modes that can be tracked "
+                         f"on grid {'x'.join(map(str, gen.cells))}")
     return nz[:count]
 
 

@@ -310,8 +310,12 @@ def cmd_entries(cfg: RunConfig, outdir: str) -> tuple:
 def cmd_sweep(cfg: RunConfig, outdir: str) -> tuple:
     if min(cfg.k_values) <= 0:
         raise UsageError("sweep values k must be positive")
+    try:
+        lams_origin = [k ** -2.0 for k in cfg.k_values]
+    except OverflowError:
+        raise UsageError(
+            "key 'k_values': k^-2 overflows a double for k below about 7.5e-155") from None
     grid = torus.TorusGrid((cfg.modes,) * cfg.dim, (cfg.length,) * cfg.dim)
-    lams_origin = [k ** -2.0 for k in cfg.k_values]
     lams_shift = [1.0 + k ** -2.0 for k in cfg.k_values]
     b_origin = torus.resolvent_bound_sweep(cfg.j, lams_origin, grid)
     b_shift = torus.resolvent_bound_sweep(cfg.j, lams_shift, grid)
@@ -330,10 +334,9 @@ def cmd_evolve(cfg: RunConfig, outdir: str) -> tuple:
     grid = torus.TorusGrid((cfg.modes,) * cfg.dim, (cfg.length,) * cfg.dim)
     rng = np.random.default_rng(cfg.seed)
     state0 = torus.random_state(grid, rng)
-    state1, residue = torus.evolve(state0, cfg.t)
+    (state1, residue), (half, _) = torus.evolve_many(state0, (cfg.t, cfg.t / 2.0))
     e0, e1 = state0.e_norm(), state1.e_norm()
     # two half steps must land on the single full step
-    half, _ = torus.evolve(state0, cfg.t / 2.0)
     rehalf, _ = torus.evolve(half, cfg.t / 2.0)
     gap = torus.e_norm(grid, rehalf.u - state1.u, rehalf.v - state1.v,
                        rehalf.theta - state1.theta)

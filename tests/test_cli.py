@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -205,6 +206,9 @@ class TestExitCodes:
             # above the dense size limit, rejected before assembly
             ["spectrum", "--domain", "rectangle", "--grid", "100"],
             ["converge", "--domain", "rectangle", "--grids", "25,50,100"],
+            # k^-2 overflows; more modes than the coarsest grid can track
+            ["sweep", "--k-values", "1e-200"],
+            ["converge", "--grids", "8,16,32", "--count", "100"],
         ],
     )
     def test_library_value_error_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
@@ -222,6 +226,15 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2.0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_overflowing_energy_norm_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # the s = 0 mode drifts to ~1e300, whose square overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run(["evolve", "--modes", "8", "--t", "1e300"], tmp_path, monkeypatch)
+        assert rc == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
     @pytest.mark.parametrize(
         "command, flag, key, value",

@@ -2,13 +2,16 @@
 
 import math
 import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from thermoplate import torus
-from thermoplate.symbols import GAMMAS, ROOTS, SingularParameterError, symbol_matrix
+from thermoplate.symbols import (GAMMAS, ROOTS, NumericalError, SingularParameterError,
+                                 symbol_matrix)
 
 
 TWO_PI = 2.0 * math.pi
@@ -32,6 +35,26 @@ def bump_state(grid):
         x, y = np.meshgrid(*grid.points(), indexing="ij")
         u = np.exp(-3.0 * (2.0 - np.cos(x) - np.cos(y)))
     return torus.StateField(grid, u, np.zeros_like(u), np.zeros_like(u))
+
+
+def evolve_reference(state, t):
+    """One time at a time: a gathered (n, 3, 3) propagator, einsum, one ifftn per row."""
+    g = state.grid
+    U = np.stack([np.fft.fftn(f, norm="ortho") for f in state.fields()]).reshape(3, -1)
+    out = np.einsum("nij,jn->in", torus._mode_propagators(g.s_array().ravel(), t), U)
+    fields = [np.fft.ifftn(row.reshape(g.shape), norm="ortho") for row in out]
+    scale = max(max(np.abs(f.real).max() for f in fields), 1.0)
+    return [f.real for f in fields], max(np.abs(f.imag).max() for f in fields) / scale
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestGrid:
@@ -87,6 +110,14 @@ class TestEnergyNorm:
             val = torus.sobolev_norm(grid128, np.cos(x), s)
             assert val == pytest.approx(8.0 * 2.0 ** (s / 2.0), rel=1e-12)
 
+    def test_overflowing_norm_raises_without_warning(self, grid128):
+        # finite fields whose squared coefficients overflow a double
+        huge = np.full(128, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="not a finite double"):
+                torus.e_norm(grid128, huge, huge, huge)
+
     def test_e_norm_composes_field_norms(self, grid128):
         rng = np.random.default_rng(2)
         st = torus.random_state(grid128, rng)
@@ -104,6 +135,31 @@ class TestEvolution:
     def test_rejects_bad_time(self, grid128, t):
         with pytest.raises(ValueError):
             torus.evolve(bump_state(grid128), t)
+        # anywhere in the list, before the first node is yielded
+        nodes = torus.evolve_many(bump_state(grid128), [0.0, 0.5, t, 1.0])
+        with pytest.raises(ValueError):
+            next(nodes)
+
+    @pytest.mark.parametrize("modes", [(128,), (32, 32)])
+    def test_evolve_many_matches_one_time_at_a_time(self, modes):
+        # more nodes than one batch holds, t = 0 among them; s = 0 is mode 0
+        grid = torus.TorusGrid(modes, (TWO_PI,) * len(modes))
+        st = torus.random_state(grid, np.random.default_rng(4))
+        per_batch = torus._BATCH_MODE_TIMES // math.prod(modes)
+        ts = np.linspace(0.0, 3.0, 2 * per_batch + 3)
+        nodes = list(torus.evolve_many(st, ts))
+        assert len(nodes) == ts.size
+        for t, (out, residue) in zip(ts, nodes):
+            alone, alone_residue = torus.evolve(st, t)
+            want, want_residue = evolve_reference(st, t)
+            assert residue == alone_residue == want_residue
+            for a, b, c in zip(out.fields(), alone.fields(), want):
+                assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    def test_residue_check_on_the_batched_path(self, grid128, monkeypatch):
+        monkeypatch.setattr(torus, "IMAG_RESIDUE_TOL", -1.0)
+        with pytest.raises(NumericalError, match="imaginary residue"):
+            next(torus.evolve_many(bump_state(grid128), [0.0, 1.0]))
 
     def test_zero_time_identity(self, grid128):
         st = bump_state(grid128)
@@ -311,6 +367,18 @@ class TestTwoDimensional:
         assert fit["slowest_rate"] == pytest.approx(
             -ROOTS.gamma2.real * 2.0, rel=1e-6
         )
+
+
+class TestWorkingSet:
+    def test_evolve_peak_at_512(self):
+        grid = torus.TorusGrid((512, 512), (TWO_PI, TWO_PI))
+        st = torus.random_state(grid, np.random.default_rng(1))
+        assert traced_peak(lambda: torus.evolve(st, 0.5)) <= 45 * 2 ** 20
+
+    def test_laplace_oracle_peak(self):
+        st = bump_state(torus.TorusGrid((16, 16), (TWO_PI, TWO_PI)))
+        peak = traced_peak(lambda: torus.laplace_transform_error(st, 2.0, steps=2048))
+        assert peak <= 4 * 2 ** 20
 
 
 class TestSerialization:
