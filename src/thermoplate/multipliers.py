@@ -45,14 +45,14 @@ class SectorSample:
     dim: int = 2
 
     def __post_init__(self):
-        if not self.lambda0 >= 0.0:
-            raise ValueError(f"sector shift must be nonnegative, got {self.lambda0}")
+        if not 0.0 <= self.lambda0 < math.inf:
+            raise ValueError(f"sector shift must be finite and nonnegative, got {self.lambda0}")
         if not 0.0 < self.theta < math.pi:
             raise ValueError(f"sector angle must lie in (0, pi), got {self.theta}")
         if not (len(self.lambda_moduli) and len(self.xi_moduli) and len(self.arg_fractions)):
             raise ValueError("sample axes must be nonempty")
-        if not (min(self.lambda_moduli) > 0.0 and min(self.xi_moduli) > 0.0):
-            raise ValueError("sample moduli must be positive")
+        if not all(0.0 < r < math.inf for r in (*self.lambda_moduli, *self.xi_moduli)):
+            raise ValueError("sample moduli must be finite and positive")
         if not all(-1.0 < f < 1.0 for f in self.arg_fractions):
             raise ValueError("arg fractions must lie in (-1, 1)")
         if not self.dim >= 1:
@@ -108,38 +108,37 @@ def _multi_indices(dim: int, max_order: int):
             yield alpha
 
 
-def _central_difference(symbol, xi: np.ndarray, lam: np.ndarray, alpha: tuple,
-                        h: np.ndarray) -> np.ndarray:
-    """Iterated central difference d^alpha at every row of xi.
+def _stencil(alpha: tuple) -> dict:
+    """d^alpha as {offset: weight}: per coordinate the order-m central difference
+    has leaves m-2i (in steps h) weighted (-1)^i C(m, i); coordinates compose by product."""
+    axes = [[(m - 2 * i, (-1.0) ** i * math.comb(m, i)) for i in range(m + 1)] for m in alpha]
+    return {tuple(o for o, _ in leaf): math.prod(w for _, w in leaf)
+            for leaf in itertools.product(*axes)}
 
-    The order-m difference in one coordinate uses m+1 leaves at offsets
-    (m-2i)*h with binomial weights; coordinates compose by product.  Steps h
-    are per point and per coordinate, frozen from the base point.
+
+def _central_differences(symbol, xi, lam, alphas, h) -> list[np.ndarray]:
+    """d^alpha at every row of xi for each alpha, one symbol call per stencil offset.
+
+    Offsets are visited in descending lexicographic order, the order in which
+    itertools.product yields one alpha's leaves, so each alpha's sum is formed
+    in the same order as by a pass of its own.  Steps h are per point and per
+    coordinate, frozen from the base point.
     """
-    acc = np.zeros(xi.shape[0], dtype=complex)
-    denom = np.ones(xi.shape[0])
-    leaf_iters = []
-    for k, m in enumerate(alpha):
-        if m:
-            denom = denom * (2.0 * h[:, k]) ** m
-        leaf_iters.append([(i, math.comb(m, i)) for i in range(m + 1)])
-    for combo in itertools.product(*leaf_iters):
-        weight = 1.0
-        shift = np.zeros_like(xi)
-        for k, (i, binom) in enumerate(combo):
-            m = alpha[k]
-            weight *= (-1.0) ** i * binom
-            if m:
-                shift[:, k] = (m - 2 * i) * h[:, k]
-        vals = symbol(xi + shift, lam)
-        vals = np.asarray(vals, dtype=complex)
+    tables = [_stencil(alpha) for alpha in alphas]
+    accs = [np.zeros(xi.shape[0], dtype=complex) for _ in alphas]
+    for offset in sorted(set().union(*tables), reverse=True):
+        point = xi + np.array(offset) * h
+        vals = np.asarray(symbol(point, lam), dtype=complex)
         if not np.all(np.isfinite(vals)):
             idx = int(np.argmin(np.isfinite(vals)))
-            raise NumericalError(
-                f"non-finite symbol value at xi={xi[idx] + shift[idx]}, lambda={lam[idx]}"
-            )
-        acc += weight * vals
-    return acc / denom
+            raise NumericalError(f"non-finite symbol value at xi={point[idx]}, lambda={lam[idx]}")
+        for table, acc in zip(tables, accs):
+            if offset in table:
+                acc += table[offset] * vals
+    for alpha, acc in zip(alphas, accs):
+        acc /= math.prod(((2.0 * h[:, k]) ** m for k, m in enumerate(alpha) if m),
+                         start=np.ones(xi.shape[0]))
+    return accs
 
 
 def multiplier_order_scan(symbol, order_s: float, sample: SectorSample,
@@ -153,8 +152,8 @@ def multiplier_order_scan(symbol, order_s: float, sample: SectorSample,
     """
     if max_alpha is None:
         max_alpha = sample.dim + 1
-    if max_alpha > 4:
-        raise ValueError("max_alpha above 4 is not supported (cost control)")
+    if not 0 <= max_alpha <= 4:
+        raise ValueError(f"max_alpha must lie in 0..4 (cost control above 4), got {max_alpha}")
     xi = sample.xi_points()
     lams = sample.lambda_points()
     # full tensor sample, flattened
@@ -163,9 +162,9 @@ def multiplier_order_scan(symbol, order_s: float, sample: SectorSample,
     norms = np.linalg.norm(XI, axis=1)
     H = STEP_FACTOR * np.maximum(np.abs(XI), norms[:, None])
     weight = (np.sqrt(np.abs(LAM)) + norms) ** order_s
+    alphas = list(_multi_indices(sample.dim, max_alpha))
     records = []
-    for alpha in _multi_indices(sample.dim, max_alpha):
-        deriv = _central_difference(symbol, XI, LAM, alpha, H)
+    for alpha, deriv in zip(alphas, _central_differences(symbol, XI, LAM, alphas, H)):
         ratio = np.abs(deriv) * norms ** sum(alpha) / weight
         k = int(np.argmax(ratio))
         records.append(
@@ -293,11 +292,18 @@ def nonsectoriality_witness(k: float) -> float:
     can hold.  The value is computed through the symbol quotient, not the
     closed form, so the identity is testable.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    lam = k ** -2.0
-    s = k ** -2.0
-    det = np.prod(lam + GAMMAS * s)
+    if not k > 0:
+        raise ValueError(f"k must be positive, got {k}")
+    try:
+        lam = s = float(k) ** -2.0
+    except OverflowError:
+        lam = s = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.prod(lam + GAMMAS * s)
+    # a subnormal determinant overflows the reciprocal inside complex division
+    if not np.finfo(float).tiny <= abs(det) < math.inf:
+        raise ValueError(f"k={k:g} is outside the witness range: "
+                         f"the determinant at lambda = |xi|^2 = 1/k^2 is {det}")
     return float(abs(lam * (1.0 + s) * s / det))
 
 

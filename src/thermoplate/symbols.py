@@ -189,18 +189,24 @@ def _resolvent_entries(s, lam, rows, cols) -> np.ndarray:
     broadcast(s, lambda) + broadcast(rows, cols).  Only the requested entries
     are formed, over one determinant and one singularity check.  Raises
     SingularParameterError naming the flat index into broadcast(s, lambda)
-    where lambda hits the symbol spectrum.
+    where lambda hits the symbol spectrum, and ValueError naming the first
+    index where the determinant overflows a double.
     """
     s = np.asarray(s, dtype=float)
     lam = np.asarray(lam, dtype=complex)
-    det = (lam + GAMMAS[0] * s) * (lam + GAMMAS[1] * s) * (lam + GAMMAS[2] * s)
-    bad = np.abs(det) < SINGULAR_DET_FLOOR
-    if np.any(bad):
-        idx = int(np.argmax(bad))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = (lam + GAMMAS[0] * s) * (lam + GAMMAS[1] * s) * (lam + GAMMAS[2] * s)
+        singular = np.abs(det) < SINGULAR_DET_FLOOR
+    overflow = ~np.isfinite(det)
+    if np.any(singular | overflow):
+        idx = int(np.argmax(singular | overflow))
         s_at, lam_at = (np.broadcast_to(x, det.shape).flat[idx] for x in (s, lam))
-        raise SingularParameterError(
-            f"lambda={lam_at} singular at index {idx} (|xi|^2={s_at})"
-        )
+        if singular.flat[idx]:
+            raise SingularParameterError(
+                f"lambda={lam_at} singular at index {idx} (|xi|^2={s_at})"
+            )
+        raise ValueError(f"lambda={lam_at} at index {idx} (|xi|^2={s_at}) "
+                         f"overflows the determinant det(lambda - A(xi))")
     rows, cols = np.broadcast_arrays(rows, cols)
     out = np.empty(det.shape + rows.shape, dtype=complex)
     for pos in np.ndindex(rows.shape):

@@ -209,6 +209,16 @@ class TestExitCodes:
             # k^-2 overflows; more modes than the coarsest grid can track
             ["sweep", "--k-values", "1e-200"],
             ["converge", "--grids", "8,16,32", "--count", "100"],
+            # det(lambda - A) overflows at lambda = k^-2, below the k^-2 guard
+            ["sweep", "--k-values", "1e-60"],
+            ["sweep", "--k-values", "1e-100"],
+            ["sweep", "--k-values", "1e-150"],
+            # the witness determinant overflows (small k) or vanishes (large k)
+            ["witness", "1e-60"],
+            ["witness", "1e-150"],
+            ["witness", "1e100"],
+            ["witness", "1e160"],
+            ["witness", "1e-200"],
         ],
     )
     def test_library_value_error_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):

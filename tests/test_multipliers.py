@@ -1,6 +1,8 @@
 """Order scans on shifted-sector samples, witness values, origin growth."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +49,26 @@ class TestSectorSample:
         # raised, not asserted, so the check survives python -O
         with pytest.raises(ValueError):
             mp.SectorSample(theta=4.0, lambda0=-1.0)
+
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"lambda_moduli": (1.0, math.nan)},
+            {"lambda_moduli": (math.nan, 1.0)},
+            {"lambda_moduli": (1.0, math.inf)},
+            {"xi_moduli": (0.5, math.nan)},
+            {"xi_moduli": (-1.0, 2.0)},
+            {"lambda0": math.inf},
+            {"lambda0": math.nan},
+            {"arg_fractions": (0.0, math.nan)},
+            {"arg_fractions": (math.inf,)},
+        ],
+    )
+    def test_rejects_non_finite_axes(self, bad):
+        # min() skips a NaN after the first element, so each entry is checked
+        with pytest.raises(ValueError):
+            mp.SectorSample(**bad)
 
 
 class TestExampleSuite:
@@ -103,6 +125,11 @@ class TestScanMechanics:
         with pytest.raises(ValueError):
             mp.multiplier_order_scan(mp.sym_one, 0.0, default_sample, max_alpha=5)
 
+    def test_negative_max_alpha_rejected(self, default_sample):
+        # a scan over no multi-index would pass vacuously
+        with pytest.raises(ValueError, match="max_alpha"):
+            mp.multiplier_order_scan(mp.sym_xi_4, 4.0, default_sample, max_alpha=-1)
+
     def test_non_finite_symbol_names_the_point(self, default_sample):
         def nan_symbol(xi, lam):
             return np.full(xi.shape[0], np.nan, dtype=complex)
@@ -125,12 +152,12 @@ class TestScanMechanics:
         h = mp.STEP_FACTOR * np.maximum(
             np.abs(xi), np.linalg.norm(xi, axis=1, keepdims=True)
         )
-        d1 = mp._central_difference(mp.sym_xi_sq, xi, lam, (1, 0), h)
+        d1, d2, d11 = mp._central_differences(
+            mp.sym_xi_sq, xi, lam, [(1, 0), (2, 0), (1, 1)], h
+        )
         rel1 = np.abs(d1 - 2 * xi[:, 0]) / np.maximum(np.abs(2 * xi[:, 0]), 1e-30)
         assert rel1.max() <= 1e-6
-        d2 = mp._central_difference(mp.sym_xi_sq, xi, lam, (2, 0), h)
         assert np.abs(d2 - 2.0).max() <= 1e-6 * 2.0
-        d11 = mp._central_difference(mp.sym_xi_sq, xi, lam, (1, 1), h)
         # the cross derivative vanishes; the iterated difference leaves
         # cancellation noise at the cube-root-of-eps level
         scale = np.maximum(np.sum(xi * xi, axis=1), 1.0)
@@ -149,10 +176,72 @@ class TestScanMechanics:
         h = mp.STEP_FACTOR * np.maximum(
             np.abs(XI), np.linalg.norm(XI, axis=1, keepdims=True)
         )
-        d1 = mp._central_difference(mp.sym_sqrt_lam_xi_sq, XI, LAM, (1, 0), h)
+        (d1,) = mp._central_differences(mp.sym_sqrt_lam_xi_sq, XI, LAM, [(1, 0)], h)
         exact = XI[:, 0] / np.sqrt(LAM + np.sum(XI * XI, axis=1))
         rel = np.abs(d1 - exact) / np.maximum(np.abs(exact), 1e-12)
         assert rel.max() <= 1e-6
+
+
+def _reference_central_difference(symbol, xi, lam, alpha, h):
+    """The per-alpha iterated central difference: one symbol call per stencil leaf."""
+    acc = np.zeros(xi.shape[0], dtype=complex)
+    denom = np.ones(xi.shape[0])
+    leaf_iters = []
+    for k, m in enumerate(alpha):
+        if m:
+            denom = denom * (2.0 * h[:, k]) ** m
+        leaf_iters.append([(i, math.comb(m, i)) for i in range(m + 1)])
+    for combo in itertools.product(*leaf_iters):
+        weight = 1.0
+        shift = np.zeros_like(xi)
+        for k, (i, binom) in enumerate(combo):
+            m = alpha[k]
+            weight *= (-1.0) ** i * binom
+            if m:
+                shift[:, k] = (m - 2 * i) * h[:, k]
+        acc += weight * np.asarray(symbol(xi + shift, lam), dtype=complex)
+    return acc / denom
+
+
+# (dim, max_alpha, symbol calls of one shared-stencil scan)
+STENCIL_CASES = [(2, 3, 25), (2, 4, 41), (2, 0, 1), (1, 2, 5), (1, 4, 9)]
+
+
+class TestSharedStencil:
+    @pytest.mark.parametrize("symbol", [mp.resolvent_entry_symbol(2, 1, 2),
+                                        mp.sym_sqrt_lam_xi_sq], ids=["m2_23", "sqrt"])
+    @pytest.mark.parametrize("dim,max_alpha", [c[:2] for c in STENCIL_CASES])
+    def test_records_equal_per_alpha_reference(self, symbol, dim, max_alpha, monkeypatch):
+        # visiting the offsets in descending lexicographic order forms every
+        # sum in the per-alpha leaf order, so the records agree bit for bit
+        sample = mp.SectorSample(dim=dim)
+        got = mp.multiplier_order_scan(symbol, 0.0, sample, max_alpha=max_alpha).records
+
+        def per_alpha(symbol, xi, lam, alphas, h):
+            return [_reference_central_difference(symbol, xi, lam, a, h) for a in alphas]
+
+        monkeypatch.setattr(mp, "_central_differences", per_alpha)
+        want = mp.multiplier_order_scan(symbol, 0.0, sample, max_alpha=max_alpha).records
+        assert got == want
+
+    @pytest.mark.parametrize("dim,max_alpha,calls", STENCIL_CASES)
+    def test_one_symbol_call_per_distinct_offset(self, dim, max_alpha, calls):
+        seen = []
+
+        def counting(xi, lam):
+            seen.append(xi.copy())
+            return mp.sym_xi_sq(xi, lam)
+
+        sample = mp.SectorSample(dim=dim, lambda_moduli=(1.0,), xi_moduli=(0.5, 2.0))
+        mp.multiplier_order_scan(counting, 2.0, sample, max_alpha=max_alpha)
+        assert len(seen) == calls
+        assert len({x.tobytes() for x in seen}) == calls
+
+    def test_stencil_table(self):
+        assert mp._stencil((2,)) == {(2,): 1.0, (0,): -2.0, (-2,): 1.0}
+        assert mp._stencil((1, 1)) == {(1, 1): 1.0, (1, -1): -1.0, (-1, 1): -1.0,
+                                       (-1, -1): 1.0}
+        assert mp._stencil((0, 0)) == {(0, 0): 1.0}
 
 
 class TestResolventEntryScans:
@@ -200,3 +289,20 @@ class TestOriginBehavior:
     def test_witness_requires_positive_k(self):
         with pytest.raises(ValueError):
             mp.nonsectoriality_witness(0.0)
+
+    @pytest.mark.parametrize("k", [5.4e-52, 1e-60, 1e-150, 1e-200, 2.5e51, 1e100, 1e160,
+                                   math.inf, math.nan])
+    def test_witness_rejects_k_out_of_range(self, k):
+        # the determinant overflows (small k) or goes subnormal or zero (large k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError):
+                mp.nonsectoriality_witness(k)
+
+    @pytest.mark.parametrize("k", [5.6e-52, 1e-30, 1e30, 2.4e51])
+    def test_witness_matches_closed_form_near_range_ends(self, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = mp.nonsectoriality_witness(k)
+        c = mp.witness_closed_form(k)
+        assert abs(w - c) <= 1e-12 * c

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,16 @@ class TestResolvent:
     def test_lambda_zero_rejected_at_zero_frequency(self):
         with pytest.raises(symbols.SingularParameterError):
             symbols.resolvent_matrix(0.0, 0.0)
+
+    def test_overflowing_determinant_names_index(self):
+        # lambda^3 overflows a double at s = 0; a plain ValueError (bad input),
+        # not a singularity, and no RuntimeWarning on the way
+        lams = np.array([1.0, 2.0, 1e120])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="index 2 ") as info:
+                symbols.resolvent_matrices(0.0, lams)
+        assert not isinstance(info.value, symbols.SingularParameterError)
 
 
 class TestScaledResolvent:
