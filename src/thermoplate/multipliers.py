@@ -7,7 +7,11 @@ A symbol m(xi, lambda) has order s when every xi-derivative obeys
 uniformly over the sector.  The scans here certify that empirically: they
 sample a shifted sector, estimate the derivatives by iterated central
 differences, and report the observed sup constants C_alpha per multi-index.
-A pass is evidence over the sample, not a proof; report metadata says so.
+All multi-indices of a scan share one stencil table: the symbol is evaluated
+once per distinct stencil point, offsets in descending lexicographic order,
+the order of each multi-index's own leaves, so every sum is bit-identical to
+a separate pass per multi-index.  A pass is evidence over the sample, not a
+proof; report metadata says so.
 """
 
 from __future__ import annotations
@@ -294,11 +298,8 @@ def nonsectoriality_witness(k: float) -> float:
     """
     if not k > 0:
         raise ValueError(f"k must be positive, got {k}")
-    try:
-        lam = s = float(k) ** -2.0
-    except OverflowError:
-        lam = s = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
+        lam = s = np.float64(k) ** -2.0
         det = np.prod(lam + GAMMAS * s)
     # a subnormal determinant overflows the reciprocal inside complex division
     if not np.finfo(float).tiny <= abs(det) < math.inf:

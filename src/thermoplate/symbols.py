@@ -197,9 +197,9 @@ def _resolvent_entries(s, lam, rows, cols) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         det = (lam + GAMMAS[0] * s) * (lam + GAMMAS[1] * s) * (lam + GAMMAS[2] * s)
         singular = np.abs(det) < SINGULAR_DET_FLOOR
-    overflow = ~np.isfinite(det)
-    if np.any(singular | overflow):
-        idx = int(np.argmax(singular | overflow))
+    bad = singular | ~np.isfinite(det)
+    if np.any(bad):
+        idx = int(np.argmax(bad))
         s_at, lam_at = (np.broadcast_to(x, det.shape).flat[idx] for x in (s, lam))
         if singular.flat[idx]:
             raise SingularParameterError(
