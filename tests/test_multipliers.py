@@ -50,7 +50,6 @@ class TestSectorSample:
         with pytest.raises(ValueError):
             mp.SectorSample(theta=4.0, lambda0=-1.0)
 
-
     @pytest.mark.parametrize(
         "bad",
         [
