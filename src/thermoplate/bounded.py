@@ -36,10 +36,24 @@ rows T: ghost g equals T[g] applied to the interior (u, theta) unknowns.  A
 stencil point adds its weight to one entry when it is a cell and weight
 times T[g] when it is ghost g.  These orders fix the floating-point
 accumulation, so the generator is reproducible bit for bit.
+
+Every generator commutes with the reflection x -> a + b - x along each axis:
+it maps the cell grid onto itself, the stencils are symmetric, the one-sided
+Lv rows are mirrored, and rows (i)-(iii) map to themselves (row (ii) and the
+feedback term change sign with the normal, so they give the same equation).
+In the orthonormal even/odd basis of the reflections, pairs
+(e_i +- e_{M-1-i}) / sqrt 2 per axis with the middle cell of an odd count in
+the even class only, the matrix is block diagonal: one block per parity
+class, 2 on an interval and 4 on a rectangle.  The spectrum, kernel,
+projection and decay computations run every eigensolve, SVD, Schur form and
+exponential on these blocks, after checking the symmetry to SYMMETRY_TOL;
+the assembled matrix stays the dense oracle.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +70,11 @@ PAIRING_CONDITION_LIMIT = 1e10
 IDEMPOTENCY_TOL = 1e-8
 MAX_DENSE_SIZE = 20000
 MIN_CELLS = 8
+#: largest max|A[J][:, J] - A| / max|A| over the box reflections J
+SYMMETRY_TOL = 1e-12
+#: real parts are rounded to this multiple of max|lambda| before sorting
+ORDER_QUANTUM = 1e-12
+SQRT_HALF = math.sqrt(0.5)
 
 
 class AssemblyError(ValueError):
@@ -155,6 +174,11 @@ class DiscreteGenerator:
     def unpack(self, state: np.ndarray) -> tuple:
         m = self.n_cells
         return state[:m], state[m:2 * m], state[2 * m:]
+
+    @functools.cached_property
+    def reflection_blocks(self) -> ReflectionBlocks:
+        """The matrix split by the reflections of the box, checked and built once."""
+        return _reflection_blocks(self.matrix, self.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +378,102 @@ def continuum_kernel_fields(gen: DiscreteGenerator) -> list:
 
 
 # ---------------------------------------------------------------------------
+# reflection-parity blocks
+
+def _fold(T: np.ndarray, axis: int, sign: int) -> np.ndarray:
+    """C^T along one cell axis: (x_i + sign x_{M-1-i}) / sqrt 2 over mirrored pairs.
+
+    With an odd count M the middle cell joins the even class unchanged.
+    """
+    T = np.moveaxis(T, axis, 0)
+    h = len(T) // 2
+    out = (np.add if sign > 0 else np.subtract)(T[:h], T[::-1][:h])
+    out *= SQRT_HALF
+    if len(T) % 2 and sign > 0:
+        out = np.concatenate([out, T[h:h + 1]])
+    return np.moveaxis(out, 0, axis)
+
+
+def _unfold(Y: np.ndarray, axis: int, sign: int, m: int) -> np.ndarray:
+    """C along one cell axis of m cells: the inverse of _fold on its class."""
+    Y = np.moveaxis(Y, axis, 0)
+    h = m // 2
+    X = np.zeros((m,) + Y.shape[1:])
+    X[:h] = Y[:h] * SQRT_HALF
+    X[::-1][:h] = Y[:h] * (sign * SQRT_HALF)
+    if m % 2 and sign > 0:
+        X[h] = Y[h]
+    return np.moveaxis(X, 0, axis)
+
+
+@dataclass(frozen=True)
+class ReflectionBlocks:
+    """The generator in the orthonormal even/odd basis of the box reflections.
+
+    One parity class per sign tuple (one sign per axis, +1 first); C_c maps
+    class coordinates (field, half-grid cells row-major) to the state, and
+    blocks[c] = C_c^T A C_c.  residual is the checked symmetry defect.
+    """
+
+    cells: tuple
+    parities: tuple
+    blocks: tuple
+    residual: float
+
+    @property
+    def sizes(self) -> tuple:
+        return tuple(B.shape[0] for B in self.blocks)
+
+    def restrict(self, x: np.ndarray) -> list:
+        """C_c^T x for every class c."""
+        out = []
+        for signs in self.parities:
+            T = x.reshape(3, *self.cells)
+            for a, sign in enumerate(signs):
+                T = _fold(T, 1 + a, sign)
+            out.append(T.ravel())
+        return out
+
+    def lift(self, c: int, Y: np.ndarray) -> np.ndarray:
+        """C_c Y for class coordinates Y with one column per vector."""
+        signs = self.parities[c]
+        T = Y.reshape(3, *(m // 2 + (m % 2 if sign > 0 else 0)
+                           for m, sign in zip(self.cells, signs)), Y.shape[1])
+        for a, sign in enumerate(signs):
+            T = _unfold(T, 1 + a, sign, self.cells[a])
+        return T.reshape(3 * math.prod(self.cells), Y.shape[1])
+
+
+def _reflection_blocks(matrix: np.ndarray, cells: tuple) -> ReflectionBlocks:
+    """Check that A commutes with every axis reflection J, then form the blocks.
+
+    A residual max|A[J][:, J] - A| / max|A| above SYMMETRY_TOL raises
+    NumericalError, since the blocks drop every coupling between classes.
+    """
+    dim = len(cells)
+    A = matrix.reshape((3, *cells) * 2)
+    residual = 0.0
+    for a in range(dim):
+        # the defect is odd under J, so the rows of one half bound it
+        half = (slice(None),) * (1 + a) + (slice(0, (cells[a] + 1) // 2),)
+        defect = np.flip(A, (1 + a, 2 + dim + a))[half] - A[half]
+        residual = max(residual, float(np.abs(defect, out=defect).max()))
+    residual /= max(float(matrix.max()), -float(matrix.min()))
+    if not residual <= SYMMETRY_TOL:
+        raise NumericalError(f"generator is not reflection symmetric (residual "
+                             f"{residual:.3e} above {SYMMETRY_TOL:g})")
+    parities = tuple(itertools.product((1, -1), repeat=dim))
+    blocks = []
+    for signs in parities:
+        T = A
+        for a, sign in enumerate(signs):
+            T = _fold(_fold(T, 1 + a, sign), 2 + dim + a, sign)
+        m = math.prod(T.shape[:1 + dim])
+        blocks.append(np.ascontiguousarray(T.reshape(m, m)))
+    return ReflectionBlocks(cells, parities, tuple(blocks), residual)
+
+
+# ---------------------------------------------------------------------------
 # spectrum
 
 @dataclass
@@ -368,19 +488,24 @@ class SpectrumReport:
     largest_modulus: float
     kernel_tolerance: float
     smallest_singular_values: np.ndarray
+    symmetry_residual: float
+    block_sizes: tuple
 
 
 def _eigenvalues(gen: DiscreteGenerator) -> tuple:
-    """Dense eigenvalues in report order and the default zero tolerance.
+    """The blocks' eigenvalues in report order and the default zero tolerance.
 
-    The order is descending real part, then descending imaginary part.
+    The order is descending real part rounded to a multiple of ORDER_QUANTUM
+    max|lambda|, then descending imaginary part: roundoff-level gaps between
+    real parts do not reorder the rows.
     """
     try:
-        ev = np.linalg.eigvals(gen.matrix)
+        ev = np.concatenate([np.linalg.eigvals(B) for B in gen.reflection_blocks.blocks])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    ev = ev[np.lexsort((-ev.imag, -ev.real))]
-    return ev, ZERO_TOL_FACTOR * float(np.abs(ev).max())
+    top = float(np.abs(ev).max())
+    ev = ev[np.lexsort((-ev.imag, -np.round(ev.real / (ORDER_QUANTUM * top))))]
+    return ev, ZERO_TOL_FACTOR * top
 
 
 def _decay_margin(ev: np.ndarray, zero_tol: float) -> float:
@@ -390,20 +515,23 @@ def _decay_margin(ev: np.ndarray, zero_tol: float) -> float:
 
 
 def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
-    """Dense eigensolve with zero-cluster bookkeeping.
+    """Block eigensolves with zero-cluster bookkeeping.
 
     kernel_dimension counts singular values at the rounding floor (a fixed
     multiple of machine epsilon times sigma_max); that count matches the
     analytic kernel and is grid-stable, unlike counting against zero_tol,
     which a physical near-null pseudomode crosses on fine grids.
     zero_cluster_count counts eigenvalues with |lambda| <= zero_tol and so
-    includes generalized (Jordan) directions.
+    includes generalized (Jordan) directions.  The singular values are the
+    union of the blocks' (the basis is orthonormal), in descending order.
     """
     ev, zero_tol = _eigenvalues(gen)
+    blocks = gen.reflection_blocks
     try:
-        sv = np.linalg.svd(gen.matrix, compute_uv=False)
+        sv = np.concatenate([np.linalg.svd(B, compute_uv=False) for B in blocks.blocks])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
+    sv = np.sort(sv)[::-1]
     kernel_tol = KERNEL_SV_FACTOR * MACHINE_EPS * float(sv[0])
     return SpectrumReport(
         eigenvalues=ev,
@@ -416,6 +544,8 @@ def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
         largest_modulus=float(np.abs(ev).max()),
         kernel_tolerance=kernel_tol,
         smallest_singular_values=sv[-8:][::-1].copy(),
+        symmetry_residual=blocks.residual,
+        block_sizes=blocks.sizes,
     )
 
 
@@ -434,29 +564,33 @@ def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
                           ) -> KernelProjection:
     """The oblique projection onto the zero cluster.
 
-    The right invariant subspace V of the cluster comes from a real Schur
-    form of A sorted to put |lambda| <= zero_tol first, the left subspace W
-    from that of A^T.  P = V (W^T V)^{-1} W^T is the real Riesz projection
-    for the cluster; an empty cluster gives P = 0.
+    The right invariant subspace V of the cluster comes from real Schur
+    forms of the blocks sorted to put |lambda| <= zero_tol first, the left
+    subspace W from those of their transposes, both lifted to the state.
+    P = V (W^T V)^{-1} W^T is the real Riesz projection for the cluster; an
+    empty cluster gives P = 0.
     """
     if zero_tol is None:
         zero_tol = _eigenvalues(gen)[1]
     n = gen.state_size
-    A = gen.matrix
+    blocks = gen.reflection_blocks
     keep = lambda x, y: np.hypot(x, y) <= zero_tol
-    try:
-        _, ZR, d_right = sla.schur(A, output="real", sort=keep)
-        _, ZL, d_left = sla.schur(A.T, output="real", sort=keep)
-    except sla.LinAlgError as exc:
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-    if d_right != d_left:
-        raise NumericalError(
-            f"left/right zero-cluster dimensions disagree ({d_left} vs {d_right})"
-        )
-    if d_right == 0:
+    V, W = [], []
+    for c, B in enumerate(blocks.blocks):
+        try:
+            _, ZR, d_right = sla.schur(B, output="real", sort=keep)
+            _, ZL, d_left = sla.schur(B.T, output="real", sort=keep)
+        except sla.LinAlgError as exc:
+            raise NumericalError(f"Schur decomposition failed: {exc}") from exc
+        if d_right != d_left:
+            raise NumericalError(f"left/right zero-cluster dimensions disagree in block "
+                                 f"{c} ({d_left} vs {d_right})")
+        V.append(blocks.lift(c, ZR[:, :d_right]))
+        W.append(blocks.lift(c, ZL[:, :d_left]))
+    V, W = np.hstack(V), np.hstack(W)
+    d = V.shape[1]
+    if d == 0:
         return KernelProjection(0, np.zeros((n, n)), 1.0, 0.0)
-    V = ZR[:, :d_right]
-    W = ZL[:, :d_left]
     C = W.T @ V
     cond = float(np.linalg.cond(C))
     if cond > PAIRING_CONDITION_LIMIT:
@@ -465,7 +599,7 @@ def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
     residual = float(np.abs(P @ P - P).max() / max(np.abs(P).max(), 1.0))
     if residual > IDEMPOTENCY_TOL:
         raise NumericalError(f"projection is not idempotent (residual {residual:.3e})")
-    return KernelProjection(int(d_right), P, cond, residual)
+    return KernelProjection(d, P, cond, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +615,8 @@ class DecayFit:
     window_start: float
     decaying: bool
     seed: int
+    symmetry_residual: float
+    block_sizes: tuple
     # projector diagnostics, None when the kernel was not projected out
     projector_dimension: int | None = None
     pairing_condition: float | None = None
@@ -494,7 +630,8 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
 
     The fit window is the second half of the horizon, where the slowest
     surviving mode dominates; the spectral abscissa off the zero cluster is
-    the reference value.
+    the reference value.  Each block gets its own propagator and the state
+    is kept in block coordinates, whose stacked 2-norm is the state norm.
     """
     if samples < 8:
         raise ValueError("need at least 8 samples for a stable fit")
@@ -515,16 +652,17 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
                            pairing_condition=proj.pairing_condition,
                            idempotency_residual=proj.idempotency_residual)
     dt = horizon / (samples - 1)
+    blocks = gen.reflection_blocks
     try:
-        step = sla.expm(gen.matrix * dt)
+        steps = [sla.expm(B * dt) for B in blocks.blocks]
     except (ValueError, sla.LinAlgError) as exc:
         raise NumericalError(f"propagator construction failed: {exc}") from exc
     times = np.linspace(0.0, horizon, samples)
     norms = np.empty(samples)
-    state = u0
+    states = blocks.restrict(u0)
     for i in range(samples):
-        norms[i] = np.linalg.norm(state)
-        state = step @ state
+        norms[i] = np.linalg.norm(np.concatenate(states))
+        states = [step @ y for step, y in zip(steps, states)]
     if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
         raise NumericalError("norm history underflowed; shorten the horizon")
     mask = times >= 0.5 * horizon
@@ -540,6 +678,8 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
         window_start=float(0.5 * horizon),
         decaying=fitted > 0.1 * eps_spec,
         seed=seed,
+        symmetry_residual=blocks.residual,
+        block_sizes=blocks.sizes,
         **diagnostics,
     )
 

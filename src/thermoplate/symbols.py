@@ -26,8 +26,9 @@ import numpy as np
 # characteristic cubic p(t) = t^3 + t^2 + 2 t + 1, highest degree first
 CHAR_POLY = (1.0, 1.0, 2.0, 1.0)
 
-#: |det| below this is treated as exactly singular; double precision cannot
-#: represent a meaningful quotient past it.
+#: |det| below this multiple of its scale prod_j(|lambda| + |gamma_j| s) is
+#: treated as exactly singular; double precision cannot represent a
+#: meaningful quotient past it.
 SINGULAR_DET_FLOOR = 1e-300
 
 ROOT_RESIDUAL_TOL = 1e-12
@@ -189,15 +190,20 @@ def _resolvent_entries(s, lam, rows, cols) -> np.ndarray:
     broadcast(s, lambda) + broadcast(rows, cols).  Only the requested entries
     are formed, over one determinant and one singularity check.  Raises
     SingularParameterError naming the flat index into broadcast(s, lambda)
-    where lambda hits the symbol spectrum, and ValueError naming the first
-    index where the determinant overflows a double.
+    where lambda hits the symbol spectrum (|det| below SINGULAR_DET_FLOOR
+    times its scale, or lambda = s = 0), and ValueError naming the first
+    index where the determinant overflows a double or its scale underflows.
     """
     s = np.asarray(s, dtype=float)
     lam = np.asarray(lam, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         det = (lam + GAMMAS[0] * s) * (lam + GAMMAS[1] * s) * (lam + GAMMAS[2] * s)
-        singular = np.abs(det) < SINGULAR_DET_FLOOR
-    bad = singular | ~np.isfinite(det)
+        mod, g = np.abs(lam), np.abs(GAMMAS)
+        scale = (mod + g[0] * s) * (mod + g[1] * s) * (mod + g[2] * s)
+        origin = (mod == 0.0) & (s == 0.0)
+        singular = origin | (np.abs(det) / scale < SINGULAR_DET_FLOOR)
+        tiny = scale < np.finfo(float).tiny
+    bad = singular | tiny | ~np.isfinite(det)
     if np.any(bad):
         idx = int(np.argmax(bad))
         s_at, lam_at = (np.broadcast_to(x, det.shape).flat[idx] for x in (s, lam))
@@ -205,8 +211,10 @@ def _resolvent_entries(s, lam, rows, cols) -> np.ndarray:
             raise SingularParameterError(
                 f"lambda={lam_at} singular at index {idx} (|xi|^2={s_at})"
             )
+        what = ("underflows the scale prod(|lambda| + |gamma_j| |xi|^2) of"
+                if tiny.flat[idx] else "overflows")
         raise ValueError(f"lambda={lam_at} at index {idx} (|xi|^2={s_at}) "
-                         f"overflows the determinant det(lambda - A(xi))")
+                         f"{what} the determinant det(lambda - A(xi))")
     rows, cols = np.broadcast_arrays(rows, cols)
     out = np.empty(det.shape + rows.shape, dtype=complex)
     for pos in np.ndindex(rows.shape):

@@ -1,9 +1,11 @@
 """Discrete generators on intervals and rectangles: spectra, kernels, decay."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from thermoplate import bounded, cli
 
@@ -312,10 +314,182 @@ class TestNonSquareRectangle:
             assert np.linalg.norm(gen.matrix @ v) / np.linalg.norm(v) <= floor
 
 
+PARITY_CASES = {
+    "interval25": (bounded.interval(), 25, bounded.free_beta(0.5)),
+    "interval200": (bounded.interval(), 200, bounded.free_beta(0.5)),
+    "damped16": (bounded.rectangle(), 16, bounded.lt_variant(0.3, 1.0)),
+    "free12": (bounded.rectangle(), 12, bounded.free_2d(0.3)),
+    "damped9x13": (bounded.rectangle(), (9, 13), bounded.lt_variant(0.3, 1.0)),
+}
+
+
+@pytest.fixture(scope="module", params=list(PARITY_CASES))
+def parity_gen(request):
+    return bounded.assemble_generator(*PARITY_CASES[request.param])
+
+
+def _report_order(ev):
+    top = np.abs(ev).max()
+    return ev[np.lexsort((-ev.imag, -np.round(ev.real / (bounded.ORDER_QUANTUM * top))))]
+
+
+def _dense_projector(a, zero_tol):
+    keep = lambda x, y: np.hypot(x, y) <= zero_tol
+    _, zr, d = sla.schur(a, output="real", sort=keep)
+    _, zl, _ = sla.schur(a.T, output="real", sort=keep)
+    v, w = zr[:, :d], zl[:, :d]
+    return v @ np.linalg.solve(w.T @ v, w.T)
+
+
+class TestReflectionBlocks:
+    """The block path against dense LAPACK on the whole matrix."""
+
+    def test_blocks_split_the_state(self, parity_gen):
+        blocks = parity_gen.reflection_blocks
+        assert blocks.residual <= bounded.SYMMETRY_TOL
+        assert len(blocks.sizes) == 2 ** parity_gen.domain.dim
+        assert sum(blocks.sizes) == parity_gen.state_size
+        x = np.random.default_rng(1).standard_normal(parity_gen.state_size)
+        parts = blocks.restrict(x)
+        assert np.linalg.norm(np.concatenate(parts)) == pytest.approx(np.linalg.norm(x))
+        back = sum(blocks.lift(c, y[:, None])[:, 0] for c, y in enumerate(parts))
+        assert np.abs(back - x).max() <= 1e-14 * np.abs(x).max()
+
+    def test_eigenvalues_match_dense_row_by_row(self, parity_gen):
+        ev, zero_tol = bounded._eigenvalues(parity_gen)
+        dense = _report_order(np.linalg.eigvals(parity_gen.matrix))
+        top = np.abs(dense).max()
+        off = np.abs(dense) > zero_tol
+        assert np.array_equal(off, np.abs(ev) > zero_tol)
+        assert np.abs(ev - dense)[off].max() <= 1e-10 * top
+
+    def test_singular_values_and_counts_match_dense(self, parity_gen):
+        rep = bounded.spectrum(parity_gen)
+        sv = np.linalg.svd(parity_gen.matrix, compute_uv=False)
+        dense_ev = np.linalg.eigvals(parity_gen.matrix)
+        sv_blocks = np.sort(np.concatenate(
+            [np.linalg.svd(b, compute_uv=False) for b in parity_gen.reflection_blocks.blocks]))
+        assert np.abs(sv_blocks[::-1] - sv).max() <= 1e-13 * sv[0]
+        assert np.abs(rep.smallest_singular_values - sv[-8:][::-1]).max() <= 1e-13 * sv[0]
+        kernel_tol = bounded.KERNEL_SV_FACTOR * bounded.MACHINE_EPS * sv[0]
+        assert rep.kernel_tolerance == pytest.approx(kernel_tol, rel=1e-13)
+        assert rep.kernel_dimension == int((sv <= kernel_tol).sum())
+        assert rep.zero_cluster_count == int((np.abs(dense_ev) <= rep.zero_tol).sum())
+        assert rep.symmetry_residual == parity_gen.reflection_blocks.residual
+        assert rep.block_sizes == parity_gen.reflection_blocks.sizes
+
+    @pytest.mark.parametrize("case", ["interval25", "free12"])
+    def test_lifted_projector_matches_dense_schur(self, case):
+        # the 100- and 200-cell intervals' Jordan clusters make both
+        # projectors roundoff-sensitive at 2e-5 and 1e-3 (see below)
+        gen = bounded.assemble_generator(*PARITY_CASES[case])
+        proj = bounded.kernel_and_projection(gen)
+        dense = _dense_projector(gen.matrix, bounded._eigenvalues(gen)[1])
+        scale = max(np.linalg.norm(dense, 2), 1.0)
+        assert np.linalg.norm(proj.projector - dense, 2) <= 1e-8 * scale
+
+    def test_fine_grid_projector_is_a_spectral_projector(self):
+        gen = bounded.assemble_generator(*PARITY_CASES["interval200"])
+        a = gen.matrix
+        p = bounded.kernel_and_projection(gen).projector
+        dense = _dense_projector(a, bounded._eigenvalues(gen)[1])
+        norm = np.linalg.norm
+        for q in (p, dense):
+            assert norm(a @ q - q @ a, 2) <= 1e-12 * norm(a, 2) * norm(q, 2)
+        assert np.linalg.norm(p - dense, 2) <= 1e-2 * np.linalg.norm(dense, 2)
+
+    def test_decay_norms_match_dense_expm(self):
+        gen = bounded.assemble_generator(*PARITY_CASES["damped16"])
+        fit = bounded.decay_rate_experiment(gen, seed=3, project_off_kernel=False)
+        step = sla.expm(gen.matrix * (fit.times[1] - fit.times[0]))
+        state = np.random.default_rng(3).standard_normal(gen.state_size)
+        norms = []
+        for _ in fit.times:
+            norms.append(np.linalg.norm(state))
+            state = step @ state
+        norms = np.array(norms)
+        assert (np.abs(fit.norms - norms) / norms).max() <= 1e-6
+        assert fit.block_sizes == (192, 192, 192, 192)
+        assert fit.symmetry_residual == gen.reflection_blocks.residual
+
+    def test_structure_is_built_once(self, monkeypatch):
+        gen = bounded.assemble_generator(*PARITY_CASES["interval25"])
+        calls = []
+        build = bounded._reflection_blocks
+        monkeypatch.setattr(bounded, "_reflection_blocks",
+                            lambda *args: calls.append(1) or build(*args))
+        bounded.decay_rate_experiment(gen)
+        bounded.spectrum(gen)
+        assert len(calls) == 1
+
+    def test_asymmetric_perturbation_is_rejected(self):
+        gen = bounded.assemble_generator(*PARITY_CASES["damped16"])
+        a = gen.matrix.copy()
+        a[0, 1] += 1e-8 * np.abs(a).max()
+        bad = dataclasses.replace(gen, matrix=a)
+        for run in (bounded.spectrum, bounded.decay_rate_experiment,
+                    bounded.kernel_and_projection):
+            with pytest.raises(bounded.NumericalError, match="reflection symmetric"):
+                run(bad)
+
+    def test_asymmetric_generator_exits_3(self, tmp_path, monkeypatch, capsys):
+        assemble = bounded._assemble
+
+        def skewed(*args):
+            matrix, cond = assemble(*args)
+            matrix[0, 1] += 1e-8 * np.abs(matrix).max()
+            return matrix, cond
+
+        monkeypatch.setattr(bounded, "_assemble", skewed)
+        rc = cli.main(["spectrum", "--grid", "16", "--out", str(tmp_path)])
+        assert rc == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "reflection symmetric" in err[0]
+
+    def test_no_dense_call_on_the_whole_matrix(self, monkeypatch):
+        shapes = []
+        seen = []
+
+        def record(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(a, *args, **kwargs):
+                shapes.append((np.shape(a), seen[-1]))
+                return fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in ((np.linalg, "eigvals"), (np.linalg, "svd"),
+                            (sla, "schur"), (sla, "expm")):
+            record(owner, name)
+        assemble = bounded.assemble_generator
+
+        def assembled(*args):
+            gen = assemble(*args)
+            seen.append(gen.state_size)
+            return gen
+
+        monkeypatch.setattr(bounded, "assemble_generator", assembled)
+        free = bounded.assemble_generator(bounded.interval(), 40, bounded.free_beta(0.5))
+        damped = bounded.assemble_generator(bounded.rectangle(), 12, bounded.lt_variant())
+        bounded.spectrum(damped)
+        bounded.decay_rate_experiment(damped, project_off_kernel=False)
+        seen.append(free.state_size)
+        bounded.spectrum(free)
+        bounded.kernel_and_projection(free)
+        bounded.decay_rate_experiment(free)
+        bounded.convergence_study(bounded.interval(), bounded.free_beta(0.5), (16, 32, 64))
+        assert len(shapes) >= 16
+        for shape, n in shapes:
+            assert max(shape) <= n // 2, (shape, n)
+
+
 class TestExport:
     def test_spectrum_report_serialization(self, spec1d):
         d = json.loads(cli._json_text(spec1d))
         assert d["zero_cluster_count"] == 5
+        assert d["block_sizes"] == [150, 150]
+        assert 0.0 <= d["symmetry_residual"] <= bounded.SYMMETRY_TOL
         assert len(d["eigenvalues"]) == len(spec1d.eigenvalues)
         rows = cli._csv("re,im", zip(spec1d.eigenvalues.real,
                                      spec1d.eigenvalues.imag)).splitlines()

@@ -219,6 +219,9 @@ class TestExitCodes:
             ["witness", "1e100"],
             ["witness", "1e160"],
             ["witness", "1e-200"],
+            # the determinant's scale lambda^3 underflows at xi = 0
+            ["sweep", "--k-values", "1e52"],
+            ["sweep", "--k-values", "1,1e60"],
         ],
     )
     def test_library_value_error_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
@@ -236,6 +239,14 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2.0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("k", ["1e50", "1.8e51"])
+    def test_tiny_lambda_at_origin_is_not_singular(self, k, tmp_path, monkeypatch, capsys):
+        # det = lambda^3 < 1e-300 at xi = 0, but well above the relative floor
+        assert run(["sweep", "--modes", "8", "--k-values", k], tmp_path, monkeypatch) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        origin = float(rows[1].split(",")[2])
+        assert np.isfinite(origin) and origin > 1e99
 
     def test_overflowing_energy_norm_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
         # the s = 0 mode drifts to ~1e300, whose square overflows

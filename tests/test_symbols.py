@@ -145,6 +145,30 @@ class TestResolvent:
         with pytest.raises(symbols.SingularParameterError):
             symbols.resolvent_matrix(0.0, 0.0)
 
+    def test_singular_floor_is_relative(self):
+        # det = lambda^3 = 1e-300 at s = 0 is far from singular relative to
+        # its scale |lambda|^3; the closed form is diag(1/lam) + 1/lam^2 e_12
+        lam = 1e-100
+        r = symbols.resolvent_matrix(0.0, lam)
+        expected = np.array([[1 / lam, 1 / lam ** 2, 0.0], [0.0, 1 / lam, 0.0],
+                             [0.0, 0.0, 1 / lam]])
+        assert np.allclose(r, expected, rtol=1e-15, atol=0.0)
+        s = 1e-101
+        dense = np.linalg.inv(s * np.eye(3) - symbols.symbol_matrix(math.sqrt(s)))
+        assert np.allclose(symbols.resolvent_matrix(math.sqrt(s), s), dense, rtol=1e-12)
+        # exact cancellation stays singular at any scale
+        for s in (1e-90, 1.0, 1e90):
+            with pytest.raises(symbols.SingularParameterError):
+                symbols.resolvent_matrices(s, -symbols.ROOTS.gamma1 * s)
+
+    def test_underflowing_scale_names_index(self):
+        lams = np.array([1.0, 1e-104])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="index 1 .*underflows") as info:
+                symbols.resolvent_matrices(0.0, lams)
+        assert not isinstance(info.value, symbols.SingularParameterError)
+
     def test_overflowing_determinant_names_index(self):
         # lambda^3 overflows a double at s = 0; a plain ValueError (bad input),
         # not a singularity, and no RuntimeWarning on the way
