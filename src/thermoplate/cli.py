@@ -17,11 +17,11 @@ converge results at roundoff level.
 Config files are flat UTF-8 `key = value` lines with `#` comments; unknown
 keys are rejected.  Flags reach the config as raw strings too, so flag and
 config values go through one parser, `_coerce`, which also checks the
-allowed choices: a bad value exits 1 with one `error:` line that names the
-key.  The output root can also be set through the THERMOPLATE_OUT
-environment variable.  Setting THERMOPLATE_PERTURB_ROOTS (test hook)
-perturbs the computed characteristic roots so the `roots` invariant check
-trips.
+allowed choices, that every float is finite and that every k is positive: a
+bad value exits 1 with one `error:` line that names the key.  The output
+root can also be set through the THERMOPLATE_OUT environment variable.
+Setting THERMOPLATE_PERTURB_ROOTS (test hook) perturbs the computed
+characteristic roots so the `roots` invariant check trips.
 """
 
 from __future__ import annotations
@@ -109,6 +109,11 @@ def _coerce(name: str, default, raw: str):
             value = tuple(kind(p) for p in raw.split(","))
         else:
             value = type(default)(raw)
+        numbers = value if isinstance(value, tuple) else (value,)
+        if isinstance(value, (float, tuple)) and not all(map(math.isfinite, numbers)):
+            raise ValueError(f"expected finite numbers, got {raw!r}")
+        if name in ("k", "k_values") and min(numbers) <= 0:
+            raise ValueError(f"expected positive numbers, got {raw!r}")
     except ValueError as exc:
         raise ConfigError(f"key {name!r}: {exc}") from None
     choices = _CHOICES.get(name)
@@ -257,11 +262,8 @@ def cmd_roots(cfg: RunConfig, outdir: str) -> tuple:
 
 
 def cmd_witness(cfg: RunConfig, outdir: str) -> tuple:
-    ks = cfg.k_values
-    if min(ks) <= 0:
-        raise UsageError("witness values k must be positive")
     rows = []
-    for k in ks:
+    for k in cfg.k_values:
         w = multipliers.nonsectoriality_witness(k)
         c = multipliers.witness_closed_form(k)
         rows.append((k, w, c, abs(w - c) / c))
@@ -308,8 +310,6 @@ def cmd_entries(cfg: RunConfig, outdir: str) -> tuple:
 
 
 def cmd_sweep(cfg: RunConfig, outdir: str) -> tuple:
-    if min(cfg.k_values) <= 0:
-        raise UsageError("sweep values k must be positive")
     try:
         lams_origin = [k ** -2.0 for k in cfg.k_values]
     except OverflowError:

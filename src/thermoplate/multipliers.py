@@ -147,7 +147,6 @@ def _central_differences(symbol, xi, lam, alphas, h) -> list[np.ndarray]:
 
 def multiplier_order_scan(symbol, order_s: float, sample: SectorSample,
                           max_alpha: int | None = None,
-                          ceiling: float = DEFAULT_CEILING,
                           symbol_id: str = "symbol") -> MultiplierReport:
     """Scan one symbol against the order-s derivative bounds.
 
@@ -185,7 +184,7 @@ def multiplier_order_scan(symbol, order_s: float, sample: SectorSample,
         records=records,
         sample_points=XI.shape[0],
         max_alpha=max_alpha,
-        ceiling=ceiling,
+        ceiling=DEFAULT_CEILING,
     )
 
 

@@ -138,6 +138,12 @@ class TestInterval:
         assert np.abs(t).max() <= 1e-6
 
 
+def _assert_commutes(gen, projectors, tol):
+    """P_c B_c = B_c P_c in every parity block, entrywise to tol."""
+    for p, b in zip(projectors, gen.reflection_blocks.blocks, strict=True):
+        assert np.abs(p @ b - b @ p).max() <= tol
+
+
 class TestProjection:
     def test_dimensions_and_quality(self, gen1d):
         proj = bounded.kernel_and_projection(gen1d)
@@ -146,13 +152,12 @@ class TestProjection:
         assert proj.pairing_condition < bounded.PAIRING_CONDITION_LIMIT
 
     def test_commutes_with_generator(self, gen1d):
-        p = bounded.kernel_and_projection(gen1d).projector
-        a = gen1d.matrix
-        assert np.abs(p @ a - a @ p).max() <= 1e-6 * np.abs(a).max()
+        proj = bounded.kernel_and_projection(gen1d)
+        _assert_commutes(gen1d, proj.projectors, 1e-6 * np.abs(gen1d.matrix).max())
 
     def test_rank_matches_trace(self, gen1d):
-        p = bounded.kernel_and_projection(gen1d).projector
-        assert np.trace(p) == pytest.approx(5.0, abs=1e-6)
+        projectors = bounded.kernel_and_projection(gen1d).projectors
+        assert sum(np.trace(p) for p in projectors) == pytest.approx(5.0, abs=1e-6)
 
     def test_real_projector_on_fine_grid(self):
         # n = 600: a projector built in complex arithmetic leaves an
@@ -161,12 +166,11 @@ class TestProjection:
             bounded.interval(0.0, 1.0), 200, bounded.free_beta(0.5)
         )
         proj = bounded.kernel_and_projection(gen)
-        p, a = proj.projector, gen.matrix
-        assert p.dtype == np.float64
+        assert all(p.dtype == np.float64 for p in proj.projectors)
         assert proj.algebraic_dimension == 5
-        assert np.trace(p) == pytest.approx(5.0, abs=1e-6)
+        assert sum(np.trace(p) for p in proj.projectors) == pytest.approx(5.0, abs=1e-6)
         assert proj.idempotency_residual <= bounded.IDEMPOTENCY_TOL
-        assert np.abs(p @ a - a @ p).max() <= 1e-6 * np.abs(a).max()
+        _assert_commutes(gen, proj.projectors, 1e-6 * np.abs(gen.matrix).max())
 
     def test_empty_cluster_for_damped_variant(self):
         gen = bounded.assemble_generator(
@@ -174,7 +178,7 @@ class TestProjection:
         )
         proj = bounded.kernel_and_projection(gen)
         assert proj.algebraic_dimension == 0
-        assert np.abs(proj.projector).max() == 0.0
+        assert all(np.abs(p).max() == 0.0 for p in proj.projectors)
 
 
 class TestEvolution:
@@ -182,10 +186,10 @@ class TestEvolution:
         # a wider zero tolerance takes in a sixth eigenvalue; the projector
         # must follow it rather than reuse the one built for the default
         wide = bounded.kernel_and_projection(gen1d, 20.0)
-        p, a = wide.projector, gen1d.matrix
         assert wide.algebraic_dimension == 6
-        assert np.abs(p @ p - p).max() <= bounded.IDEMPOTENCY_TOL
-        assert np.abs(p @ a - a @ p).max() <= 1e-6 * np.abs(a).max()
+        for p in wide.projectors:
+            assert np.abs(p @ p - p).max() <= bounded.IDEMPOTENCY_TOL
+        _assert_commutes(gen1d, wide.projectors, 1e-6 * np.abs(gen1d.matrix).max())
 
 
 class TestDecayRate:
@@ -341,6 +345,18 @@ def _dense_projector(a, zero_tol):
     return v @ np.linalg.solve(w.T @ v, w.T)
 
 
+def _restrict_columns(blocks, m):
+    """Q m, where Q stacks the C_c^T: every column of m restricted to the classes."""
+    return np.column_stack([np.concatenate(blocks.restrict(col)) for col in m.T])
+
+
+def _restricted_dense_projector(gen):
+    """Q P Q^T for the dense Schur projector P: restrict its columns, then its rows."""
+    dense = _dense_projector(gen.matrix, bounded._eigenvalues(gen)[1])
+    blocks = gen.reflection_blocks
+    return dense, _restrict_columns(blocks, _restrict_columns(blocks, dense).T).T
+
+
 class TestReflectionBlocks:
     """The block path against dense LAPACK on the whole matrix."""
 
@@ -352,8 +368,8 @@ class TestReflectionBlocks:
         x = np.random.default_rng(1).standard_normal(parity_gen.state_size)
         parts = blocks.restrict(x)
         assert np.linalg.norm(np.concatenate(parts)) == pytest.approx(np.linalg.norm(x))
-        back = sum(blocks.lift(c, y[:, None])[:, 0] for c, y in enumerate(parts))
-        assert np.abs(back - x).max() <= 1e-14 * np.abs(x).max()
+        q = _restrict_columns(blocks, np.eye(parity_gen.state_size))
+        assert np.abs(q.T @ q - np.eye(parity_gen.state_size)).max() <= 1e-14
 
     def test_eigenvalues_match_dense_row_by_row(self, parity_gen):
         ev, zero_tol = bounded._eigenvalues(parity_gen)
@@ -378,25 +394,35 @@ class TestReflectionBlocks:
         assert rep.symmetry_residual == parity_gen.reflection_blocks.residual
         assert rep.block_sizes == parity_gen.reflection_blocks.sizes
 
+    def test_projectors_have_block_shapes(self, parity_gen):
+        projectors = bounded.kernel_and_projection(parity_gen).projectors
+        sizes = parity_gen.reflection_blocks.sizes
+        assert [p.shape for p in projectors] == [(m, m) for m in sizes]
+
     @pytest.mark.parametrize("case", ["interval25", "free12"])
-    def test_lifted_projector_matches_dense_schur(self, case):
+    def test_block_projector_matches_dense_schur(self, case):
         # the 100- and 200-cell intervals' Jordan clusters make both
-        # projectors roundoff-sensitive at 2e-5 and 1e-3 (see below)
+        # projectors roundoff-sensitive at 2e-5 and 1e-3 (see below); the
+        # off-diagonal class pairs of the restricted dense one must vanish
         gen = bounded.assemble_generator(*PARITY_CASES[case])
         proj = bounded.kernel_and_projection(gen)
-        dense = _dense_projector(gen.matrix, bounded._eigenvalues(gen)[1])
+        dense, restricted = _restricted_dense_projector(gen)
         scale = max(np.linalg.norm(dense, 2), 1.0)
-        assert np.linalg.norm(proj.projector - dense, 2) <= 1e-8 * scale
+        diff = restricted - sla.block_diag(*proj.projectors)
+        assert np.linalg.norm(diff, 2) <= 1e-8 * scale
 
     def test_fine_grid_projector_is_a_spectral_projector(self):
         gen = bounded.assemble_generator(*PARITY_CASES["interval200"])
         a = gen.matrix
-        p = bounded.kernel_and_projection(gen).projector
-        dense = _dense_projector(a, bounded._eigenvalues(gen)[1])
+        projectors = bounded.kernel_and_projection(gen).projectors
+        dense, restricted = _restricted_dense_projector(gen)
         norm = np.linalg.norm
-        for q in (p, dense):
-            assert norm(a @ q - q @ a, 2) <= 1e-12 * norm(a, 2) * norm(q, 2)
-        assert np.linalg.norm(p - dense, 2) <= 1e-2 * np.linalg.norm(dense, 2)
+        scale = 1e-12 * norm(a, 2) * max(norm(p, 2) for p in projectors)
+        for p, b in zip(projectors, gen.reflection_blocks.blocks, strict=True):
+            assert norm(b @ p - p @ b, 2) <= scale
+        assert norm(a @ dense - dense @ a, 2) <= 1e-12 * norm(a, 2) * norm(dense, 2)
+        diff = restricted - sla.block_diag(*projectors)
+        assert norm(diff, 2) <= 1e-2 * norm(dense, 2)
 
     def test_decay_norms_match_dense_expm(self):
         gen = bounded.assemble_generator(*PARITY_CASES["damped16"])
@@ -450,28 +476,32 @@ class TestReflectionBlocks:
         shapes = []
         seen = []
 
-        def record(owner, name):
+        def record(owner, name, operands=1):
             fn = getattr(owner, name)
 
-            def wrapper(a, *args, **kwargs):
-                shapes.append((np.shape(a), seen[-1]))
-                return fn(a, *args, **kwargs)
+            def wrapper(*args, **kwargs):
+                shapes.extend((np.shape(a), seen[-1]) for a in args[:operands])
+                return fn(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapper)
 
         for owner, name in ((np.linalg, "eigvals"), (np.linalg, "svd"),
                             (sla, "schur"), (sla, "expm")):
             record(owner, name)
-        assemble = bounded.assemble_generator
+        assemble, solve = bounded.assemble_generator, np.linalg.solve
 
         def assembled(*args):
-            gen = assemble(*args)
+            # the ghost solve belongs to assembly, so it runs unrecorded
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "solve", solve)
+                gen = assemble(*args)
             seen.append(gen.state_size)
             return gen
 
         monkeypatch.setattr(bounded, "assemble_generator", assembled)
         free = bounded.assemble_generator(bounded.interval(), 40, bounded.free_beta(0.5))
         damped = bounded.assemble_generator(bounded.rectangle(), 12, bounded.lt_variant())
+        record(np.linalg, "solve", operands=2)
         bounded.spectrum(damped)
         bounded.decay_rate_experiment(damped, project_off_kernel=False)
         seen.append(free.state_size)

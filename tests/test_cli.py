@@ -167,6 +167,12 @@ class TestExitCodes:
     def test_nonpositive_witness_k_is_usage_error(self, tmp_path, monkeypatch):
         assert run(["witness", "--", "-2"], tmp_path, monkeypatch) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("k", ["0", "-2", "nan", "inf"])
+    def test_witness_k_is_named_when_rejected(self, k, tmp_path, monkeypatch, capsys):
+        assert run(["witness", "1", "--", k], tmp_path, monkeypatch) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: key 'k': ")
+
     def test_perturbed_roots_fail_check(self, tmp_path, monkeypatch):
         rc = run(
             ["roots"], tmp_path, monkeypatch, env={cli.ENV_PERTURB: "1e-3"}
@@ -263,13 +269,25 @@ class TestExitCodes:
             ("evolve", "--dim", "dim", "3"),
             ("spectrum", "--grid", "grid", "banana"),
             ("sweep", "--k-values", "k_values", ""),
+            # non-finite floats and non-positive k
+            ("spectrum --grid 50", "--beta", "beta", "nan"),
+            ("sweep", "--k-values", "k_values", "inf"),
+            ("sweep", "--k-values", "k_values", "nan"),
+            ("sweep", "--k-values", "k_values", "1,0"),
+            ("sweep", "--k-values", "k_values", "-1"),
+            ("spectrum --domain rectangle --bc free --grid 8", "--mu", "mu", "nan"),
+            ("spectrum --domain rectangle --bc lt --grid 8", "--mu", "mu", "inf"),
+            ("spectrum --domain rectangle --bc lt --grid 8", "--b", "b", "inf"),
+            ("evolve", "--length", "length", "-inf"),
+            ("decay", "--horizon", "horizon", "nan"),
         ],
     )
     def test_bad_value_fails_alike_as_flag_and_config_line(self, command, flag, key, value,
                                                            tmp_path, monkeypatch, capsys):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"{key} = {value}\n")
-        for argv in ([command, f"{flag}={value}"], [command, "--config", str(cfgfile)]):
+        command = command.split()
+        for argv in ([*command, f"{flag}={value}"], [*command, "--config", str(cfgfile)]):
             assert run(argv, tmp_path, monkeypatch) == cli.EXIT_USAGE
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and repr(key) in err[0]
