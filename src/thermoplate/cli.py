@@ -1,18 +1,21 @@
 """Command line front end: reproducible batch runs with manifests.
 
 Every command resolves a RunConfig (defaults, then an optional config file,
-then flags), runs one analysis, writes its data files plus a manifest.json
-(config snapshot, version, numerical environment, wall time, per-check
-pass/fail, sha256 per artifact) into the output directory, and exits 0 on
-success, 1 on usage errors, 2 when a check fails, 3 on numerical failure.
-The artifact formats live in this module only: the library returns plain
-dataclasses, `_plain` turns them into JSON values and `_csv` writes every
-CSV table.  Given the same config and seed, every data file is
-byte-identical across reruns on one numpy/scipy/BLAS build with one BLAS
-thread count; only the wall time inside the manifest varies.  The
-manifest's environment block records that build and the BLAS thread
-variables, since another thread count can move the spectrum, decay and
-converge results at roundoff level.
+then flags), runs one analysis and returns its checks and its artifacts: a
+map from file name to text or to a torus state.  One writer, `_write_outputs`,
+then creates the output directory, writes the artifacts and last a
+manifest.json (config snapshot, version, numerical environment, wall time,
+per-check pass/fail, sha256 per artifact).  The exit code is 0 on success,
+1 on usage errors, 2 when a check fails, 3 on numerical failure; only runs
+that exit 0 or 2 create the directory.  The artifact formats live in this
+module only: the library returns plain dataclasses, `_plain` turns them into
+JSON values and `_csv` writes every CSV table.  Given the same config and
+seed, every data file is byte-identical across reruns on one numpy/scipy/BLAS
+build with one BLAS thread count; only the wall time inside the manifest
+varies.  The manifest's environment block records that build and the BLAS
+thread variables, since another thread count can move the bounded-domain
+eigenvalues in their last digits, and `decay` on a damped rectangle
+amplifies that well beyond roundoff.
 
 Config files are flat UTF-8 `key = value` lines with `#` comments; unknown
 keys are rejected.  Flags reach the config as raw strings too, so flag and
@@ -146,26 +149,12 @@ def config_from_text(text: str, base: RunConfig | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 # output plumbing
 
-def _outdir(cfg: RunConfig) -> str:
-    path = cfg.out or os.environ.get(ENV_OUT, "") or "."
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _write_text(outdir: str, name: str, text: str, artifacts: dict) -> str:
-    path = os.path.join(outdir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    artifacts[name] = path
-    return path
 
 
 def _plain(obj):
@@ -211,8 +200,22 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(outdir: str, cfg: RunConfig, checks: dict, artifacts: dict,
-                    wall: float) -> None:
+def _write_outputs(cfg: RunConfig, checks: dict, artifacts: dict, wall: float) -> None:
+    """Create the output directory, write every artifact, then the manifest.
+
+    artifacts maps each file name to its text (written as UTF-8) or to a
+    torus.StateField (written by torus.save_state); the manifest hashes
+    the files just written.
+    """
+    outdir = cfg.out or os.environ.get(ENV_OUT, "") or "."
+    os.makedirs(outdir, exist_ok=True)
+    for name, data in artifacts.items():
+        path = os.path.join(outdir, name)
+        if isinstance(data, torus.StateField):
+            torus.save_state(path, data)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(data)
     manifest = {
         "command": cfg.command,
         "version": __version__,
@@ -220,16 +223,16 @@ def _write_manifest(outdir: str, cfg: RunConfig, checks: dict, artifacts: dict,
         "config": cfg,
         "checks": checks,
         "wall_time_s": wall,
-        "artifacts": {name: _sha256(path) for name, path in sorted(artifacts.items())},
+        "artifacts": {name: _sha256(os.path.join(outdir, name)) for name in sorted(artifacts)},
     }
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(_json_text(manifest))
 
 
 # ---------------------------------------------------------------------------
-# commands; each returns (checks, artifacts)
+# commands; each returns (checks, artifacts) and writes nothing
 
-def cmd_roots(cfg: RunConfig, outdir: str) -> tuple:
+def cmd_roots(cfg: RunConfig) -> tuple:
     roots = symbols.characteristic_roots()
     perturb = os.environ.get(ENV_PERTURB, "")
     if perturb:
@@ -256,12 +259,10 @@ def cmd_roots(cfg: RunConfig, outdir: str) -> tuple:
         print(f"gamma3 = {roots.gamma3!r}")
         print(f"theta0 = {roots.theta0!r}  (pi/2 = {math.pi / 2!r})")
         print("residuals:", ", ".join(f"{r:.3e}" for r in record["residuals"]))
-    artifacts = {}
-    _write_text(outdir, "roots.json", _json_text(record), artifacts)
-    return {"root_invariants": ok}, artifacts
+    return {"root_invariants": ok}, {"roots.json": _json_text(record)}
 
 
-def cmd_witness(cfg: RunConfig, outdir: str) -> tuple:
+def cmd_witness(cfg: RunConfig) -> tuple:
     rows = []
     for k in cfg.k_values:
         w = multipliers.nonsectoriality_witness(k)
@@ -269,13 +270,11 @@ def cmd_witness(cfg: RunConfig, outdir: str) -> tuple:
         rows.append((k, w, c, abs(w - c) / c))
         print(f"k={k:g}: witness={w!r} closed_form={c!r}")
     ok = all(rel <= 1e-12 for *_, rel in rows)
-    artifacts = {}
-    _write_text(outdir, "witness.csv",
-                _csv("k,witness,closed_form,relative_difference", rows), artifacts)
-    return {"matches_closed_form": ok}, artifacts
+    return ({"matches_closed_form": ok},
+            {"witness.csv": _csv("k,witness,closed_form,relative_difference", rows)})
 
 
-def cmd_multscan(cfg: RunConfig, outdir: str) -> tuple:
+def cmd_multscan(cfg: RunConfig) -> tuple:
     reports = multipliers.example_suite()
     base, ext = multipliers.constant_one_origin_growth()
     ok = all(r.passed for r in reports)
@@ -288,12 +287,11 @@ def cmd_multscan(cfg: RunConfig, outdir: str) -> tuple:
         print(f"{r.symbol_id}: order {r.order_s:+g} "
               f"max C = {max(rec.c_alpha for rec in r.records):.6g} passed={r.passed}")
     print(f"constant-on-unshifted-sector C0 growth: {growth:.3e}")
-    artifacts = {}
-    _write_text(outdir, "multscan.json", _json_text(payload), artifacts)
-    return {"examples_pass": ok, "origin_growth_detected": growth >= 1e3}, artifacts
+    return ({"examples_pass": ok, "origin_growth_detected": growth >= 1e3},
+            {"multscan.json": _json_text(payload)})
 
 
-def cmd_entries(cfg: RunConfig, outdir: str) -> tuple:
+def cmd_entries(cfg: RunConfig) -> tuple:
     payload = {}
     ok = True
     for j in (0, 2):
@@ -304,12 +302,10 @@ def cmd_entries(cfg: RunConfig, outdir: str) -> tuple:
         worst = max(rec.c_alpha for rep in scans.values() for rec in rep.records)
         print(f"M^({j}): 9 entries scanned, max C = {worst:.6g}, passed={passed}")
         ok = ok and passed
-    artifacts = {}
-    _write_text(outdir, "entries.json", _json_text(payload), artifacts)
-    return {"entry_scans_pass": ok}, artifacts
+    return {"entry_scans_pass": ok}, {"entries.json": _json_text(payload)}
 
 
-def cmd_sweep(cfg: RunConfig, outdir: str) -> tuple:
+def cmd_sweep(cfg: RunConfig) -> tuple:
     try:
         lams_origin = [k ** -2.0 for k in cfg.k_values]
     except OverflowError:
@@ -322,15 +318,13 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> tuple:
     rows = list(zip(cfg.k_values, lams_origin, b_origin, lams_shift, b_shift))
     for k, _, bo, _, bs in rows:
         print(f"k={k:g}: B(origin)={bo:.6g} B(shifted)={bs:.6g}")
-    artifacts = {}
-    _write_text(outdir, "sweep.csv",
-                _csv("k,lambda_origin,origin_bound,lambda_shifted,shifted_bound", rows),
-                artifacts)
     finite = bool(np.all(np.isfinite(b_origin)) and np.all(np.isfinite(b_shift)))
-    return {"finite_bounds": finite}, artifacts
+    return ({"finite_bounds": finite},
+            {"sweep.csv": _csv("k,lambda_origin,origin_bound,lambda_shifted,shifted_bound",
+                               rows)})
 
 
-def cmd_evolve(cfg: RunConfig, outdir: str) -> tuple:
+def cmd_evolve(cfg: RunConfig) -> tuple:
     grid = torus.TorusGrid((cfg.modes,) * cfg.dim, (cfg.length,) * cfg.dim)
     rng = np.random.default_rng(cfg.seed)
     state0 = torus.random_state(grid, rng)
@@ -342,18 +336,11 @@ def cmd_evolve(cfg: RunConfig, outdir: str) -> tuple:
                        rehalf.theta - state1.theta)
     semigroup_ok = gap <= 1e-9 * max(e1, 1.0)
     print(f"evolve: t={cfg.t:g} e_norm {e0!r} -> {e1!r} (residue {residue:.3e})")
-    artifacts = {}
-    p0 = os.path.join(outdir, "state_initial.bin")
-    p1 = os.path.join(outdir, "state_final.bin")
-    torus.save_state(p0, state0)
-    torus.save_state(p1, state1)
-    artifacts["state_initial.bin"] = p0
-    artifacts["state_final.bin"] = p1
-    _write_text(outdir, "energy.csv",
-                _csv("t,e_norm,imag_residue", [(0.0, e0, 0.0), (cfg.t, e1, residue)]),
-                artifacts)
-    return {"residue_ok": residue <= torus.IMAG_RESIDUE_TOL,
-            "semigroup_consistent": semigroup_ok}, artifacts
+    return ({"residue_ok": residue <= torus.IMAG_RESIDUE_TOL,
+             "semigroup_consistent": semigroup_ok},
+            {"state_initial.bin": state0, "state_final.bin": state1,
+             "energy.csv": _csv("t,e_norm,imag_residue",
+                                [(0.0, e0, 0.0), (cfg.t, e1, residue)])})
 
 
 def _domain_from_config(cfg: RunConfig) -> bounded.DomainSpec:
@@ -366,7 +353,7 @@ def _bc_from_config(cfg: RunConfig) -> bounded.BCVariant:
     return bounded.free_beta(cfg.beta) if cfg.domain == "interval" else bounded.free_2d(cfg.mu)
 
 
-def cmd_spectrum(cfg: RunConfig, outdir: str) -> tuple:
+def cmd_spectrum(cfg: RunConfig) -> tuple:
     gen = bounded.assemble_generator(_domain_from_config(cfg), cfg.grid,
                                      _bc_from_config(cfg))
     rep = bounded.spectrum(gen)
@@ -378,14 +365,12 @@ def cmd_spectrum(cfg: RunConfig, outdir: str) -> tuple:
           f"kernel_dimension={rep.kernel_dimension} "
           f"cluster={rep.zero_cluster_count} decay_margin={rep.decay_margin:.6g} "
           f"max_re={rep.max_real_part:.3e} ok={ok}")
-    artifacts = {}
-    _write_text(outdir, "spectrum.csv",
-                _csv("re,im", zip(rep.eigenvalues.real, rep.eigenvalues.imag)), artifacts)
-    _write_text(outdir, "spectrum.json", _json_text(rep), artifacts)
-    return {"spectral_enclosure": ok}, artifacts
+    return ({"spectral_enclosure": ok},
+            {"spectrum.csv": _csv("re,im", zip(rep.eigenvalues.real, rep.eigenvalues.imag)),
+             "spectrum.json": _json_text(rep)})
 
 
-def cmd_decay(cfg: RunConfig, outdir: str) -> tuple:
+def cmd_decay(cfg: RunConfig) -> tuple:
     gen = bounded.assemble_generator(_domain_from_config(cfg), cfg.grid,
                                      _bc_from_config(cfg))
     fit = bounded.decay_rate_experiment(
@@ -397,26 +382,23 @@ def cmd_decay(cfg: RunConfig, outdir: str) -> tuple:
     )
     print(f"decay: fitted={fit.fitted_rate!r} spectral={fit.spectral_rate!r} "
           f"relative_gap={fit.relative_gap:.4f}")
-    artifacts = {}
-    _write_text(outdir, "decay.csv", _csv("t,norm", zip(fit.times, fit.norms)), artifacts)
     summary = {key: val for key, val in _plain(fit).items() if key not in ("times", "norms")}
-    _write_text(outdir, "decay.json", _json_text(summary), artifacts)
-    return {"rate_matches_spectrum": fit.relative_gap <= 0.1}, artifacts
+    return ({"rate_matches_spectrum": fit.relative_gap <= 0.1},
+            {"decay.csv": _csv("t,norm", zip(fit.times, fit.norms)),
+             "decay.json": _json_text(summary)})
 
 
-def cmd_converge(cfg: RunConfig, outdir: str) -> tuple:
+def cmd_converge(cfg: RunConfig) -> tuple:
     rep = bounded.convergence_study(_domain_from_config(cfg), _bc_from_config(cfg),
                                     cfg.grids, count=cfg.count)
     orders_ok = bool(np.all((rep.orders >= 1.5) & (rep.orders <= 2.5)))
     print("converge: orders", np.array2string(rep.orders, precision=3), f"ok={orders_ok}")
-    artifacts = {}
     names = ["x".join(map(str, cells)) for cells in rep.grids]
     header = ",".join(["mode", *(f"re_{g},im_{g}" for g in names), "order"])
     rows = [(k, *(x for lam in rep.tracked[:, k] for x in (lam.real, lam.imag)), order)
             for k, order in enumerate(rep.orders)]
-    _write_text(outdir, "converge.csv", _csv(header, rows), artifacts)
-    _write_text(outdir, "converge.json", _json_text(rep), artifacts)
-    return {"orders_second_order": orders_ok}, artifacts
+    return ({"orders_second_order": orders_ok},
+            {"converge.csv": _csv(header, rows), "converge.json": _json_text(rep)})
 
 
 _TORUS = ("modes", "dim", "length")
@@ -508,8 +490,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         cfg = _resolve_config(args)
-        outdir = _outdir(cfg)
-        checks, artifacts = _COMMANDS[cfg.command][0](cfg, outdir)
+        checks, artifacts = _COMMANDS[cfg.command][0](cfg)
     except (symbols.NumericalError, symbols.SingularParameterError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -519,7 +500,7 @@ def main(argv=None) -> int:
         # library ValueErrors (bounded.AssemblyError among them) are bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_manifest(outdir, cfg, checks, artifacts, time.perf_counter() - start)
+    _write_outputs(cfg, checks, artifacts, time.perf_counter() - start)
     if not all(checks.values()):
         failed = [name for name, ok in checks.items() if not ok]
         print(f"check failure: {', '.join(failed)}", file=sys.stderr)

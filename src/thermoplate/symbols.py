@@ -200,8 +200,14 @@ def _resolvent_entries(s, lam, rows, cols) -> np.ndarray:
         det = (lam + GAMMAS[0] * s) * (lam + GAMMAS[1] * s) * (lam + GAMMAS[2] * s)
         mod, g = np.abs(lam), np.abs(GAMMAS)
         scale = (mod + g[0] * s) * (mod + g[1] * s) * (mod + g[2] * s)
+        ratio = np.abs(det) / scale
+        huge = np.isinf(scale)
+        if np.any(huge):
+            # factor by factor, each in [0, 1], where the scale overflows
+            factors = [np.abs(lam + gj * s) / (mod + abs(gj) * s) for gj in GAMMAS]
+            ratio = np.where(huge, factors[0] * factors[1] * factors[2], ratio)
         origin = (mod == 0.0) & (s == 0.0)
-        singular = origin | (np.abs(det) / scale < SINGULAR_DET_FLOOR)
+        singular = origin | (ratio < SINGULAR_DET_FLOOR)
         tiny = scale < np.finfo(float).tiny
     bad = singular | tiny | ~np.isfinite(det)
     if np.any(bad):

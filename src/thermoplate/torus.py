@@ -151,9 +151,9 @@ def cosine_mode_state(grid: TorusGrid, k, amplitudes=(1.0, 0.0, 0.0)) -> StateFi
     return StateField(grid, au * c, av * c, at * c)
 
 
-def random_state(grid: TorusGrid, rng, decay: float = 2.0) -> StateField:
-    """Random smooth state with spectrally decaying coefficients."""
-    damp = (1.0 + grid.s_array()) ** (-decay)
+def random_state(grid: TorusGrid, rng) -> StateField:
+    """Random smooth state with coefficients damped by (1 + |xi|^2)^-2."""
+    damp = (1.0 + grid.s_array()) ** -2.0
     fields = []
     for _ in range(3):
         coeff = np.fft.fftn(rng.standard_normal(grid.shape), norm="ortho")
@@ -192,12 +192,6 @@ def _distinct_propagators(s: np.ndarray, ts: np.ndarray) -> np.ndarray:
     out[:, zero] = np.eye(3)
     out[:, zero, 0, 1] = ts[:, None]
     return out
-
-
-def _mode_propagators(s_flat: np.ndarray, t: float) -> np.ndarray:
-    """exp(t A(xi)) for every s in the flat array; real, shape (n, 3, 3)."""
-    s, inverse = np.unique(s_flat, return_inverse=True)
-    return _distinct_propagators(s, np.array([t]))[0, inverse]
 
 
 def _coefficients(state: StateField) -> np.ndarray:
@@ -290,21 +284,18 @@ def resolvent_bound_sweep(j: int, lams, grid: TorusGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # oracles
 
-def laplace_transform_error(state: StateField, lam: complex, steps: int = 4096,
-                            horizon: float | None = None) -> float:
+def laplace_transform_error(state: StateField, lam: complex, steps: int = 4096) -> float:
     """Relative energy-norm gap between int_0^T e^{-lam t} U(t) dt and the resolvent.
 
     The integral is a composite trapezoid rule over evolve_many, which evaluates
     and residue-checks the propagator at every node, independently of the
-    resolvent.  Re(lam) must be positive; the default horizon makes the
-    tail truncation error negligible against quadrature error.
+    resolvent.  Re(lam) must be positive; the horizon T = 40/Re(lam) makes
+    the tail truncation error negligible against quadrature error.
     """
     lam = complex(lam)
     if lam.real <= 0:
         raise ValueError("Laplace check needs Re(lambda) > 0")
-    if horizon is None:
-        horizon = 40.0 / lam.real
-    ts = np.linspace(0.0, horizon, steps + 1)
+    ts = np.linspace(0.0, 40.0 / lam.real, steps + 1)
     dt = ts[1] - ts[0]
     acc = [np.zeros(state.grid.shape, dtype=complex) for _ in range(3)]
     for i, (t, (st, _)) in enumerate(zip(ts, evolve_many(state, ts))):
@@ -316,9 +307,8 @@ def laplace_transform_error(state: StateField, lam: complex, steps: int = 4096,
     return gap / e_norm(state.grid, *ref)
 
 
-def modal_decay_fit(grid: TorusGrid, k, amplitudes=(1.0, 1.0, 1.0),
-                    samples: int = 12) -> dict:
-    """Fit per-eigencomponent decay rates of one cosine mode.
+def modal_decay_fit(grid: TorusGrid, k) -> dict:
+    """Fit per-eigencomponent decay rates of one cosine mode, unit amplitudes.
 
     The coefficient triple at the chosen mode is expanded in the eigenbasis
     of A(xi0); each component decays like exp(-gamma_j s0 t), so the slopes
@@ -326,15 +316,15 @@ def modal_decay_fit(grid: TorusGrid, k, amplitudes=(1.0, 1.0, 1.0),
     first together with the eigenvalues of A(xi0).
     """
     k = tuple(np.atleast_1d(np.asarray(k, dtype=int)))
-    state = cosine_mode_state(grid, k, amplitudes)
+    state = cosine_mode_state(grid, k, (1.0, 1.0, 1.0))
     axes = grid.xi_axes()
     xi0 = np.array([axes[a][k[a]] for a in range(grid.dim)])
     s0 = float(np.dot(xi0, xi0))
     if s0 == 0.0:
         raise ValueError("the zero mode does not decay")
     w, V = np.linalg.eig(symbol_matrix(xi0))
-    ts = np.linspace(1.0, 5.0, samples) / s0
-    logs = np.empty((samples, 3))
+    ts = np.linspace(1.0, 5.0, 12) / s0
+    logs = np.empty((ts.size, 3))
     for i, (st, _) in enumerate(evolve_many(state, ts)):
         triple = _coefficients(st)[(slice(None),) + k]
         c = np.linalg.solve(V, triple)

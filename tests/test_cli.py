@@ -178,6 +178,20 @@ class TestExitCodes:
             ["roots"], tmp_path, monkeypatch, env={cli.ENV_PERTURB: "1e-3"}
         )
         assert rc == cli.EXIT_CHECK
+        # a failed check still writes its artifact and a manifest that hashes it
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["checks"]["root_invariants"] is False
+        payload = (tmp_path / "roots.json").read_bytes()
+        assert manifest["artifacts"] == {"roots.json": hashlib.sha256(payload).hexdigest()}
+
+    @pytest.mark.parametrize("argv, code", [
+        (["spectrum", "--grid", "4"], cli.EXIT_USAGE),
+        (["evolve", "--modes", "8", "--t", "1e300"], cli.EXIT_NUMERICAL),
+    ], ids=["usage", "numerical"])
+    def test_failed_run_creates_no_output_directory(self, argv, code, tmp_path, monkeypatch):
+        never = tmp_path / "never"
+        assert run([*argv, "--out", str(never)], tmp_path, monkeypatch) == code
+        assert not never.exists()
 
     def test_perturbed_roots_fail_check_under_optimize(self, tmp_path):
         # validation must not rest on assert, which python -O strips
@@ -253,6 +267,14 @@ class TestExitCodes:
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         origin = float(rows[1].split(",")[2])
         assert np.isfinite(origin) and origin > 1e99
+
+    def test_overflowing_scale_is_not_singular(self, tmp_path, monkeypatch):
+        # prod(|lambda| + |gamma_j| s) overflows while det(lambda - A) stays finite
+        argv = ["sweep", "--modes", "4", "--length", "1e-50", "--k-values", "5e-52"]
+        assert run(argv, tmp_path, monkeypatch) == cli.EXIT_OK
+        row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+        bounds = [float(row[2]), float(row[4])]
+        assert all(math.isfinite(b) and 0.0 < b <= 1.0 for b in bounds)
 
     def test_overflowing_energy_norm_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
         # the s = 0 mode drifts to ~1e300, whose square overflows

@@ -34,3 +34,25 @@ def test_only_cli_knows_the_artifact_format():
             if isinstance(node, ast.FunctionDef) and node.name in ("to_json_dict", "to_csv_rows"):
                 found.append(f"{path.name}:{node.lineno} defines {node.name}")
     assert not found, found
+
+
+def test_commands_return_their_artifacts():
+    # every cmd_* takes cfg alone and writes nothing; main's one writer does
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 9
+    found = []
+    for node in commands:
+        params = [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+        if params != ["cfg"] or node.args.vararg or node.args.kwarg:
+            found.append(f"{node.name} takes {params}")
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            fn = call.func
+            if isinstance(fn, ast.Name) and fn.id == "open":
+                found.append(f"{node.name}:{call.lineno} calls open")
+            if isinstance(fn, ast.Attribute) and fn.attr == "save_state":
+                found.append(f"{node.name}:{call.lineno} calls save_state")
+    assert not found, found

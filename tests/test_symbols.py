@@ -125,6 +125,16 @@ class TestResolvent:
                 dense = np.linalg.inv(lam * np.eye(3) - symbols.symbol_matrix(math.sqrt(s)))
                 assert np.allclose(batch[i, k], dense, rtol=1e-13, atol=1e-15)
 
+    def test_overflowing_scale_is_not_singular(self):
+        # prod(|lambda| + |gamma_j| s) overflows at s = lambda = 3e102, det does not;
+        # s / det is homogeneous of degree -2 in (s, lambda)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            big = symbols.resolvent_matrices(3e102, 3e102)
+            unit = symbols.resolvent_matrices(3.0, 3.0)
+        assert np.all(np.isfinite(big))
+        assert abs(big[0, 2] - 1e-204 * unit[0, 2]) <= 1e-14 * abs(1e-204 * unit[0, 2])
+
     def test_singular_parameter_rejected(self):
         # lambda on the spectrum of one mode
         lam = -symbols.ROOTS.gamma1 * 4.0

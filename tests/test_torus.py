@@ -41,10 +41,17 @@ def evolve_reference(state, t):
     """One time at a time: a gathered (n, 3, 3) propagator, einsum, one ifftn per row."""
     g = state.grid
     U = np.stack([np.fft.fftn(f, norm="ortho") for f in state.fields()]).reshape(3, -1)
-    out = np.einsum("nij,jn->in", torus._mode_propagators(g.s_array().ravel(), t), U)
+    s, inverse = np.unique(g.s_array().ravel(), return_inverse=True)
+    gathered = torus._distinct_propagators(s, np.array([t]))[0, inverse]
+    out = np.einsum("nij,jn->in", gathered, U)
     fields = [np.fft.ifftn(row.reshape(g.shape), norm="ortho") for row in out]
     scale = max(max(np.abs(f.real).max() for f in fields), 1.0)
     return [f.real for f in fields], max(np.abs(f.imag).max() for f in fields) / scale
+
+
+def propagator(s, t):
+    """exp(t A(xi)) for one s = |xi|^2 and one time t; real, shape (3, 3)."""
+    return torus._distinct_propagators(np.array([s]), np.array([t]))[0, 0]
 
 
 def traced_peak(fn) -> int:
@@ -220,8 +227,8 @@ class TestEvolution:
     def test_zero_mode_jordan_block(self):
         # the constant mode drifts linearly: exp(tA(0)) = I + tA(0), exactly
         for t in (0.0, 1e-8, 2.5, 7.0):
-            p = torus._mode_propagators(np.array([0.0]), t)
-            assert np.array_equal(p[0], np.eye(3) + t * symbol_matrix(0.0))
+            p = propagator(0.0, t)
+            assert np.array_equal(p, np.eye(3) + t * symbol_matrix(0.0))
 
     def test_modal_decay_fit(self, grid128):
         fit = torus.modal_decay_fit(grid128, (1,))
@@ -263,23 +270,24 @@ class TestPropagator:
         ],
     )
     def test_entries_match_expm_near_small_tau(self, s, t):
-        got = torus._mode_propagators(np.array([s]), t)[0]
+        got = propagator(s, t)
         assert got.dtype == np.float64
         assert entry_error(got, expm(t * mode_matrix(s))) <= 1e-14
 
     @pytest.mark.parametrize("s", [1e-4, 1.0, 50.0, 3e4])
     def test_entries_match_expm_up_to_large_tau(self, s):
         for tau in np.logspace(-8, 3, 23):
-            got = torus._mode_propagators(np.array([s]), tau / s)[0]
+            got = propagator(s, tau / s)
             want = expm(tau / s * mode_matrix(s))
             assert entry_error(got, want) <= 1e-10, tau
 
     def test_grid_gather_matches_single_modes(self):
         # t = 0.1 puts s = 0, Taylor (s = 1, 2) and projector modes on one grid
         s = torus.TorusGrid((64, 64), (TWO_PI, TWO_PI)).s_array().ravel()
-        full = torus._mode_propagators(s, 0.1)
+        distinct, inverse = np.unique(s, return_inverse=True)
+        full = torus._distinct_propagators(distinct, np.array([0.1]))[0, inverse]
         assert full.shape == (s.size, 3, 3) and full.dtype == np.float64
-        alone = {v: torus._mode_propagators(np.array([v]), 0.1)[0] for v in np.unique(s)}
+        alone = {v: propagator(v, 0.1) for v in distinct}
         assert all(np.array_equal(p, alone[v]) for p, v in zip(full, s))
 
 
