@@ -500,7 +500,12 @@ def main(argv=None) -> int:
         # library ValueErrors (bounded.AssemblyError among them) are bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_outputs(cfg, checks, artifacts, time.perf_counter() - start)
+    try:
+        _write_outputs(cfg, checks, artifacts, time.perf_counter() - start)
+    except OSError as exc:
+        # an --out that cannot be a directory; the message names the path
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if not all(checks.values()):
         failed = [name for name, ok in checks.items() if not ok]
         print(f"check failure: {', '.join(failed)}", file=sys.stderr)

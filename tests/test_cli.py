@@ -193,6 +193,18 @@ class TestExitCodes:
         assert run([*argv, "--out", str(never)], tmp_path, monkeypatch) == code
         assert not never.exists()
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    def test_unusable_out_is_usage_error(self, below, tmp_path, monkeypatch, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("not a directory\n")
+        out = str(plain / below) if below else str(plain)
+        assert run(["roots", "--out", out], tmp_path, monkeypatch) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and out in err
+        assert "Traceback" not in err
+        assert plain.read_text() == "not a directory\n"
+
     def test_perturbed_roots_fail_check_under_optimize(self, tmp_path):
         # validation must not rest on assert, which python -O strips
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -494,6 +506,28 @@ class TestOutputs:
 
 
 class TestReproducibility:
+    def test_torus_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        runs = {"evolve": ["evolve", "--dim", "2", "--modes", "64", "--seed", "3"],
+                "sweep": ["sweep", "--j", "2", "--seed", "3"]}
+        script = ("import json, sys\nfrom thermoplate import cli\n"
+                  "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))")
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            env.pop(cli.ENV_PERTURB, None)
+            dirs = {name: tmp_path / threads / name for name in runs}
+            argvs = [[*argv, "--out", str(dirs[name])] for name, argv in runs.items()]
+            proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads] = {
+                (name, p.name): p.read_bytes()
+                for name, d in dirs.items() for p in d.iterdir() if p.name != "manifest.json"
+            }
+        assert len(outputs["1"]) == 4  # two states and energy.csv; sweep.csv
+        assert outputs["1"] == outputs["2"]
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -10,8 +10,8 @@ import pytest
 from scipy.linalg import expm
 
 from thermoplate import torus
-from thermoplate.symbols import (GAMMAS, ROOTS, NumericalError, SingularParameterError,
-                                 symbol_matrix)
+from thermoplate.symbols import (BLOCK, GAMMAS, ROOTS, NumericalError, SingularParameterError,
+                                 _scaled_resolvent_from_s, symbol_matrix)
 
 
 TWO_PI = 2.0 * math.pi
@@ -47,6 +47,36 @@ def evolve_reference(state, t):
     fields = [np.fft.ifftn(row.reshape(g.shape), norm="ortho") for row in out]
     scale = max(max(np.abs(f.real).max() for f in fields), 1.0)
     return [f.real for f in fields], max(np.abs(f.imag).max() for f in fields) / scale
+
+
+def laplace_reference(state, lam, steps):
+    """The trapezoid oracle node by node: one StateField per node of evolve_many."""
+    lam = complex(lam)
+    ts = np.linspace(0.0, 40.0 / lam.real, steps + 1)
+    dt = ts[1] - ts[0]
+    acc = [np.zeros(state.grid.shape, dtype=complex) for _ in range(3)]
+    for i, (t, (st, _)) in enumerate(zip(ts, torus.evolve_many(state, ts))):
+        wgt = dt * np.exp(-lam * t) * (0.5 if i in (0, steps) else 1.0)
+        for a, f in zip(acc, st.fields()):
+            a += wgt * f
+    ref = torus.apply_resolvent(state, lam)
+    gap = torus.e_norm(state.grid, *[a - r for a, r in zip(acc, ref)])
+    return gap / torus.e_norm(state.grid, *ref)
+
+
+def sweep_reference(j, lams, grid):
+    """The SVD of every distinct mode, then the max: the sweep without its screen."""
+    s = np.unique(grid.s_array().ravel())
+    return np.array([
+        np.linalg.svd(_scaled_resolvent_from_s(j, s, complex(lam), *BLOCK),
+                      compute_uv=False).max()
+        for lam in lams
+    ])
+
+
+def random_unitaries(rng, n):
+    z = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+    return np.linalg.qr(z)[0]
 
 
 def propagator(s, t):
@@ -162,6 +192,21 @@ class TestEvolution:
             assert residue == alone_residue == want_residue
             for a, b, c in zip(out.fields(), alone.fields(), want):
                 assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    @pytest.mark.parametrize("modes, nodes", [((512, 512), 2), ((16, 16), 64)])
+    def test_batches_are_c_contiguous(self, modes, nodes):
+        # 64 nodes fill one 16x16 batch; at 512^2 each batch holds one node
+        grid = torus.TorusGrid(modes, (TWO_PI,) * len(modes))
+        st = torus.random_state(grid, np.random.default_rng(6))
+        ts = np.linspace(0.0, 1.0, nodes)
+        sizes = []
+        for fields, residues in torus._evolve_batches(st, ts):
+            assert all(f.flags.c_contiguous and f.shape[1:] == modes for f in fields)
+            sizes.append(len(residues))
+        assert sizes == [max(1, torus._BATCH_MODE_TIMES // math.prod(modes))] * len(sizes)
+        assert sum(sizes) == nodes
+        for out, _ in torus.evolve_many(st, ts):
+            assert all(f.flags.c_contiguous for f in out.fields())
 
     def test_residue_check_on_the_batched_path(self, grid128, monkeypatch):
         monkeypatch.setattr(torus, "IMAG_RESIDUE_TOL", -1.0)
@@ -335,6 +380,14 @@ class TestResolvent:
         rel = torus.laplace_transform_error(bump_state(grid128), 2.0)
         assert rel <= 1e-3
 
+    @pytest.mark.parametrize("modes", [(128,), (16, 16)])
+    def test_laplace_oracle_matches_the_node_by_node_sum(self, modes):
+        # the batched accumulation adds node by node, in the same order
+        st = bump_state(torus.TorusGrid(modes, (TWO_PI,) * len(modes)))
+        steps = 2048 if len(modes) == 2 else 4096
+        assert (torus.laplace_transform_error(st, 2.0, steps=steps)
+                == laplace_reference(st, 2.0, steps))
+
     def test_resolvent_bound_sweep_shapes(self, grid128):
         lams = np.array([1.0 + 1.0, 1.0 + 0.01])
         vals = torus.resolvent_bound_sweep(2, lams, grid128)
@@ -351,6 +404,75 @@ class TestResolvent:
         assert bounds.shape == lams.shape
         assert np.all(np.isfinite(bounds))
         assert bounds.max() < 10.0
+
+
+class TestSingularValueScreen:
+    @staticmethod
+    def worst(mats):
+        want = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        got = torus._largest_singular_values(mats)
+        return np.max(np.abs(got - want) / np.where(want == 0.0, 1.0, want))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+    def test_closed_form_on_random_matrices(self, scale):
+        rng = np.random.default_rng(11)
+        mats = rng.standard_normal((5000, 3, 3)) + 1j * rng.standard_normal((5000, 3, 3))
+        assert self.worst(scale * mats) <= 1e-14
+
+    def test_closed_form_on_special_matrices(self):
+        rng = np.random.default_rng(12)
+        a, b = (rng.standard_normal((500, 3)) + 1j * rng.standard_normal((500, 3))
+                for _ in range(2))
+        rank_one = np.einsum("ni,nj->nij", a, b.conj())
+        assert self.worst(rank_one) <= 1e-14
+        assert self.worst(random_unitaries(rng, 500)) <= 1e-14
+        # scaled permutations with entries in {1, -1, 1j, -1j}; a power-of-two
+        # scale divides out exactly, so H = I and the p = 0 branch gives c
+        units = rng.choice(np.array([1.0, -1.0, 1j, -1j]), size=(500, 3))
+        perms = np.eye(3)[np.array([rng.permutation(3) for _ in range(500)])]
+        monomial = units[:, :, None] * perms
+        assert self.worst(rng.uniform(0.5, 5.0, 500)[:, None, None] * monomial) <= 1e-14
+        scale = 2.0 ** rng.integers(-60, 60, 500)
+        assert np.array_equal(
+            torus._largest_singular_values(scale[:, None, None] * monomial), scale)
+        assert np.array_equal(torus._largest_singular_values(np.zeros((4, 3, 3))), np.zeros(4))
+
+    def test_double_top_singular_value(self):
+        # U diag(1, 1, 0.3) V puts r at -1, where acos has infinite slope: the
+        # screen may be off by up to 1e-8 relative there, and it may misorder
+        # matrices closer than that; the SVD over its band still finds the max
+        rng = np.random.default_rng(13)
+        n = 5000
+        scale = 1.0 + 1e-9 * rng.random(n)
+        mats = (random_unitaries(rng, n) * np.array([1.0, 1.0, 0.3])) @ random_unitaries(rng, n)
+        mats *= scale[:, None, None]
+        assert self.worst(mats) <= 1e-8
+        assert torus._max_singular_value(mats) == np.linalg.svd(mats, compute_uv=False).max()
+
+    def test_non_finite_screen_sends_every_matrix_to_the_svd(self):
+        mats = np.ones((3, 3, 3), dtype=complex)
+        mats[1, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.svd(mats, compute_uv=False)
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+            torus._max_singular_value(mats)
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    @pytest.mark.parametrize("length", [TWO_PI, 100.0 * TWO_PI])
+    def test_sweep_equals_the_svd_of_every_mode(self, j, length):
+        # on the longer grid the band holds a few matrices, on 2 pi thousands
+        grid = torus.TorusGrid((16384,), (length,))
+        lams = [1.0, 1e-2, 1e-4, 2.0, 1.01, 1.0001]
+        assert np.array_equal(torus.resolvent_bound_sweep(j, lams, grid),
+                              sweep_reference(j, lams, grid))
+
+    @pytest.mark.parametrize("k, modes, length", [(1e50, 128, TWO_PI), (5e-52, 4, 1e-50)])
+    def test_sweep_at_extreme_k(self, k, modes, length):
+        grid = torus.TorusGrid((modes,), (length,))
+        lams = [k ** -2.0, 1.0 + k ** -2.0]
+        for j in (0, 2):
+            assert np.array_equal(torus.resolvent_bound_sweep(j, lams, grid),
+                                  sweep_reference(j, lams, grid))
 
 
 class TestTwoDimensional:
