@@ -44,11 +44,19 @@ feedback term change sign with the normal, so they give the same equation).
 In the orthonormal even/odd basis of the reflections, pairs
 (e_i +- e_{M-1-i}) / sqrt 2 per axis with the middle cell of an odd count in
 the even class only, the matrix is block diagonal: one block per parity
-class, 2 on an interval and 4 on a rectangle.  The spectrum, kernel,
+class, 2 on an interval and 4 on a rectangle.  A square box on a square grid
+also commutes with the diagonal swap (x, y) -> (y, x), and the classes split
+by the dihedral group D4: (+,+) and (-,-) each into a swap-even half
+(diagonal cells and (x_ij + x_ji) / sqrt 2) and a swap-odd half
+((x_ij - x_ji) / sqrt 2), while the swap maps (+,-) onto (-,+), so that one
+block B_E of (+,-) serves both and counts twice.  Both splits are index
+folds of the assembled matrix; no basis is formed.  The spectrum, kernel,
 projection and decay computations run every eigensolve, SVD, Schur form and
-exponential on these blocks, after checking the symmetry to SYMMETRY_TOL;
-the zero-cluster projector is formed and applied block by block as well,
-and the assembled matrix stays the dense oracle.
+exponential on these blocks (five on a square, with B_E's eigenvalues and
+singular values counted twice and one exponential carrying both E states),
+after checking each symmetry to SYMMETRY_TOL; the zero-cluster projector is
+formed and applied block by block as well, and the assembled matrix stays
+the dense oracle.
 """
 
 from __future__ import annotations
@@ -123,6 +131,9 @@ class BCVariant:
             raise ValueError(f"unknown boundary variant {self.tag!r}")
         if self.tag == "lt_variant" and not self.b > 0.0:
             raise ValueError("the damped variant requires b > 0")
+        if self.tag != "free_beta" and not self.mu < 1.0:
+            raise ValueError(f"mu must be below 1, where the free plate energy stops being "
+                             f"coercive (got {self.mu:g})")
 
     @property
     def coefficient(self) -> float:
@@ -178,8 +189,14 @@ class DiscreteGenerator:
 
     @functools.cached_property
     def reflection_blocks(self) -> ReflectionBlocks:
-        """The matrix split by the reflections of the box, checked and built once."""
-        return _reflection_blocks(self.matrix, self.cells)
+        """The matrix split by the symmetries of the box, checked and built once.
+
+        The diagonal swap joins the reflections when the box and the grid
+        are both square.
+        """
+        square = (self.domain.dim == 2 and self.cells[0] == self.cells[1]
+                  and len({b - a for a, b in self.domain.bounds}) == 1)
+        return _reflection_blocks(self.matrix, self.cells, square)
 
 
 # ---------------------------------------------------------------------------
@@ -308,35 +325,48 @@ def _assemble(cells: tuple, steps: tuple, bc: BCVariant) -> tuple:
     E = np.array(rows)
     T, cond = _ghost_solve(E[:, 2 * M:], E[:, :2 * M])
 
-    def add(dst, r, f, pt, w):
-        # an interior point feeds one entry, a ghost its row of T
-        k = col[f, pt]
-        if k < 2 * M:
-            dst[r, k] += w
-        else:
-            dst[r] += w * T[k - 2 * M]
+    # the columns as an array over (field, point + 2), so that one stencil
+    # term is looked up for every cell at once; a point with no column
+    # indexes past the end of T
+    lookup = np.full((2, *(m + 4 for m in cells)), len(col))
+    for (f, pt), k in col.items():
+        lookup[(f, *(i + 2 for i in pt))] = k
+    grid = np.indices(cells).reshape(dim, M)
+    rows = np.arange(M)
+
+    def add(dst, f, offset, w):
+        # each stencil term once over all cells, in the per-row order of the
+        # module docstring: an interior point feeds one entry, a ghost its row of T
+        k = lookup[(f, *(grid[a] + offset[a] + 2 for a in range(dim)))]
+        cell = k < 2 * M
+        dst[rows[cell], k[cell]] += w
+        dst[rows[~cell]] += w * T[k[~cell] - 2 * M]
+
+    def axis_offset(a, d):
+        return tuple(d if t == a else 0 for t in range(dim))
 
     D4 = np.zeros((M, 2 * M))
     D2t = np.zeros((M, 2 * M))
     Lv = np.zeros((M, M))
-    for r, cell in enumerate(interior):
-        for d, w in BIHARM5:
-            for a, h in enumerate(steps):
-                add(D4, r, 0, _shift(cell, a, d), w / h ** 4)
-        if dim == 2:
-            hx, hy = steps
-            for dx, wx in LAP3:
-                for dy, wy in LAP3:
-                    add(D4, r, 0, (cell[0] + dx, cell[1] + dy),
-                        2.0 * wx * wy / (hx * hx * hy * hy))
-        for d, w in LAP3:
-            for a, h in enumerate(steps):
-                add(D2t, r, 1, _shift(cell, a, d), w / h ** 2)
-        # v has no boundary condition: one-sided lap v on the first and last cell
+    for d, w in BIHARM5:
         for a, h in enumerate(steps):
-            last = cell[a] == cells[a] - 1
-            for d, w in ONE_SIDED if cell[a] == 0 or last else LAP3:
-                Lv[r, col[0, _shift(cell, a, -d if last else d)]] += w / h ** 2
+            add(D4, 0, axis_offset(a, d), w / h ** 4)
+    if dim == 2:
+        hx, hy = steps
+        for dx, wx in LAP3:
+            for dy, wy in LAP3:
+                add(D4, 0, (dx, dy), 2.0 * wx * wy / (hx * hx * hy * hy))
+    for d, w in LAP3:
+        for a, h in enumerate(steps):
+            add(D2t, 1, axis_offset(a, d), w / h ** 2)
+    # v has no boundary condition: one-sided lap v on the first and last cell
+    for a, h in enumerate(steps):
+        stride = math.prod(cells[a + 1:])
+        first, last = grid[a] == 0, grid[a] == cells[a] - 1
+        for sel, stencil, sgn in ((~(first | last), LAP3, 1), (first, ONE_SIDED, 1),
+                                  (last, ONE_SIDED, -1)):
+            for d, w in stencil:
+                Lv[rows[sel], rows[sel] + sgn * d * stride] += w / h ** 2
     return _block_generator(D4, D2t, Lv, M), cond
 
 
@@ -395,62 +425,114 @@ def _fold(T: np.ndarray, axis: int, sign: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def _parity_classes(T: np.ndarray, dim: int, starts: tuple) -> dict:
+    """T folded into each parity class (a sign tuple, +1 first) on every
+    group of dim cell axes that begins at one of starts."""
+    out = {}
+    for signs in itertools.product((1, -1), repeat=dim):
+        F = T
+        for a, sign in enumerate(signs):
+            for start in starts:
+                F = _fold(F, start + a, sign)
+        out[signs] = F
+    return out
+
+
+def _swap_fold(T: np.ndarray, axis: int, sign: int) -> np.ndarray:
+    """The diagonal swap's fold of the k x k half-grid on axes axis, axis + 1.
+
+    Over the pairs i <= j (sign +1) or i < j (sign -1), row-major, the one
+    axis that replaces the two holds (x_ij + sign x_ji) / sqrt 2, and x_ii
+    itself on the diagonal.
+    """
+    T = np.moveaxis(T, (axis, axis + 1), (0, 1))
+    i, j = np.triu_indices(len(T), 0 if sign > 0 else 1)
+    out = (np.add if sign > 0 else np.subtract)(T[i, j], T[j, i])
+    out *= np.where(i == j, 0.5, SQRT_HALF).reshape(-1, *(1,) * (out.ndim - 1))
+    return np.moveaxis(out, 0, axis)
+
+
+def _as_matrix(T: np.ndarray, row_axes: int) -> np.ndarray:
+    """T as a contiguous matrix whose rows are its first row_axes axes."""
+    return np.ascontiguousarray(T.reshape(math.prod(T.shape[:row_axes]), -1))
+
+
 @dataclass(frozen=True)
 class ReflectionBlocks:
-    """The generator in the orthonormal even/odd basis of the box reflections.
+    """The generator in the orthonormal symmetry basis of the box.
 
-    One parity class per sign tuple (one sign per axis, +1 first); C_c maps
-    class coordinates (field, half-grid cells row-major) to the state, and
-    blocks[c] = C_c^T A C_c.  residual is the checked symmetry defect.
+    The classes are the reflection parities, one sign per axis and +1 first;
+    C_c maps class coordinates (field, half-grid cells row-major) to the
+    state, and blocks[c] = C_c^T A C_c.  On a square box with a square grid
+    (swap_residual not None) the diagonal swap splits further: (+,+) and
+    (-,-) each into a swap-even and a swap-odd block, and the swap maps
+    (+,-) onto (-,+), so the last block, B_E of (+,-), serves both (counts
+    2).  residual and swap_residual are the checked symmetry defects.
     """
 
     cells: tuple
-    parities: tuple
     blocks: tuple
+    counts: tuple
     residual: float
+    swap_residual: float | None
 
     @property
     def sizes(self) -> tuple:
         return tuple(B.shape[0] for B in self.blocks)
 
     def restrict(self, x: np.ndarray) -> list:
-        """C_c^T x for every class c."""
-        out = []
-        for signs in self.parities:
-            T = x.reshape(3, *self.cells)
-            for a, sign in enumerate(signs):
-                T = _fold(T, 1 + a, sign)
-            out.append(T.ravel())
+        """C_c^T x per block; the E block's is the (+,-), (-,+) column pair.
+
+        The (-,+) column is handed over in (+,-) coordinates, where B_E acts
+        on it.
+        """
+        parity = _parity_classes(x.reshape(3, *self.cells), len(self.cells), (1,))
+        if self.swap_residual is None:
+            return [T.ravel() for T in parity.values()]
+        out = [_swap_fold(parity[signs], 1, swap).ravel()
+               for signs in ((1, 1), (-1, -1)) for swap in (1, -1)]
+        out.append(np.column_stack([parity[1, -1].ravel(),
+                                    np.swapaxes(parity[-1, 1], 1, 2).ravel()]))
         return out
 
 
-def _reflection_blocks(matrix: np.ndarray, cells: tuple) -> ReflectionBlocks:
+def _reflection_blocks(matrix: np.ndarray, cells: tuple, square: bool) -> ReflectionBlocks:
     """Check that A commutes with every axis reflection J, then form the blocks.
 
     A residual max|A[J][:, J] - A| / max|A| above SYMMETRY_TOL raises
     NumericalError, since the blocks drop every coupling between classes.
+    On a square box and grid the swap P is checked on the parity blocks,
+    max|B[P][:, P] - B| on (+,+), (-,-) and max|B_{+-}[P][:, P] - B_{-+}| on
+    the E pair, scaled the same way.
     """
     dim = len(cells)
     A = matrix.reshape((3, *cells) * 2)
+    scale = max(float(matrix.max()), -float(matrix.min()))
     residual = 0.0
     for a in range(dim):
         # the defect is odd under J, so the rows of one half bound it
         half = (slice(None),) * (1 + a) + (slice(0, (cells[a] + 1) // 2),)
         defect = np.flip(A, (1 + a, 2 + dim + a))[half] - A[half]
         residual = max(residual, float(np.abs(defect, out=defect).max()))
-    residual /= max(float(matrix.max()), -float(matrix.min()))
+    residual /= scale
     if not residual <= SYMMETRY_TOL:
         raise NumericalError(f"generator is not reflection symmetric (residual "
                              f"{residual:.3e} above {SYMMETRY_TOL:g})")
-    parities = tuple(itertools.product((1, -1), repeat=dim))
-    blocks = []
-    for signs in parities:
-        T = A
-        for a, sign in enumerate(signs):
-            T = _fold(_fold(T, 1 + a, sign), 2 + dim + a, sign)
-        m = math.prod(T.shape[:1 + dim])
-        blocks.append(np.ascontiguousarray(T.reshape(m, m)))
-    return ReflectionBlocks(cells, parities, tuple(blocks), residual)
+    parity = _parity_classes(A, dim, (1, 2 + dim))
+    if not square:
+        blocks = tuple(_as_matrix(T, 1 + dim) for T in parity.values())
+        return ReflectionBlocks(cells, blocks, (1,) * len(blocks), residual, None)
+    # P transposes the half-grid of the rows and that of the columns
+    swapped = (((1, 1), (1, 1)), ((-1, -1), (-1, -1)), ((1, -1), (-1, 1)))
+    swap_residual = max(float(np.abs(parity[s].transpose(0, 2, 1, 3, 5, 4) - parity[t]).max())
+                        for s, t in swapped) / scale
+    if not swap_residual <= SYMMETRY_TOL:
+        raise NumericalError(f"generator is not swap symmetric (residual "
+                             f"{swap_residual:.3e} above {SYMMETRY_TOL:g})")
+    blocks = tuple(_as_matrix(_swap_fold(_swap_fold(parity[signs], 4, swap), 1, swap), 2)
+                   for signs in ((1, 1), (-1, -1)) for swap in (1, -1))
+    return ReflectionBlocks(cells, blocks + (_as_matrix(parity[1, -1], 3),),
+                            (1, 1, 1, 1, 2), residual, swap_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +551,8 @@ class SpectrumReport:
     kernel_tolerance: float
     smallest_singular_values: np.ndarray
     symmetry_residual: float
+    swap_residual: float | None
+    ghost_condition: float
     block_sizes: tuple
 
 
@@ -477,10 +561,12 @@ def _eigenvalues(gen: DiscreteGenerator) -> tuple:
 
     The order is descending real part rounded to a multiple of ORDER_QUANTUM
     max|lambda|, then descending imaginary part: roundoff-level gaps between
-    real parts do not reorder the rows.
+    real parts do not reorder the rows.  The E block's eigenvalues count twice.
     """
+    blocks = gen.reflection_blocks
     try:
-        ev = np.concatenate([np.linalg.eigvals(B) for B in gen.reflection_blocks.blocks])
+        ev = np.concatenate([np.tile(np.linalg.eigvals(B), k)
+                             for B, k in zip(blocks.blocks, blocks.counts)])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
     top = float(np.abs(ev).max())
@@ -503,12 +589,14 @@ def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
     which a physical near-null pseudomode crosses on fine grids.
     zero_cluster_count counts eigenvalues with |lambda| <= zero_tol and so
     includes generalized (Jordan) directions.  The singular values are the
-    union of the blocks' (the basis is orthonormal), in descending order.
+    union of the blocks' (the basis is orthonormal), the E block's twice, in
+    descending order.
     """
     ev, zero_tol = _eigenvalues(gen)
     blocks = gen.reflection_blocks
     try:
-        sv = np.concatenate([np.linalg.svd(B, compute_uv=False) for B in blocks.blocks])
+        sv = np.concatenate([np.tile(np.linalg.svd(B, compute_uv=False), k)
+                             for B, k in zip(blocks.blocks, blocks.counts)])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     sv = np.sort(sv)[::-1]
@@ -525,6 +613,8 @@ def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
         kernel_tolerance=kernel_tol,
         smallest_singular_values=sv[-8:][::-1].copy(),
         symmetry_residual=blocks.residual,
+        swap_residual=blocks.swap_residual,
+        ghost_condition=gen.ghost_condition,
         block_sizes=blocks.sizes,
     )
 
@@ -534,10 +624,11 @@ def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
 
 @dataclass
 class KernelProjection:
-    """The zero-cluster projection as one n_c x n_c block P_c per parity class.
+    """The zero-cluster projection as one n_c x n_c block P_c per block.
 
-    P_c acts on the class coordinates of ReflectionBlocks.restrict; the state
-    projector, the sum of C_c P_c C_c^T, is never formed.
+    P_c acts on the class coordinates of ReflectionBlocks.restrict, P_E on
+    both columns of the E pair; the state projector, the sum of
+    C_c P_c C_c^T over the classes, is never formed.
     """
 
     algebraic_dimension: int
@@ -554,8 +645,9 @@ def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
     form of block c sorted to put |lambda| <= zero_tol first, the left
     subspace W_c from that of its transpose; P_c = V_c (W_c^T V_c)^{-1} W_c^T
     is the real Riesz projection, zero where the class holds no part of the
-    cluster.  pairing_condition is the condition number of the block-diagonal
-    W^T V, idempotency_residual max_c max|P_c^2 - P_c| / max(max_c max|P_c|, 1).
+    cluster; the E pair's dimension counts twice.  pairing_condition is the
+    condition number of the block-diagonal W^T V, idempotency_residual
+    max_c max|P_c^2 - P_c| / max(max_c max|P_c|, 1).
     """
     if zero_tol is None:
         zero_tol = _eigenvalues(gen)[1]
@@ -572,7 +664,7 @@ def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
             raise NumericalError(f"left/right zero-cluster dimensions disagree in block "
                                  f"{c} ({d_left} vs {d_right})")
         pairs.append((ZR[:, :d_right], ZL[:, :d_left]))
-    d = sum(V.shape[1] for V, _ in pairs)
+    d = sum(k * V.shape[1] for (V, _), k in zip(pairs, blocks.counts))
     if d == 0:
         return KernelProjection(0, tuple(np.zeros_like(B) for B in blocks.blocks), 1.0, 0.0)
     sv = np.concatenate([np.linalg.svd(W.T @ V, compute_uv=False) for V, W in pairs])
@@ -601,6 +693,8 @@ class DecayFit:
     decaying: bool
     seed: int
     symmetry_residual: float
+    swap_residual: float | None
+    ghost_condition: float
     block_sizes: tuple
     # projector diagnostics, None when the kernel was not projected out
     projector_dimension: int | None = None
@@ -617,7 +711,8 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
     surviving mode dominates; the spectral abscissa off the zero cluster is
     the reference value.  The initial state is restricted to the blocks once
     and projected there (y_c - P_c y_c); each block gets its own propagator,
-    and the stacked 2-norm of the block states is the state norm.
+    which carries both E states as one two-column product, and the stacked
+    2-norm of the block states is the state norm.
     """
     if samples < 8:
         raise ValueError("need at least 8 samples for a stable fit")
@@ -646,7 +741,7 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
     times = np.linspace(0.0, horizon, samples)
     norms = np.empty(samples)
     for i in range(samples):
-        norms[i] = np.linalg.norm(np.concatenate(states))
+        norms[i] = np.linalg.norm(np.concatenate([y.ravel() for y in states]))
         states = [step @ y for step, y in zip(steps, states)]
     if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
         raise NumericalError("norm history underflowed; shorten the horizon")
@@ -664,6 +759,8 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
         decaying=fitted > 0.1 * eps_spec,
         seed=seed,
         symmetry_residual=blocks.residual,
+        swap_residual=blocks.swap_residual,
+        ghost_condition=gen.ghost_condition,
         block_sizes=blocks.sizes,
         **diagnostics,
     )

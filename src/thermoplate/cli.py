@@ -180,6 +180,13 @@ def _json_text(obj) -> str:
     return json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
 
 
+def _bounded_json(report, skip=()) -> str:
+    """A bounded report's JSON without the skip fields; swap_residual only
+    where the diagonal swap applies (a square box on a square grid)."""
+    return _json_text({key: val for key, val in _plain(report).items()
+                       if key not in skip and not (key == "swap_residual" and val is None)})
+
+
 def _csv(header: str, rows) -> str:
     """CSV text: int cells with str, every other cell as repr(float(x))."""
     lines = [header]
@@ -367,7 +374,7 @@ def cmd_spectrum(cfg: RunConfig) -> tuple:
           f"max_re={rep.max_real_part:.3e} ok={ok}")
     return ({"spectral_enclosure": ok},
             {"spectrum.csv": _csv("re,im", zip(rep.eigenvalues.real, rep.eigenvalues.imag)),
-             "spectrum.json": _json_text(rep)})
+             "spectrum.json": _bounded_json(rep)})
 
 
 def cmd_decay(cfg: RunConfig) -> tuple:
@@ -382,10 +389,9 @@ def cmd_decay(cfg: RunConfig) -> tuple:
     )
     print(f"decay: fitted={fit.fitted_rate!r} spectral={fit.spectral_rate!r} "
           f"relative_gap={fit.relative_gap:.4f}")
-    summary = {key: val for key, val in _plain(fit).items() if key not in ("times", "norms")}
     return ({"rate_matches_spectrum": fit.relative_gap <= 0.1},
             {"decay.csv": _csv("t,norm", zip(fit.times, fit.norms)),
-             "decay.json": _json_text(summary)})
+             "decay.json": _bounded_json(fit, skip=("times", "norms"))})
 
 
 def cmd_converge(cfg: RunConfig) -> tuple:

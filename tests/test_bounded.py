@@ -64,6 +64,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             bounded.lt_variant(0.3, 0.0)
 
+    @pytest.mark.parametrize("mu", [1.0, 1.5, np.nan])
+    def test_rectangle_mu_below_one(self, mu):
+        # the ghost system is singular at mu = 1 and the spectrum leaves the
+        # left half plane beyond it
+        for variant in (bounded.free_2d, bounded.lt_variant):
+            with pytest.raises(ValueError, match="mu must be below 1"):
+                variant(mu)
+        assert bounded.free_2d(0.99).mu == 0.99
+        assert bounded.free_beta(0.5).mu == 0.3
+
     def test_damped_flag(self):
         assert bounded.lt_variant().damped
         assert not bounded.free_beta().damped
@@ -324,6 +334,8 @@ PARITY_CASES = {
     "damped16": (bounded.rectangle(), 16, bounded.lt_variant(0.3, 1.0)),
     "free12": (bounded.rectangle(), 12, bounded.free_2d(0.3)),
     "damped9x13": (bounded.rectangle(), (9, 13), bounded.lt_variant(0.3, 1.0)),
+    "damped9": (bounded.rectangle(), 9, bounded.lt_variant(0.3, 1.0)),
+    "box2x1": (bounded.rectangle(0.0, 2.0, 0.0, 1.0), 16, bounded.lt_variant(0.3, 1.0)),
 }
 
 
@@ -345,9 +357,27 @@ def _dense_projector(a, zero_tol):
     return v @ np.linalg.solve(w.T @ v, w.T)
 
 
+def _swap_defect(matrix, cells):
+    """1e-8 max|A| times a diagonal even in x and constant in y.
+
+    It commutes with both reflections but not with the diagonal swap.
+    """
+    x = (np.arange(cells[0]) - 0.5 * (cells[0] - 1)) ** 2
+    return 1e-8 * np.abs(matrix).max() * np.diag(np.tile(np.repeat(x, cells[1]), 3))
+
+
 def _restrict_columns(blocks, m):
-    """Q m, where Q stacks the C_c^T: every column of m restricted to the classes."""
-    return np.column_stack([np.concatenate(blocks.restrict(col)) for col in m.T])
+    """Q m, where Q stacks the C_c^T: every column of m restricted to the classes.
+
+    The E pair's two columns follow each other.
+    """
+    return np.column_stack([np.concatenate([y.ravel(order="F") for y in blocks.restrict(col)])
+                            for col in m.T])
+
+
+def _per_class(blocks, mats):
+    """One matrix per class: the E block's counts twice, in restrict order."""
+    return [m for m, k in zip(mats, blocks.counts, strict=True) for _ in range(k)]
 
 
 def _restricted_dense_projector(gen):
@@ -363,11 +393,18 @@ class TestReflectionBlocks:
     def test_blocks_split_the_state(self, parity_gen):
         blocks = parity_gen.reflection_blocks
         assert blocks.residual <= bounded.SYMMETRY_TOL
-        assert len(blocks.sizes) == 2 ** parity_gen.domain.dim
-        assert sum(blocks.sizes) == parity_gen.state_size
+        # the square grids split by the swap as well: five blocks, E counted twice
+        dihedral = parity_gen.domain.bounds == bounded.rectangle().bounds and len(
+            set(parity_gen.cells)) == 1
+        assert len(blocks.sizes) == (5 if dihedral else 2 ** parity_gen.domain.dim)
+        assert (blocks.swap_residual is not None) == dihedral
+        assert sum(k * m for k, m in zip(blocks.counts, blocks.sizes)) == parity_gen.state_size
         x = np.random.default_rng(1).standard_normal(parity_gen.state_size)
         parts = blocks.restrict(x)
-        assert np.linalg.norm(np.concatenate(parts)) == pytest.approx(np.linalg.norm(x))
+        assert [y.shape for y in parts] == [(m, k) if k > 1 else (m,)
+                                            for m, k in zip(blocks.sizes, blocks.counts)]
+        flat = np.concatenate([y.ravel() for y in parts])
+        assert np.linalg.norm(flat) == pytest.approx(np.linalg.norm(x))
         q = _restrict_columns(blocks, np.eye(parity_gen.state_size))
         assert np.abs(q.T @ q - np.eye(parity_gen.state_size)).max() <= 1e-14
 
@@ -383,16 +420,19 @@ class TestReflectionBlocks:
         rep = bounded.spectrum(parity_gen)
         sv = np.linalg.svd(parity_gen.matrix, compute_uv=False)
         dense_ev = np.linalg.eigvals(parity_gen.matrix)
+        blocks = parity_gen.reflection_blocks
         sv_blocks = np.sort(np.concatenate(
-            [np.linalg.svd(b, compute_uv=False) for b in parity_gen.reflection_blocks.blocks]))
+            [np.linalg.svd(b, compute_uv=False) for b in _per_class(blocks, blocks.blocks)]))
         assert np.abs(sv_blocks[::-1] - sv).max() <= 1e-13 * sv[0]
         assert np.abs(rep.smallest_singular_values - sv[-8:][::-1]).max() <= 1e-13 * sv[0]
         kernel_tol = bounded.KERNEL_SV_FACTOR * bounded.MACHINE_EPS * sv[0]
         assert rep.kernel_tolerance == pytest.approx(kernel_tol, rel=1e-13)
         assert rep.kernel_dimension == int((sv <= kernel_tol).sum())
         assert rep.zero_cluster_count == int((np.abs(dense_ev) <= rep.zero_tol).sum())
-        assert rep.symmetry_residual == parity_gen.reflection_blocks.residual
-        assert rep.block_sizes == parity_gen.reflection_blocks.sizes
+        assert rep.symmetry_residual == blocks.residual
+        assert rep.swap_residual == blocks.swap_residual
+        assert rep.block_sizes == blocks.sizes
+        assert rep.ghost_condition == parity_gen.ghost_condition
 
     def test_projectors_have_block_shapes(self, parity_gen):
         projectors = bounded.kernel_and_projection(parity_gen).projectors
@@ -408,7 +448,7 @@ class TestReflectionBlocks:
         proj = bounded.kernel_and_projection(gen)
         dense, restricted = _restricted_dense_projector(gen)
         scale = max(np.linalg.norm(dense, 2), 1.0)
-        diff = restricted - sla.block_diag(*proj.projectors)
+        diff = restricted - sla.block_diag(*_per_class(gen.reflection_blocks, proj.projectors))
         assert np.linalg.norm(diff, 2) <= 1e-8 * scale
 
     def test_fine_grid_projector_is_a_spectral_projector(self):
@@ -435,8 +475,11 @@ class TestReflectionBlocks:
             state = step @ state
         norms = np.array(norms)
         assert (np.abs(fit.norms - norms) / norms).max() <= 1e-6
-        assert fit.block_sizes == (192, 192, 192, 192)
+        # the swap-even and swap-odd halves of (+,+) and (-,-), then the E pair
+        assert fit.block_sizes == (108, 84, 108, 84, 192)
         assert fit.symmetry_residual == gen.reflection_blocks.residual
+        assert fit.swap_residual == gen.reflection_blocks.swap_residual
+        assert fit.ghost_condition == gen.ghost_condition
 
     def test_structure_is_built_once(self, monkeypatch):
         gen = bounded.assemble_generator(*PARITY_CASES["interval25"])
@@ -516,12 +559,104 @@ class TestReflectionBlocks:
 
 class TestExport:
     def test_spectrum_report_serialization(self, spec1d):
-        d = json.loads(cli._json_text(spec1d))
+        d = json.loads(cli._bounded_json(spec1d))
         assert d["zero_cluster_count"] == 5
         assert d["block_sizes"] == [150, 150]
         assert 0.0 <= d["symmetry_residual"] <= bounded.SYMMETRY_TOL
+        # an interval has no diagonal swap, so no swap_residual either
+        assert "swap_residual" not in d
+        assert 1.0 <= d["ghost_condition"] < 1e3
         assert len(d["eigenvalues"]) == len(spec1d.eigenvalues)
         rows = cli._csv("re,im", zip(spec1d.eigenvalues.real,
                                      spec1d.eigenvalues.imag)).splitlines()
         assert rows[0] == "re,im"
         assert len(rows) == len(spec1d.eigenvalues) + 1
+
+
+D4_CASES = {
+    "damped16": PARITY_CASES["damped16"],
+    "free12": PARITY_CASES["free12"],
+    # the grid of acceptance criterion 7
+    "damped24": (bounded.rectangle(), 24, bounded.lt_variant(0.3, 1.0)),
+}
+
+
+class TestDihedralBlocks:
+    """The swap split on square grids, against dense LAPACK and the parity blocks."""
+
+    @pytest.mark.parametrize("case", list(D4_CASES))
+    def test_eigenvalues_match_dense_and_parity_blocks(self, case):
+        gen = bounded.assemble_generator(*D4_CASES[case])
+        assert gen.reflection_blocks.counts == (1, 1, 1, 1, 2)
+        ev, zero_tol = bounded._eigenvalues(gen)
+        parity = bounded._reflection_blocks(gen.matrix, gen.cells, False)
+        assert parity.counts == (1, 1, 1, 1) and parity.swap_residual is None
+        for oracle in (np.linalg.eigvals(gen.matrix),
+                       np.concatenate([np.linalg.eigvals(b) for b in parity.blocks])):
+            oracle = _report_order(oracle)
+            off = np.abs(oracle) > zero_tol
+            assert np.array_equal(off, np.abs(ev) > zero_tol)
+            assert np.abs(ev - oracle)[off].max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_e_pair_blocks_are_one_block(self):
+        # B_{-+} is B_{+-} with both half-grids transposed
+        gen = bounded.assemble_generator(*PARITY_CASES["damped9"])
+        blocks = gen.reflection_blocks
+        parity = bounded._reflection_blocks(gen.matrix, gen.cells, False)
+        assert blocks.sizes == (45, 30, 30, 18, 60)
+        assert blocks.swap_residual <= bounded.SYMMETRY_TOL
+        pm, mp = parity.blocks[1], parity.blocks[2]
+        perm = np.arange(60).reshape(3, 5, 4).transpose(0, 2, 1).ravel()
+        assert np.array_equal(blocks.blocks[-1], pm)
+        assert np.abs(pm[np.ix_(perm, perm)] - mp).max() <= (
+            blocks.swap_residual * np.abs(gen.matrix).max())
+
+    @pytest.mark.parametrize("case", ["damped9x13", "box2x1"])
+    def test_non_square_keeps_the_parity_blocks(self, case):
+        gen = bounded.assemble_generator(*PARITY_CASES[case])
+        blocks = gen.reflection_blocks
+        parity = bounded._reflection_blocks(gen.matrix, gen.cells, False)
+        assert blocks.swap_residual is None and blocks.counts == (1, 1, 1, 1)
+        for a, b in zip(blocks.blocks, parity.blocks, strict=True):
+            assert np.array_equal(a, b)
+        assert bounded.spectrum(gen).swap_residual is None
+
+    def test_swap_breaking_perturbation_is_rejected(self):
+        gen = bounded.assemble_generator(*PARITY_CASES["damped16"])
+        bad = dataclasses.replace(gen, matrix=gen.matrix + _swap_defect(gen.matrix, gen.cells))
+        # both reflections still hold
+        assert bounded._reflection_blocks(bad.matrix, bad.cells, False).residual <= 1e-15
+        for run in (bounded.spectrum, bounded.decay_rate_experiment,
+                    bounded.kernel_and_projection):
+            with pytest.raises(bounded.NumericalError, match="swap symmetric"):
+                run(bad)
+
+    def test_swap_asymmetric_generator_exits_3(self, tmp_path, monkeypatch, capsys):
+        assemble = bounded._assemble
+
+        def skewed(cells, *rest):
+            matrix, cond = assemble(cells, *rest)
+            return matrix + _swap_defect(matrix, cells), cond
+
+        monkeypatch.setattr(bounded, "_assemble", skewed)
+        argv = ["spectrum", "--domain", "rectangle", "--bc", "lt", "--grid", "16"]
+        assert cli.main([*argv, "--out", str(tmp_path / "never")]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "swap symmetric" in err[0]
+        assert not (tmp_path / "never").exists()
+
+    def test_projected_decay_norms_match_dense_expm(self):
+        # the E pair's kernel part is projected out of both columns by P_E
+        gen = bounded.assemble_generator(*PARITY_CASES["free12"])
+        fit = bounded.decay_rate_experiment(gen, seed=5)
+        assert fit.projector_dimension == 7
+        a = gen.matrix
+        state = np.random.default_rng(5).standard_normal(gen.state_size)
+        state -= _dense_projector(a, bounded._eigenvalues(gen)[1]) @ state
+        step = sla.expm(a * (fit.times[1] - fit.times[0]))
+        norms = []
+        for _ in fit.times:
+            norms.append(np.linalg.norm(state))
+            state = step @ state
+        norms = np.array(norms)
+        assert (np.abs(fit.norms - norms) / norms).max() <= 1e-6

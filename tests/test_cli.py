@@ -1,6 +1,7 @@
 """Command dispatch, config handling, exit codes, reproducible artifacts."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -326,6 +327,17 @@ class TestExitCodes:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and repr(key) in err[0]
 
+    @pytest.mark.parametrize("bc, mu", [("free", "1.5"), ("lt", "1.5"), ("free", "1.0")])
+    def test_rectangle_mu_at_or_above_one_is_usage_error(self, bc, mu, tmp_path, monkeypatch,
+                                                        capsys):
+        out = tmp_path / "never"
+        argv = ["spectrum", "--domain", "rectangle", "--bc", bc, "--mu", mu, "--grid", "12",
+                "--out", str(out)]
+        assert run(argv, tmp_path, monkeypatch) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: mu must be below 1")
+        assert not out.exists()
+
     def test_numerical_error_maps_to_three(self, tmp_path, monkeypatch):
         def boom(state, t):
             raise NumericalError("synthetic instability")
@@ -527,6 +539,45 @@ class TestReproducibility:
             }
         assert len(outputs["1"]) == 4  # two states and energy.csv; sweep.csv
         assert outputs["1"] == outputs["2"]
+
+    def test_bounded_spectra_under_one_and_two_blas_threads(self, tmp_path):
+        # the free interval is byte-identical; on the damped square the ghost
+        # solve and the eigensolves round differently, so the eigenvalue rows
+        # agree per entry to 1e-13 max|lambda| and the JSON reals alike.
+        # decay on the damped square is left out: its fit moves 7.4e-3
+        # relative with the thread count, beyond any roundoff bound
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        runs = {"interval": ["spectrum", "--grid", "50"],
+                "square": ["spectrum", "--domain", "rectangle", "--bc", "lt", "--grid", "16"]}
+        script = ("import json, sys\nfrom thermoplate import cli\n"
+                  "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))")
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            env.pop(cli.ENV_PERTURB, None)
+            dirs = {name: tmp_path / threads / name for name in runs}
+            argvs = [[*argv, "--out", str(dirs[name])] for name, argv in runs.items()]
+            proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads] = {(name, p.name): p.read_bytes()
+                                for name, d in dirs.items() for p in d.iterdir()}
+        one, two = outputs["1"], outputs["2"]
+        for name in ("spectrum.csv", "spectrum.json"):
+            assert one["interval", name] == two["interval", name]
+        rows = [np.loadtxt(io.BytesIO(out["square", "spectrum.csv"]), delimiter=",",
+                           skiprows=1) for out in (one, two)]
+        top = np.hypot(*rows[0].T).max()
+        assert np.abs(rows[0] - rows[1]).max() <= 1e-13 * top
+        reps = [json.loads(out["square", "spectrum.json"]) for out in (one, two)]
+        for key in ("block_sizes", "kernel_dimension", "zero_cluster_count"):
+            assert reps[0][key] == reps[1][key]
+        for key in ("decay_margin", "max_real_part", "largest_modulus", "zero_tol"):
+            assert reps[0][key] == pytest.approx(reps[1][key], rel=0, abs=1e-13 * top)
+        for key in ("symmetry_residual", "swap_residual"):
+            assert 0.0 <= reps[1][key] <= bounded.SYMMETRY_TOL
+        assert reps[0]["ghost_condition"] == pytest.approx(reps[1]["ghost_condition"],
+                                                           rel=1e-12)
 
     @pytest.mark.parametrize(
         "argv",
