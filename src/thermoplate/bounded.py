@@ -57,6 +57,12 @@ singular values counted twice and one exponential carrying both E states),
 after checking each symmetry to SYMMETRY_TOL; the zero-cluster projector is
 formed and applied block by block as well, and the assembled matrix stays
 the dense oracle.
+
+scipy.linalg is imported inside kernel_and_projection and
+decay_rate_experiment, its only users: loading it takes about a quarter
+second that every other command would pay at start-up, and calling
+sla.schur and sla.expm through the module object keeps wrappers patched
+onto those attributes (tracers, tests) in effect.
 """
 
 from __future__ import annotations
@@ -67,7 +73,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .symbols import NumericalError
 
@@ -649,6 +654,8 @@ def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
     condition number of the block-diagonal W^T V, idempotency_residual
     max_c max|P_c^2 - P_c| / max(max_c max|P_c|, 1).
     """
+    import scipy.linalg as sla
+
     if zero_tol is None:
         zero_tol = _eigenvalues(gen)[1]
     blocks = gen.reflection_blocks
@@ -714,6 +721,8 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
     which carries both E states as one two-column product, and the stacked
     2-norm of the block states is the state norm.
     """
+    import scipy.linalg as sla
+
     if samples < 8:
         raise ValueError("need at least 8 samples for a stable fit")
     if horizon is not None and not 0.0 < horizon < np.inf:

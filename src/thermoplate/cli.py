@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
-import scipy
 
 from . import __version__, bounded, multipliers, symbols, torus
 
@@ -197,6 +196,8 @@ def _csv(header: str, rows) -> str:
 
 def _environment() -> dict:
     """The numerical environment: versions, BLAS build and thread variables."""
+    import scipy
+
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
+import scipy
 
 from thermoplate import bounded, cli, multipliers
 from thermoplate.symbols import NumericalError
@@ -395,6 +396,7 @@ class TestManifest:
         assert set(env["blas"]) == {"name", "version"}
         assert set(env["threads"]) == set(cli.THREAD_VARS)
         assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
         for name, digest in manifest["artifacts"].items():
             payload = (tmp_path / name).read_bytes()
             assert hashlib.sha256(payload).hexdigest() == digest
@@ -515,6 +517,33 @@ class TestOutputs:
         for cell in (c for row in rows for c in row.split(",")):
             assert "np." not in cell
             float(cell)
+
+
+class TestImports:
+    def test_only_decay_loads_scipy_linalg(self, tmp_path):
+        # importing the CLI loads no scipy; of these commands only decay,
+        # for its Schur forms and expm, pulls in scipy.linalg.  converge on
+        # 8,16,32 runs every solve and then fails its order check (exit 2)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = ("import json, sys\nfrom thermoplate import cli\n"
+                  "out, argvs = sys.argv[1], json.loads(sys.argv[2])\n"
+                  "seen = {'import': sorted(m for m in sys.modules\n"
+                  "                         if m == 'scipy' or m.startswith('scipy.'))}\n"
+                  "for i, argv in enumerate(argvs):\n"
+                  "    code = cli.main([*argv, '--out', f'{out}/{i}'])\n"
+                  "    seen[argv[0]] = [code, 'scipy.linalg' in sys.modules]\n"
+                  "print(json.dumps(seen))\n")
+        argvs = [["roots"], ["spectrum", "--grid", "20"], ["converge", "--grids", "8,16,32"],
+                 ["decay", "--grid", "20"]]
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop(cli.ENV_PERTURB, None)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        ok, check = cli.EXIT_OK, cli.EXIT_CHECK
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "import": [], "roots": [ok, False], "spectrum": [ok, False],
+            "converge": [check, False], "decay": [ok, True]}
 
 
 class TestReproducibility:

@@ -236,6 +236,14 @@ class TestSharedStencil:
         assert len(seen) == calls
         assert len({x.tobytes() for x in seen}) == calls
 
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_squared_norms_equal_numpy_sum(self, dim):
+        # the symbols' |xi|^2 must round exactly as np.sum(xi * xi, axis=-1),
+        # which the scan reports were computed with
+        rng = np.random.default_rng(dim)
+        xi = rng.standard_normal((500, dim)) * 10.0 ** rng.uniform(-3, 3, (500, dim))
+        assert np.array_equal(mp._squared_norms(xi), np.sum(xi * xi, axis=-1))
+
     def test_stencil_table(self):
         assert mp._stencil((2,)) == {(2,): 1.0, (0,): -2.0, (-2,): 1.0}
         assert mp._stencil((1, 1)) == {(1, 1): 1.0, (1, -1): -1.0, (-1, 1): -1.0,
