@@ -12,12 +12,22 @@ once per distinct stencil point, offsets in descending lexicographic order,
 the order of each multi-index's own leaves, so every sum is bit-identical to
 a separate pass per multi-index.  A pass is evidence over the sample, not a
 proof; report metadata says so.
+
+Scans of one sample share its grid: the flattened points, their norms and
+their difference steps are built once per distinct SectorSample and kept
+read-only.  Each scan has one workspace, a stencil-point buffer and a
+weighted-term buffer refilled at every offset, so its steady state allocates
+no per-point arrays of its own.  A symbol therefore receives read-only
+arguments: lambda is the shared grid and xi the point buffer, which the next
+offset overwrites.  It must not write to them or keep them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +48,9 @@ class SectorSample:
 
     lambda values are lambda0 + r*exp(i*f*theta) over all moduli r and arg
     fractions f; frequency vectors run over xi_moduli along each coordinate
-    axis and along the main diagonal.
+    axis and along the main diagonal.  A sample is a value: the axes are
+    stored as tuples of Python floats (a -0.0 as 0.0, so equal samples
+    sample the same points) and it hashes by them.
     """
 
     lambda0: float = 1.0
@@ -49,6 +61,15 @@ class SectorSample:
     dim: int = 2
 
     def __post_init__(self):
+        for name in ("lambda_moduli", "arg_fractions", "xi_moduli"):
+            axis = np.asarray(getattr(self, name), dtype=float)
+            if axis.ndim != 1:
+                raise ValueError(f"{name} must be a 1-D sequence, got shape {axis.shape}")
+            object.__setattr__(self, name, tuple((axis + 0.0).tolist()))
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+            raise ValueError(f"dimension must be an integer of at least 1, got {dim!r}")
+        object.__setattr__(self, "dim", int(dim))
         if not 0.0 <= self.lambda0 < math.inf:
             raise ValueError(f"sector shift must be finite and nonnegative, got {self.lambda0}")
         if not 0.0 < self.theta < math.pi:
@@ -59,8 +80,6 @@ class SectorSample:
             raise ValueError("sample moduli must be finite and positive")
         if not all(-1.0 < f < 1.0 for f in self.arg_fractions):
             raise ValueError("arg fractions must lie in (-1, 1)")
-        if not self.dim >= 1:
-            raise ValueError(f"dimension must be at least 1, got {self.dim}")
 
     def lambda_points(self) -> np.ndarray:
         r = np.asarray(self.lambda_moduli, dtype=float)
@@ -126,23 +145,53 @@ def _central_differences(symbol, xi, lam, alphas, h) -> list[np.ndarray]:
     Offsets are visited in descending lexicographic order, the order in which
     itertools.product yields one alpha's leaves, so each alpha's sum is formed
     in the same order as by a pass of its own.  Steps h are per point and per
-    coordinate, frozen from the base point.
+    coordinate, frozen from the base point.  The stencil points and the
+    weighted terms go through one buffer each, filled in the operand order of
+    xi + offset*h and weight*value, so no sum changes; the symbol sees the
+    point buffer read-only.  The point buffer is filled column by column,
+    which is fastest when xi and h are column-major as in the sample grid.
     """
     tables = [_stencil(alpha) for alpha in alphas]
     accs = [np.zeros(xi.shape[0], dtype=complex) for _ in alphas]
+    point = np.empty(xi.shape, order="F")
+    term = np.empty(xi.shape[0], dtype=complex)
     for offset in sorted(set().union(*tables), reverse=True):
-        point = xi + np.array(offset, dtype=float) * h
+        point.flags.writeable = True
+        for k, o in enumerate(offset):
+            np.multiply(float(o), h[:, k], out=point[:, k])
+            np.add(xi[:, k], point[:, k], out=point[:, k])
+        point.flags.writeable = False
         vals = np.asarray(symbol(point, lam), dtype=complex)
         if not np.all(np.isfinite(vals)):
             idx = int(np.argmin(np.isfinite(vals)))
             raise NumericalError(f"non-finite symbol value at xi={point[idx]}, lambda={lam[idx]}")
         for table, acc in zip(tables, accs):
             if offset in table:
-                acc += table[offset] * vals
+                acc += np.multiply(table[offset], vals, out=term)
     for alpha, acc in zip(alphas, accs):
         acc /= math.prod(((2.0 * h[:, k]) ** m for k, m in enumerate(alpha) if m),
                          start=np.ones(xi.shape[0]))
     return accs
+
+
+@functools.lru_cache(maxsize=1)
+def _sample_grid(sample: SectorSample) -> tuple[np.ndarray, ...]:
+    """The full tensor sample, flattened: XI, LAM, |XI| and the steps H, read-only.
+
+    XI and H are column-major, so each coordinate of a stencil point is one
+    contiguous pass.  One entry suffices: the CLI scans one sample at a time,
+    many symbols each.
+    """
+    xi = sample.xi_points()
+    lams = sample.lambda_points()
+    XI = np.repeat(xi, len(lams), axis=0)
+    LAM = np.tile(lams, len(xi))
+    norms = np.linalg.norm(XI, axis=1)
+    H = STEP_FACTOR * np.maximum(np.abs(XI), norms[:, None])
+    XI, H = np.asfortranarray(XI), np.asfortranarray(H)
+    for arr in (XI, LAM, norms, H):
+        arr.flags.writeable = False
+    return XI, LAM, norms, H
 
 
 def multiplier_order_scan(symbol, order_s: float, sample: SectorSample,
@@ -151,19 +200,16 @@ def multiplier_order_scan(symbol, order_s: float, sample: SectorSample,
     """Scan one symbol against the order-s derivative bounds.
 
     symbol must accept batched arguments: xi of shape (n, dim) and lam of
-    shape (n,), returning n complex values; it must be pure.
+    shape (n,), returning n complex values; it must be pure.  Both arguments
+    are read-only: lam is the sample grid shared by every scan of an equal
+    sample, and xi a buffer that the next stencil offset overwrites, so the
+    symbol must neither write to them nor keep them.
     """
     if max_alpha is None:
         max_alpha = sample.dim + 1
     if not 0 <= max_alpha <= 4:
         raise ValueError(f"max_alpha must lie in 0..4 (cost control above 4), got {max_alpha}")
-    xi = sample.xi_points()
-    lams = sample.lambda_points()
-    # full tensor sample, flattened
-    XI = np.repeat(xi, len(lams), axis=0)
-    LAM = np.tile(lams, len(xi))
-    norms = np.linalg.norm(XI, axis=1)
-    H = STEP_FACTOR * np.maximum(np.abs(XI), norms[:, None])
+    XI, LAM, norms, H = _sample_grid(sample)
     weight = (np.sqrt(np.abs(LAM)) + norms) ** order_s
     alphas = list(_multi_indices(sample.dim, max_alpha))
     records = []

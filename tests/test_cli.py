@@ -569,6 +569,29 @@ class TestReproducibility:
         assert len(outputs["1"]) == 4  # two states and energy.csv; sweep.csv
         assert outputs["1"] == outputs["2"]
 
+    def test_scan_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        # the scans are elementwise over the sample grid; only the symbol's
+        # roots go through LAPACK (a 3x3 eigvals), and no byte may move
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        runs = {"multscan": ["multscan", "--seed", "3"], "entries": ["entries", "--seed", "3"]}
+        script = ("import json, sys\nfrom thermoplate import cli\n"
+                  "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))")
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            env.pop(cli.ENV_PERTURB, None)
+            dirs = {name: tmp_path / threads / name for name in runs}
+            argvs = [[*argv, "--out", str(dirs[name])] for name, argv in runs.items()]
+            proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads] = {
+                (name, p.name): p.read_bytes()
+                for name, d in dirs.items() for p in d.iterdir() if p.name != "manifest.json"
+            }
+        assert sorted(outputs["1"]) == [("entries", "entries.json"), ("multscan", "multscan.json")]
+        assert outputs["1"] == outputs["2"]
+
     def test_bounded_spectra_under_one_and_two_blas_threads(self, tmp_path):
         # the free interval is byte-identical; on the damped square the ghost
         # solve and the eigensolves round differently, so the eigenvalue rows

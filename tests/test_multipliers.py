@@ -70,6 +70,39 @@ class TestSectorSample:
         with pytest.raises(ValueError):
             mp.SectorSample(**bad)
 
+    def test_axes_are_stored_as_float_tuples(self):
+        s = mp.SectorSample(lambda_moduli=np.array([1.0, 2.0]), xi_moduli=[1, 3],
+                            arg_fractions=np.array([-0.0, 0.5]), dim=np.int64(1))
+        for axis in (s.lambda_moduli, s.xi_moduli, s.arg_fractions):
+            assert type(axis) is tuple
+            assert all(type(v) is float for v in axis)
+        assert type(s.dim) is int
+        # -0.0 == 0.0, so equal samples must not sample different points
+        assert math.copysign(1.0, s.arg_fractions[0]) == 1.0
+        twin = mp.SectorSample(lambda_moduli=(1.0, 2.0), xi_moduli=(1.0, 3.0),
+                               arg_fractions=(0.0, 0.5), dim=1)
+        assert s == twin and hash(s) == hash(twin)
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, False, 0, -1, "2", None])
+    def test_rejects_non_integer_dim(self, dim):
+        with pytest.raises(ValueError, match="dimension"):
+            mp.SectorSample(dim=dim)
+
+    def test_rejects_axis_that_is_not_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            mp.SectorSample(xi_moduli=np.ones((2, 2)))
+        with pytest.raises(ValueError, match="1-D"):
+            mp.SectorSample(lambda_moduli=1.0)
+
+    def test_array_valued_sample_scans_equal_to_tuple_twin(self):
+        grid, fractions = np.logspace(-2.0, 2.0, 8), np.array([0.0, 0.5, -0.9])
+        arrays = mp.SectorSample(lambda_moduli=grid, xi_moduli=grid, arg_fractions=fractions)
+        twin = mp.SectorSample(lambda_moduli=tuple(grid), xi_moduli=tuple(grid),
+                               arg_fractions=tuple(fractions))
+        got = mp.multiplier_order_scan(mp.sym_sqrt_lam_xi_sq, 1.0, arrays).records
+        mp._sample_grid.cache_clear()
+        assert mp.multiplier_order_scan(mp.sym_sqrt_lam_xi_sq, 1.0, twin).records == got
+
 
 class TestExampleSuite:
     def test_all_positive_cases_pass(self, suite):
@@ -136,6 +169,22 @@ class TestScanMechanics:
 
         with pytest.raises(symbols.NumericalError, match=r"at xi=\[.*\], lambda=\("):
             mp.multiplier_order_scan(nan_symbol, 0.0, default_sample)
+
+    @pytest.mark.parametrize("arg", [0, 1], ids=["xi", "lambda"])
+    def test_symbol_must_not_write_its_arguments(self, arg, default_sample):
+        # lambda is the shared sample grid and xi the reused point buffer;
+        # both are read-only, so a writing symbol fails instead of
+        # corrupting the next scan
+        def writer(xi, lam):
+            (xi, lam)[arg][0] = 0.0
+            return mp.sym_one(xi, lam)
+
+        with pytest.raises(ValueError, match="read-only"):
+            mp.multiplier_order_scan(writer, 2.0, default_sample)
+        after = mp.multiplier_order_scan(mp.sym_sqrt_lam_xi_sq, 1.0, default_sample).records
+        mp._sample_grid.cache_clear()
+        fresh = mp.multiplier_order_scan(mp.sym_sqrt_lam_xi_sq, 1.0, default_sample).records
+        assert after == fresh
 
     def test_ceiling_marks_failure(self, default_sample):
         report = mp.multiplier_order_scan(mp.sym_xi_4, 4.0, default_sample)
@@ -206,13 +255,19 @@ def _reference_central_difference(symbol, xi, lam, alpha, h):
 STENCIL_CASES = [(2, 3, 25), (2, 4, 41), (2, 0, 1), (1, 2, 5), (1, 4, 9)]
 
 
+# every stock example symbol and one entry of each scaled resolvent symbol
+REFERENCE_SYMBOLS = [case[1] for case in mp.EXAMPLE_CASES] + [
+    mp.resolvent_entry_symbol(j, row, col) for j, row, col in ((0, 0, 1), (1, 2, 0), (2, 1, 2))]
+
+
 class TestSharedStencil:
-    @pytest.mark.parametrize("symbol", [mp.resolvent_entry_symbol(2, 1, 2),
-                                        mp.sym_sqrt_lam_xi_sq], ids=["m2_23", "sqrt"])
+    @pytest.mark.parametrize("symbol", REFERENCE_SYMBOLS, ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("dim,max_alpha", [c[:2] for c in STENCIL_CASES])
     def test_records_equal_per_alpha_reference(self, symbol, dim, max_alpha, monkeypatch):
         # visiting the offsets in descending lexicographic order forms every
-        # sum in the per-alpha leaf order, so the records agree bit for bit
+        # sum in the per-alpha leaf order, and the shared buffers keep each
+        # operation's operand order, so the records agree bit for bit with a
+        # pass that allocates every leaf afresh
         sample = mp.SectorSample(dim=dim)
         got = mp.multiplier_order_scan(symbol, 0.0, sample, max_alpha=max_alpha).records
 
@@ -249,6 +304,34 @@ class TestSharedStencil:
         assert mp._stencil((1, 1)) == {(1, 1): 1.0, (1, -1): -1.0, (-1, 1): -1.0,
                                        (-1, -1): 1.0}
         assert mp._stencil((0, 0)) == {(0, 0): 1.0}
+
+
+class TestSampleGrid:
+    def test_grid_is_read_only(self, default_sample):
+        for arr in mp._sample_grid(default_sample):
+            assert not arr.flags.writeable
+
+    def test_entry_scans_build_the_grid_once(self, monkeypatch):
+        calls = []
+        xi_points = mp.SectorSample.xi_points
+
+        def counting(sample):
+            calls.append(sample)
+            return xi_points(sample)
+
+        monkeypatch.setattr(mp.SectorSample, "xi_points", counting)
+        mp._sample_grid.cache_clear()
+        sample = mp.SectorSample(lambda_moduli=(0.5, 2.0), xi_moduli=(0.1, 1.0, 10.0))
+        assert len(mp.scaled_resolvent_entry_scans(1, sample)) == 9
+        assert calls == [sample]
+
+    def test_other_sample_between_scans_leaves_records_unchanged(self):
+        a = mp.SectorSample(lambda_moduli=(0.5, 2.0), xi_moduli=(0.1, 1.0, 10.0))
+        b = mp.SectorSample(lambda_moduli=(3.0,), xi_moduli=(0.2, 5.0), dim=1)
+        symbol = mp.resolvent_entry_symbol(1, 0, 2)
+        first = mp.multiplier_order_scan(symbol, 0.0, a).records
+        mp.multiplier_order_scan(symbol, 0.0, b)
+        assert mp.multiplier_order_scan(symbol, 0.0, a).records == first
 
 
 class TestResolventEntryScans:
