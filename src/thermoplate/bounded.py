@@ -26,37 +26,35 @@ v carries no boundary condition of its own.
 
 One assembly serves both domains; the interval is the rectangle code with no
 tangential axis.  The state is (u cells, v cells, theta cells), cells
-row-major.  Ghosts are numbered: along each axis and for each tangential
-position the u ghosts at normal indices -1, -2, M, M+1; then the four corner
-ghosts (-1,-1), (Mx,-1), (-1,My), (Mx,My); then along each axis and
-tangential position the theta ghosts at -1, M.  The ghost system has, per
-axis, per side (low, then high) and per tangential position, the rows (i),
-(ii), (iii), and the corner closures last.  Its solve gives the extension
-rows T: ghost g equals T[g] applied to the interior (u, theta) unknowns.  A
-stencil point adds its weight to one entry when it is a cell and weight
-times T[g] when it is ghost g.  These orders fix the floating-point
-accumulation, so the generator is reproducible bit for bit.
+row-major.  The u ghosts are the points up to two off a face and the four
+corners next to the box, the theta ghosts the points one off a face; with one
+equation per ghost ((i) on the first u layer, (ii) on the second, (iii) on
+theta, the closure on a corner) the ghost system gives the extension rows T:
+ghost g is T[g] applied to the interior (u, theta) unknowns.  A stencil point
+adds its weight to one entry when it is a cell and weight times T[g] when it
+is ghost g.  These (row, column, value) triplets come from index arithmetic
+over all cells at once and are summed by one bincount in emission order, only
+exact zeros dropped; no n x n matrix is formed (DiscreteGenerator.matrix is a
+dense oracle built on first use).  Given T the entries are bit for bit
+reproducible; up to 24^2 T is bit-identical under 1 and 2 OpenBLAS threads.
 
-Every generator commutes with the reflection x -> a + b - x along each axis:
-it maps the cell grid onto itself, the stencils are symmetric, the one-sided
-Lv rows are mirrored, and rows (i)-(iii) map to themselves (row (ii) and the
-feedback term change sign with the normal, so they give the same equation).
-In the orthonormal even/odd basis of the reflections, pairs
-(e_i +- e_{M-1-i}) / sqrt 2 per axis with the middle cell of an odd count in
-the even class only, the matrix is block diagonal: one block per parity
-class, 2 on an interval and 4 on a rectangle.  A square box on a square grid
-also commutes with the diagonal swap (x, y) -> (y, x), and the classes split
-by the dihedral group D4: (+,+) and (-,-) each into a swap-even half
-(diagonal cells and (x_ij + x_ji) / sqrt 2) and a swap-odd half
-((x_ij - x_ji) / sqrt 2), while the swap maps (+,-) onto (-,+), so that one
-block B_E of (+,-) serves both and counts twice.  Both splits are index
-folds of the assembled matrix; no basis is formed.  The spectrum, kernel,
-projection and decay computations run every eigensolve, SVD, Schur form and
-exponential on these blocks (five on a square, with B_E's eigenvalues and
-singular values counted twice and one exponential carrying both E states),
-after checking each symmetry to SYMMETRY_TOL; the zero-cluster projector is
-formed and applied block by block as well, and the assembled matrix stays
-the dense oracle.
+Every generator commutes with the reflection x -> a + b - x along each axis,
+ghost equations included once (ii) is oriented by the outward normal.  In the
+orthonormal even/odd basis of the reflections, pairs (e_i +- e_{M-1-i}) /
+sqrt 2 per axis with the middle cell of an odd count in the even class only,
+the matrix is block diagonal: one block per parity class, 2 on an interval
+and 4 on a rectangle.  A square box on a square grid also commutes with the
+diagonal swap (x, y) -> (y, x), and the classes split by the dihedral group
+D4: (+,+) and (-,-) each into a swap-even half (diagonal cells and
+(x_ij + x_ji) / sqrt 2) and a swap-odd half ((x_ij - x_ji) / sqrt 2), while
+the swap maps (+,-) onto (-,+), so that one block B_E of (+,-) serves both
+and counts twice.  Both splits are index folds: a parity block is one
+bincount of the entries over its class map, the swap folds the parity blocks
+one at a time, and the ghost system is solved and conditioned per parity
+class through the same maps.  Every eigensolve, SVD, Schur form, exponential
+and the zero-cluster projector run on these blocks (B_E's eigenvalues and
+singular values counted twice, one exponential carrying both E states), after
+a check of each symmetry to SYMMETRY_TOL.
 
 scipy.linalg is imported inside kernel_and_projection and
 decay_rate_experiment, its only users: loading it takes about a quarter
@@ -82,13 +80,15 @@ ZERO_TOL_FACTOR = 1e-6
 KERNEL_SV_FACTOR = 10.0
 PAIRING_CONDITION_LIMIT = 1e10
 IDEMPOTENCY_TOL = 1e-8
-MAX_DENSE_SIZE = 20000
+#: largest dense symmetry block, 3 ceil(Mx/2) ceil(My/2) unknowns (88^2 on a rectangle)
+MAX_DENSE_SIZE = 6000
 MIN_CELLS = 8
 #: largest max|A[J][:, J] - A| / max|A| over the box reflections J
 SYMMETRY_TOL = 1e-12
 #: real parts are rounded to this multiple of max|lambda| before sorting
 ORDER_QUANTUM = 1e-12
-SQRT_HALF = math.sqrt(0.5)
+#: 2^(-k/2), a product of k factors sqrt(1/2) rounded once
+HALF_POWERS = 0.5 ** (np.arange(5) / 2)
 
 
 class AssemblyError(ValueError):
@@ -163,10 +163,12 @@ def lt_variant(mu: float = 0.3, b: float = 1.0) -> BCVariant:
 
 @dataclass
 class DiscreteGenerator:
+    """A generator as its nonzero entries: (rows, columns, values), row-major."""
+
     domain: DomainSpec
     bc: BCVariant
     cells: tuple
-    matrix: np.ndarray
+    entries: tuple
     centers: tuple
     ghost_condition: float
 
@@ -177,6 +179,13 @@ class DiscreteGenerator:
     @property
     def state_size(self) -> int:
         return 3 * self.n_cells
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n oracle, formed from entries on first use; no kernel reads it."""
+        out = np.zeros((self.state_size, self.state_size))
+        out[self.entries[:2]] = self.entries[2]
+        return out
 
     def cell_mesh(self) -> tuple:
         """Raveled cell-center coordinate arrays, one per axis."""
@@ -194,14 +203,11 @@ class DiscreteGenerator:
 
     @functools.cached_property
     def reflection_blocks(self) -> ReflectionBlocks:
-        """The matrix split by the symmetries of the box, checked and built once.
-
-        The diagonal swap joins the reflections when the box and the grid
-        are both square.
-        """
+        """The entries split by the symmetries of the box, checked and built
+        once; the diagonal swap joins when the box and the grid are square."""
         square = (self.domain.dim == 2 and self.cells[0] == self.cells[1]
                   and len({b - a for a, b in self.domain.bounds}) == 1)
-        return _reflection_blocks(self.matrix, self.cells, square)
+        return _reflection_blocks(self.entries, self.cells, square)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +233,11 @@ def _grid_cells(domain: DomainSpec, grid_points) -> tuple:
         raise AssemblyError("grid_points do not match the domain dimension")
     if min(cells) < MIN_CELLS:
         raise AssemblyError(f"need at least {MIN_CELLS} cells per axis")
-    size = 3 * math.prod(cells)
-    if size > MAX_DENSE_SIZE:
-        raise AssemblyError(f"grid {'x'.join(map(str, cells))} gives state size {size}, "
-                            f"above the dense limit {MAX_DENSE_SIZE}")
+    block = 3 * math.prod((m + 1) // 2 for m in cells)
+    if block > MAX_DENSE_SIZE:
+        raise AssemblyError(f"grid {'x'.join(map(str, cells))}: largest symmetry block {block} "
+                            f"above the dense limit {MAX_DENSE_SIZE} "
+                            f"({2 * (MAX_DENSE_SIZE // 3)} cells on an interval)")
     return cells
 
 
@@ -241,147 +248,127 @@ def assemble_generator(domain: DomainSpec, grid_points, bc: BCVariant) -> Discre
     steps = tuple((b - a) / m for (a, b), m in zip(domain.bounds, cells))
     centers = tuple(a + (np.arange(m) + 0.5) * h
                     for (a, _), m, h in zip(domain.bounds, cells, steps))
-    matrix, cond = _assemble(cells, steps, bc)
-    if not np.all(np.isfinite(matrix)):
+    triplets, cond = _assemble(cells, steps, bc)
+    entries = _summed(*triplets, 3 * math.prod(cells))
+    if not np.all(np.isfinite(entries[2])):
         raise AssemblyError("non-finite entries after ghost elimination")
-    return DiscreteGenerator(domain, bc, cells, matrix, centers, cond)
+    return DiscreteGenerator(domain, bc, cells, entries, centers, cond)
 
 
-def _ghost_solve(Eg: np.ndarray, Ei: np.ndarray) -> tuple:
-    """Express ghost values as linear maps of interior unknowns."""
-    try:
-        T = np.linalg.solve(Eg, -Ei)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError(f"singular ghost-elimination system: {exc}") from exc
-    return T, float(np.linalg.cond(Eg))
-
-
-def _at(p: tuple, axis: int, k: int) -> tuple:
-    """The point with index k along axis and tangential position p."""
-    return p[:axis] + (k,) + p[axis:]
-
-
-def _shift(pt: tuple, axis: int, d: int) -> tuple:
-    return pt[:axis] + (pt[axis] + d,) + pt[axis + 1:]
-
-
-def _tangential(cells: tuple, axis: int):
-    return np.ndindex(*(cells[:axis] + cells[axis + 1:]))
+def _summed(rows, cols, values, width: int) -> tuple:
+    """Each (row, col) once, row-major: duplicates summed in order, exact zeros dropped."""
+    keys, where = np.unique(rows * width + cols, return_inverse=True)
+    values = np.bincount(where, values)
+    return keys[values != 0] // width, keys[values != 0] % width, values[values != 0]
 
 
 def _assemble(cells: tuple, steps: tuple, bc: BCVariant) -> tuple:
-    dim = len(cells)
-    M = int(np.prod(cells))
-    c = bc.coefficient
-    robin = bc.b if bc.damped else 0.0
-    # column of each (field, point), field 0 = u and 1 = theta: interior
-    # cells row-major, then the ghosts in the order of the module docstring
-    interior = list(np.ndindex(*cells))
-    col = {(f, pt): f * M + k for f in (0, 1) for k, pt in enumerate(interior)}
-    for a in range(dim):
-        for p in _tangential(cells, a):
-            for k in (-1, -2, cells[a], cells[a] + 1):
-                col[0, _at(p, a, k)] = len(col)
-    corners = []
-    if dim == 2:
-        # corner ghost, its two edge-ghost neighbours and the corner cell
-        Mx, My = cells
-        for gy, cy in ((-1, 0), (My, My - 1)):
-            for gx, cx in ((-1, 0), (Mx, Mx - 1)):
-                corners.append(((gx, gy), (gx, cy), (cx, gy), (cx, cy)))
-                col[0, (gx, gy)] = len(col)
-    for a in range(dim):
-        for p in _tangential(cells, a):
-            for k in (-1, cells[a]):
-                col[1, _at(p, a, k)] = len(col)
+    """The generator as unsummed (row, column, value) triplets, and the ghost condition."""
+    dim, M = len(cells), math.prod(cells)
+    c, robin, feedback = bc.coefficient, (bc.b if bc.damped else 0.0), 0.5 * bc.damped
+    # the grid padded by two layers, a flat index per point; columns: interior u,
+    # theta cells, then u, theta ghosts, row-major (no column: past every array)
+    ext = tuple(m + 4 for m in cells)
+    strides = np.array([math.prod(ext[a + 1:]) for a in range(dim)])
+    X = np.indices(ext).reshape(dim, -1) - 2
+    outside = ((X < 0) | (X >= np.array(cells)[:, None])).sum(axis=0)
+    first = (X == -1) | (X == np.array(cells)[:, None])
+    corner = (outside == 2) & first.all(axis=0)
+    ghost = np.stack([(outside == 1) | corner, (outside == 1) & first.any(axis=0)])
+    lookup = np.full((2, X.shape[1]), 2 * X.shape[1])
+    lookup[:, outside == 0] = np.arange(2 * M).reshape(2, M)
+    lookup[ghost] = 2 * M + np.arange(np.count_nonzero(ghost))
+    triplets = []
 
-    rows = []
+    def term(ghost_column, f, points, w):
+        triplets.append((ghost_column - 2 * M, lookup[f, points], np.full(len(points), w)))
 
-    def equation(*terms):
-        row = np.zeros(len(col))
-        for f, pt, w in terms:
-            row[col[f, pt]] += w
-        rows.append(row)
-
-    # rows (i), (ii), (iii) per face point, scaled by 2 h^2, h^3 and h to keep
-    # the ghost system O(1)-conditioned; (ii) is oriented along the axis and
-    # the damped variant moves nu (u + b theta) to its left side
+    # one equation per ghost, scaled by 2 h^2, h^3, h (O(1)-conditioned): (i) on the first u
+    # layer g1, (ii) on the second, oriented by the outward normal nu so that reflections map
+    # equations onto equations, (iii) on theta; at(k, d, t): k steps outward, then d along t
     for a, h in enumerate(steps):
-        tan = [(t, d, w, steps[t]) for t in range(dim) if t != a for d, w in LAP3]
-        for nu in (-1.0, 1.0):
-            first = 0 if nu < 0 else cells[a] - 1
-            for p in _tangential(cells, a):
-                c1, c0, g1, g2 = (_at(p, a, first + int(nu) * m) for m in (-1, 0, 1, 2))
-                equation(
-                    (0, c1, 1.0), (0, c0, -1.0), (0, g1, -1.0), (0, g2, 1.0),
-                    *((0, _shift(pt, t, d), c * w * (h * h) / (ht * ht))
-                      for t, d, w, ht in tan for pt in (c0, g1)),
-                    (1, c0, h * h), (1, g1, h * h))
-                feedback = [(f, pt, -nu * k * 0.5 * h ** 3) for pt in (c0, g1)
-                            for f, k in ((0, 1.0), (1, robin))] if bc.damped else []
-                equation(
-                    (0, c1, -nu), (0, c0, 3.0 * nu), (0, g1, -3.0 * nu), (0, g2, nu),
-                    *((0, _shift(pt, t, d), (2.0 - c) * sgn * w * (h * h) / (ht * ht))
-                      for pt, sgn in ((c0, -nu), (g1, nu)) for t, d, w, ht in tan),
-                    *feedback)
-                equation((1, g1, 1.0 + 0.5 * robin * h), (1, c0, -(1.0 - 0.5 * robin * h)))
-    for gc, e1, e2, cc in corners:
-        equation((0, gc, 1.0), (0, e1, -1.0), (0, e2, -1.0), (0, cc, 1.0))
-    E = np.array(rows)
-    T, cond = _ghost_solve(E[:, 2 * M:], E[:, :2 * M])
-
-    # the columns as an array over (field, point + 2), so that one stencil
-    # term is looked up for every cell at once; a point with no column
-    # indexes past the end of T
-    lookup = np.full((2, *(m + 4 for m in cells)), len(col))
-    for (f, pt), k in col.items():
-        lookup[(f, *(i + 2 for i in pt))] = k
+        for nu in (-1, 1):
+            g1 = np.flatnonzero((outside == 1) & (X[a] == (-1 if nu < 0 else cells[a])))
+            at = lambda k, d=0, t=a: g1 + nu * k * strides[a] + d * strides[t]
+            e1, e2, e3 = lookup[0, g1], lookup[0, at(1)], lookup[1, g1]
+            for k, w1, w2 in ((-2, 1.0, -1.0), (-1, -1.0, 3.0), (0, -1.0, -3.0), (1, 1.0, 1.0)):
+                term(e1, 0, at(k), w1)
+                term(e2, 0, at(k), w2)
+            for k, sgn in ((-1, -1.0), (0, 1.0)):
+                for t, (d, w) in itertools.product(set(range(dim)) - {a}, LAP3):
+                    w *= h * h / (steps[t] * steps[t])
+                    term(e1, 0, at(k, d, t), c * w)
+                    term(e2, 0, at(k, d, t), sgn * (2.0 - c) * w)
+                term(e1, 1, at(k), h * h)
+                term(e2, 0, at(k), -feedback * h ** 3)
+                term(e2, 1, at(k), -feedback * robin * h ** 3)
+            term(e3, 1, at(0), 1.0 + 0.5 * robin * h)
+            term(e3, 1, at(-1), -(1.0 - 0.5 * robin * h))
+    if dim == 2:
+        corners = np.flatnonzero(corner)
+        ix, iy = np.where(X[:, corners] < 0, 1, -1) * strides[:, None]
+        for shift, w in ((0, 1.0), (iy, -1.0), (ix, -1.0), (ix + iy, 1.0)):
+            term(lookup[0, corners], 0, corners + shift, w)
+    # equations fold by their ghosts' maps: solve and take singular values per class
+    er, ec, ev = (np.concatenate(z) for z in zip(*triplets))
     grid = np.indices(cells).reshape(dim, M)
-    rows = np.arange(M)
+    ghosts, touched, on = np.nonzero(ghost), np.unique(ec[ec < 2 * M]), ec >= 2 * M
+    (gr, gc, gv), (tr, tc, tv) = ((er[on], ec[on] - 2 * M, ev[on]),
+                                  (er[~on], np.searchsorted(touched, ec[~on]), ev[~on]))
+    T, top, low = np.zeros((len(ghosts[0]), len(touched))), 0.0, math.inf
+    for signs in itertools.product((1, -1), repeat=dim):
+        g, ng = _parity_map(ghosts[0], X[:, ghosts[1]], cells, signs)
+        t, nt = _parity_map(touched // M, grid[:, touched % M], cells, signs)
+        Eg = np.bincount(g[0][gr] * ng + g[0][gc], _coefficients(g, gr, g, gc) * gv, ng * ng)
+        Ei = np.bincount(g[0][tr] * nt + t[0][tc], _coefficients(g, tr, t, tc) * tv, ng * nt)
+        try:
+            Tc = np.linalg.solve(Eg.reshape(ng, ng), -Ei.reshape(ng, nt))
+        except np.linalg.LinAlgError as exc:
+            raise AssemblyError(f"singular ghost-elimination system: {exc}") from exc
+        sv = np.linalg.svdvals(Eg.reshape(ng, ng))
+        top, low = max(top, float(sv[0])), min(low, float(sv[-1]))
+        gi, ti = np.ix_(np.arange(len(g[0])), np.arange(len(t[0])))
+        T += _coefficients(g, gi, t, ti) * Tc[g[0][gi], t[0][ti]]
 
-    def add(dst, f, offset, w):
-        # each stencil term once over all cells, in the per-row order of the
-        # module docstring: an interior point feeds one entry, a ghost its row of T
-        k = lookup[(f, *(grid[a] + offset[a] + 2 for a in range(dim)))]
-        cell = k < 2 * M
-        dst[rows[cell], k[cell]] += w
-        dst[rows[~cell]] += w * T[k[~cell] - 2 * M]
+    # u' = v, v' = -(D4 + D2t)(u, theta), theta' = D2t(u, theta) + Lv v: a stencil
+    # point adds its weight to one entry when it is a cell and weight times T[g]
+    # to the touched columns of its row when it is ghost g
+    cell, points = np.arange(M), np.flatnonzero(outside == 0)
+    column = np.concatenate([cell, 2 * M + cell])
+    ghost_part = np.zeros((2, M, len(touched)))
+    triplets = [(cell, M + cell, np.ones(M))]
 
-    def axis_offset(a, d):
-        return tuple(d if t == a else 0 for t in range(dim))
+    def stencil(f, shift, w, parts):
+        k = lookup[f, points + shift]
+        on, off = k < 2 * M, k >= 2 * M
+        for part, sign in parts:
+            triplets.append(((1 + part) * M + cell[on], column[k[on]],
+                             np.full(on.sum(), sign * w)))
+            ghost_part[part, off] += (sign * w) * T[k[off] - 2 * M]
 
-    D4 = np.zeros((M, 2 * M))
-    D2t = np.zeros((M, 2 * M))
-    Lv = np.zeros((M, M))
     for d, w in BIHARM5:
         for a, h in enumerate(steps):
-            add(D4, 0, axis_offset(a, d), w / h ** 4)
+            stencil(0, d * strides[a], w / h ** 4, ((0, -1.0),))
     if dim == 2:
         hx, hy = steps
-        for dx, wx in LAP3:
-            for dy, wy in LAP3:
-                add(D4, 0, (dx, dy), 2.0 * wx * wy / (hx * hx * hy * hy))
+        for (dx, wx), (dy, wy) in itertools.product(LAP3, LAP3):
+            stencil(0, dx * strides[0] + dy * strides[1], 2.0 * wx * wy / (hx * hx * hy * hy),
+                    ((0, -1.0),))
     for d, w in LAP3:
         for a, h in enumerate(steps):
-            add(D2t, 1, axis_offset(a, d), w / h ** 2)
+            stencil(1, d * strides[a], w / h ** 2, ((0, -1.0), (1, 1.0)))
+    for part in (0, 1):
+        r, j = np.nonzero(ghost_part[part])
+        triplets.append(((1 + part) * M + r, column[touched[j]], ghost_part[part, r, j]))
     # v has no boundary condition: one-sided lap v on the first and last cell
     for a, h in enumerate(steps):
         stride = math.prod(cells[a + 1:])
-        first, last = grid[a] == 0, grid[a] == cells[a] - 1
-        for sel, stencil, sgn in ((~(first | last), LAP3, 1), (first, ONE_SIDED, 1),
-                                  (last, ONE_SIDED, -1)):
-            for d, w in stencil:
-                Lv[rows[sel], rows[sel] + sgn * d * stride] += w / h ** 2
-    return _block_generator(D4, D2t, Lv, M), cond
-
-
-def _block_generator(D4, D2t, Lv, M):
-    Z = np.zeros((M, M))
-    return np.block([
-        [Z, np.eye(M), Z],
-        [-D4[:, :M] - D2t[:, :M], Z, -D4[:, M:] - D2t[:, M:]],
-        [D2t[:, :M], Lv, D2t[:, M:]],
-    ])
+        lo, hi = grid[a] == 0, grid[a] == cells[a] - 1
+        for sel, lv, sgn in ((~(lo | hi), LAP3, 1), (lo, ONE_SIDED, 1), (hi, ONE_SIDED, -1)):
+            for d, w in lv:
+                triplets.append((2 * M + cell[sel], M + cell[sel] + sgn * d * stride,
+                                 np.full(sel.sum(), w / h ** 2)))
+    return tuple(np.concatenate(z) for z in zip(*triplets)), top / low
 
 
 def continuum_kernel_fields(gen: DiscreteGenerator) -> list:
@@ -416,50 +403,56 @@ def continuum_kernel_fields(gen: DiscreteGenerator) -> list:
 # ---------------------------------------------------------------------------
 # reflection-parity blocks
 
-def _fold(T: np.ndarray, axis: int, sign: int) -> np.ndarray:
-    """C^T along one cell axis: (x_i + sign x_{M-1-i}) / sqrt 2 over mirrored pairs.
+def _half(cells: tuple, signs: tuple) -> tuple:
+    """Half-grid extents of a parity class; the middle cell of an odd count is even."""
+    return tuple((m + (s > 0)) // 2 for m, s in zip(cells, signs))
 
-    With an odd count M the middle cell joins the even class unchanged.
+
+def _parity_map(fields, X, cells: tuple, signs: tuple) -> tuple:
+    """((coordinate, sign, number of sqrt(1/2) factors), number of coordinates)
+    of each (field, point) in parity class signs; X (a row per axis) may reach
+    into the ghost layers.  x and m - 1 - x fold onto min(x, m - 1 - x), the sign
+    on the far side, an odd m's middle cell even only; ranks are row-major.
     """
-    T = np.moveaxis(T, axis, 0)
-    h = len(T) // 2
-    out = (np.add if sign > 0 else np.subtract)(T[:h], T[::-1][:h])
-    out *= SQRT_HALF
-    if len(T) % 2 and sign > 0:
-        out = np.concatenate([out, T[h:h + 1]])
-    return np.moveaxis(out, 0, axis)
+    key, sign, pairs = np.array(fields), np.ones(len(fields)), 0
+    for x, m, s in zip(X, cells, signs):
+        far, middle = 2 * x > m - 1, 2 * x == m - 1
+        key = key * (m + 4) + np.where(far, m - 1 - x, x) + 2
+        sign = sign * np.where(far, s, 1) * (~middle | (s > 0))
+        pairs = pairs + ~middle
+    index = np.zeros(len(key), dtype=np.intp)
+    kept, index[sign != 0] = np.unique(key[sign != 0], return_inverse=True)
+    return (index, sign, pairs), len(kept)
 
 
-def _parity_classes(T: np.ndarray, dim: int, starts: tuple) -> dict:
-    """T folded into each parity class (a sign tuple, +1 first) on every
-    group of dim cell axes that begins at one of starts."""
-    out = {}
-    for signs in itertools.product((1, -1), repeat=dim):
-        F = T
-        for a, sign in enumerate(signs):
-            for start in starts:
-                F = _fold(F, start + a, sign)
-        out[signs] = F
+def _coefficients(a: tuple, i, b: tuple, j) -> np.ndarray:
+    """C_c coefficient products of entries i of map a and j of map b (exact when even)."""
+    return a[1][i] * b[1][j] * HALF_POWERS[a[2][i] + b[2][j]]
+
+
+def _class_block(entries: tuple, fold: tuple) -> np.ndarray:
+    """C_c^T A C_c by one bincount of A's entries over the class map."""
+    rows, cols, values = entries
+    n = int(fold[0].max()) + 1
+    flat = fold[0][rows] * n + fold[0][cols]
+    return np.bincount(flat, _coefficients(fold, rows, fold, cols) * values, n * n).reshape(n, n)
+
+
+def _swap_fold(B: np.ndarray, k: int, sign: int) -> np.ndarray:
+    """The diagonal swap's fold of a (3, k, k) half-grid along every axis of B:
+    over the pairs i <= j (sign +1) or i < j (sign -1), row-major per field,
+    (x_ij + sign x_ji) / sqrt 2, and x_ii itself on the diagonal."""
+    i, j = np.triu_indices(k, 0 if sign > 0 else 1)
+    ij, ji = (((np.arange(3)[:, None] * k + p) * k + q).ravel() for p, q in ((i, j), (j, i)))
+    factor = np.tile(np.where(i == j, 0.5, HALF_POWERS[1]), 3)
+    add = np.add if sign > 0 else np.subtract
+    if B.ndim == 1:
+        return add(B[ij], B[ji]) * factor
+    out = np.empty((len(ij), len(ij)))
+    for r in range(0, len(ij), 64):  # row slabs keep the temporaries in cache
+        rows = add(B[ij[r:r + 64]], B[ji[r:r + 64]]) * factor[r:r + 64, None]
+        out[r:r + 64] = add(rows[:, ij], rows[:, ji]) * factor
     return out
-
-
-def _swap_fold(T: np.ndarray, axis: int, sign: int) -> np.ndarray:
-    """The diagonal swap's fold of the k x k half-grid on axes axis, axis + 1.
-
-    Over the pairs i <= j (sign +1) or i < j (sign -1), row-major, the one
-    axis that replaces the two holds (x_ij + sign x_ji) / sqrt 2, and x_ii
-    itself on the diagonal.
-    """
-    T = np.moveaxis(T, (axis, axis + 1), (0, 1))
-    i, j = np.triu_indices(len(T), 0 if sign > 0 else 1)
-    out = (np.add if sign > 0 else np.subtract)(T[i, j], T[j, i])
-    out *= np.where(i == j, 0.5, SQRT_HALF).reshape(-1, *(1,) * (out.ndim - 1))
-    return np.moveaxis(out, 0, axis)
-
-
-def _as_matrix(T: np.ndarray, row_axes: int) -> np.ndarray:
-    """T as a contiguous matrix whose rows are its first row_axes axes."""
-    return np.ascontiguousarray(T.reshape(math.prod(T.shape[:row_axes]), -1))
 
 
 @dataclass(frozen=True)
@@ -467,12 +460,10 @@ class ReflectionBlocks:
     """The generator in the orthonormal symmetry basis of the box.
 
     The classes are the reflection parities, one sign per axis and +1 first;
-    C_c maps class coordinates (field, half-grid cells row-major) to the
-    state, and blocks[c] = C_c^T A C_c.  On a square box with a square grid
-    (swap_residual not None) the diagonal swap splits further: (+,+) and
-    (-,-) each into a swap-even and a swap-odd block, and the swap maps
-    (+,-) onto (-,+), so the last block, B_E of (+,-), serves both (counts
-    2).  residual and swap_residual are the checked symmetry defects.
+    C_c maps class coordinates (field, half-grid cells row-major) to the state,
+    blocks[c] = C_c^T A C_c, and maps[signs] is the state's _parity_map.  On a
+    square box and grid (swap_residual not None) (+,+), (-,-) split into
+    swap-even and swap-odd blocks, and the last, B_E of (+,-), serves (-,+) too.
     """
 
     cells: tuple
@@ -480,64 +471,73 @@ class ReflectionBlocks:
     counts: tuple
     residual: float
     swap_residual: float | None
+    maps: dict
 
     @property
     def sizes(self) -> tuple:
         return tuple(B.shape[0] for B in self.blocks)
 
     def restrict(self, x: np.ndarray) -> list:
-        """C_c^T x per block; the E block's is the (+,-), (-,+) column pair.
-
-        The (-,+) column is handed over in (+,-) coordinates, where B_E acts
-        on it.
-        """
-        parity = _parity_classes(x.reshape(3, *self.cells), len(self.cells), (1,))
+        """C_c^T x per block; the E block's is the (+,-), (-,+) column pair, the
+        (-,+) column in (+,-) coordinates, where B_E acts on it."""
+        parity = {signs: np.bincount(index, sign * HALF_POWERS[pairs] * x)
+                  .reshape(3, *_half(self.cells, signs))
+                  for signs, (index, sign, pairs) in self.maps.items()}
         if self.swap_residual is None:
-            return [T.ravel() for T in parity.values()]
-        out = [_swap_fold(parity[signs], 1, swap).ravel()
+            return [y.ravel() for y in parity.values()]
+        out = [_swap_fold(parity[signs].ravel(), parity[signs].shape[1], swap)
                for signs in ((1, 1), (-1, -1)) for swap in (1, -1)]
-        out.append(np.column_stack([parity[1, -1].ravel(),
-                                    np.swapaxes(parity[-1, 1], 1, 2).ravel()]))
-        return out
+        return out + [np.column_stack([parity[1, -1].ravel(),
+                                       np.swapaxes(parity[-1, 1], 1, 2).ravel()])]
 
 
-def _reflection_blocks(matrix: np.ndarray, cells: tuple, square: bool) -> ReflectionBlocks:
-    """Check that A commutes with every axis reflection J, then form the blocks.
+def _reflection_blocks(entries: tuple, cells: tuple, square: bool) -> ReflectionBlocks:
+    """Check that A (its summed triplets) commutes with every axis reflection J,
+    then form the blocks.
 
     A residual max|A[J][:, J] - A| / max|A| above SYMMETRY_TOL raises
-    NumericalError, since the blocks drop every coupling between classes.
-    On a square box and grid the swap P is checked on the parity blocks,
-    max|B[P][:, P] - B| on (+,+), (-,-) and max|B_{+-}[P][:, P] - B_{-+}| on
-    the E pair, scaled the same way.
+    NumericalError, since the blocks drop every coupling between classes.  On a
+    square box and grid the swap P is checked on each dense parity block in
+    turn, max|B[P][:, P] - B| on (+,+), (-,-), max|B_{+-}[P][:, P] - B_{-+}| on E.
     """
-    dim = len(cells)
-    A = matrix.reshape((3, *cells) * 2)
-    scale = max(float(matrix.max()), -float(matrix.min()))
-    residual = 0.0
-    for a in range(dim):
-        # the defect is odd under J, so the rows of one half bound it
-        half = (slice(None),) * (1 + a) + (slice(0, (cells[a] + 1) // 2),)
-        defect = np.flip(A, (1 + a, 2 + dim + a))[half] - A[half]
-        residual = max(residual, float(np.abs(defect, out=defect).max()))
-    residual /= scale
+    (rows, cols, values), n = entries, 3 * math.prod(cells)
+    keys, scale, residual = rows * n + cols, float(np.abs(values).max()), 0.0
+    for a in range(len(cells)):
+        J = np.flip(np.arange(n).reshape(3, *cells), 1 + a).ravel()
+        image = J[rows] * n + J[cols]
+        at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
+        mirror = np.where(keys[at] == image, values[at], 0.0)
+        residual = max(residual, float(np.abs(mirror - values).max()) / scale)
     if not residual <= SYMMETRY_TOL:
         raise NumericalError(f"generator is not reflection symmetric (residual "
                              f"{residual:.3e} above {SYMMETRY_TOL:g})")
-    parity = _parity_classes(A, dim, (1, 2 + dim))
+    grid, fields = np.indices(cells).reshape(len(cells), -1), np.repeat(np.arange(3), n // 3)
+    maps = {signs: _parity_map(fields, np.tile(grid, 3), cells, signs)[0]
+            for signs in itertools.product((1, -1), repeat=len(cells))}
     if not square:
-        blocks = tuple(_as_matrix(T, 1 + dim) for T in parity.values())
-        return ReflectionBlocks(cells, blocks, (1,) * len(blocks), residual, None)
-    # P transposes the half-grid of the rows and that of the columns
-    swapped = (((1, 1), (1, 1)), ((-1, -1), (-1, -1)), ((1, -1), (-1, 1)))
-    swap_residual = max(float(np.abs(parity[s].transpose(0, 2, 1, 3, 5, 4) - parity[t]).max())
-                        for s, t in swapped) / scale
+        return ReflectionBlocks(cells, tuple(_class_block(entries, m) for m in maps.values()),
+                                (1,) * len(maps), residual, None, maps)
+
+    def swap_defect(B, C, signs):
+        # max|B[P][:, P] - C| / max|A|, P transposing the (3, kx, ky) half-grid
+        half = (3, *_half(cells, signs))
+        p = np.arange(len(B)).reshape(half).transpose(0, 2, 1).ravel()
+        return max(float(np.abs(B[p[r:r + 64]].reshape(-1, *half).transpose(0, 1, 3, 2)
+                                - C[r:r + 64].reshape(-1, 3, half[2], half[1])).max())
+                   for r in range(0, len(p), 64)) / scale
+
+    blocks, swap_residual = [], 0.0
+    for signs in ((1, 1), (-1, -1)):
+        B = _class_block(entries, maps[signs])
+        swap_residual = max(swap_residual, swap_defect(B, B, signs))
+        blocks += [_swap_fold(B, _half(cells, signs)[0], swap) for swap in (1, -1)]
+        del B
+    E = _class_block(entries, maps[1, -1])
+    swap_residual = max(swap_residual, swap_defect(E, _class_block(entries, maps[-1, 1]), (1, -1)))
     if not swap_residual <= SYMMETRY_TOL:
         raise NumericalError(f"generator is not swap symmetric (residual "
                              f"{swap_residual:.3e} above {SYMMETRY_TOL:g})")
-    blocks = tuple(_as_matrix(_swap_fold(_swap_fold(parity[signs], 4, swap), 1, swap), 2)
-                   for signs in ((1, 1), (-1, -1)) for swap in (1, -1))
-    return ReflectionBlocks(cells, blocks + (_as_matrix(parity[1, -1], 3),),
-                            (1, 1, 1, 1, 2), residual, swap_residual)
+    return ReflectionBlocks(cells, (*blocks, E), (1, 1, 1, 1, 2), residual, swap_residual, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def random_state(grid: TorusGrid, rng) -> StateField:
     fields = []
     for _ in range(3):
         coeff = np.fft.fftn(rng.standard_normal(grid.shape), norm="ortho")
-        fields.append(np.fft.ifftn(coeff * damp, norm="ortho").real)
+        fields.append(np.fft.ifftn(coeff * damp, norm="ortho").real.copy())
     return StateField(grid, *fields)
 
 

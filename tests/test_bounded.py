@@ -1,7 +1,10 @@
 """Discrete generators on intervals and rectangles: spectra, kernels, decay."""
 
 import dataclasses
+import functools
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -51,7 +54,10 @@ class TestValidation:
             raise AssertionError("assembled a grid above the dense limit")
 
         monkeypatch.setattr(bounded, "_assemble", refuse)
-        cells = bounded.MAX_DENSE_SIZE // 3 + 1
+        # the bound is on the largest symmetry block, 3 ceil(M/2) on an interval
+        cells = 2 * (bounded.MAX_DENSE_SIZE // 3) + 1
+        assert bounded._grid_cells(bounded.interval(), cells - 1) == (cells - 1,)
+        assert bounded._grid_cells(bounded.rectangle(), 64) == (64, 64)
         with pytest.raises(bounded.AssemblyError, match="dense limit"):
             bounded.assemble_generator(bounded.interval(), cells, bounded.free_beta())
         with pytest.raises(bounded.AssemblyError, match="dense limit"):
@@ -349,7 +355,11 @@ def _report_order(ev):
     return ev[np.lexsort((-ev.imag, -np.round(ev.real / (bounded.ORDER_QUANTUM * top))))]
 
 
-def _dense_projector(a, zero_tol):
+def _dense_projector(a, zero_tol, d=None):
+    # with d, the projector of diag(d) a diag(d)^-1, mapped back: the same
+    # projector, computed where the Schur form is better conditioned
+    if d is not None:
+        return _dense_projector(a * d[:, None] / d, zero_tol) / d[:, None] * d
     keep = lambda x, y: np.hypot(x, y) <= zero_tol
     _, zr, d = sla.schur(a, output="real", sort=keep)
     _, zl, _ = sla.schur(a.T, output="real", sort=keep)
@@ -357,13 +367,25 @@ def _dense_projector(a, zero_tol):
     return v @ np.linalg.solve(w.T @ v, w.T)
 
 
-def _swap_defect(matrix, cells):
-    """1e-8 max|A| times a diagonal even in x and constant in y.
+def _u_scaling(gen):
+    """diag(h^-2 on u, 1 on v and theta) on a unit box: a similarity that keeps
+    dense LAPACK oracles at roundoff on the h^-4-scaled generators."""
+    return np.repeat([gen.cells[0] ** 2, 1.0, 1.0], gen.n_cells).astype(float)
+
+
+def _appended(triplets, rows, cols, values):
+    """(row, col, value) triplets with more triplets after them."""
+    return tuple(np.concatenate(z) for z in zip(triplets, (rows, cols, values)))
+
+
+def _swap_defect(values, cells):
+    """1e-8 max|A| times a diagonal even in x and constant in y, as triplets.
 
     It commutes with both reflections but not with the diagonal swap.
     """
     x = (np.arange(cells[0]) - 0.5 * (cells[0] - 1)) ** 2
-    return 1e-8 * np.abs(matrix).max() * np.diag(np.tile(np.repeat(x, cells[1]), 3))
+    diag = np.arange(3 * math.prod(cells))
+    return diag, diag, 1e-8 * np.abs(values).max() * np.tile(np.repeat(x, cells[1]), 3)
 
 
 def _restrict_columns(blocks, m):
@@ -380,9 +402,9 @@ def _per_class(blocks, mats):
     return [m for m, k in zip(mats, blocks.counts, strict=True) for _ in range(k)]
 
 
-def _restricted_dense_projector(gen):
+def _restricted_dense_projector(gen, d=None):
     """Q P Q^T for the dense Schur projector P: restrict its columns, then its rows."""
-    dense = _dense_projector(gen.matrix, bounded._eigenvalues(gen)[1])
+    dense = _dense_projector(gen.matrix, bounded._eigenvalues(gen)[1], d)
     blocks = gen.reflection_blocks
     return dense, _restrict_columns(blocks, _restrict_columns(blocks, dense).T).T
 
@@ -446,7 +468,9 @@ class TestReflectionBlocks:
         # off-diagonal class pairs of the restricted dense one must vanish
         gen = bounded.assemble_generator(*PARITY_CASES[case])
         proj = bounded.kernel_and_projection(gen)
-        dense, restricted = _restricted_dense_projector(gen)
+        # the dense oracle scales u by h^-2, where its own error (measured
+        # against a contour-integral projector) stays below the block path's
+        dense, restricted = _restricted_dense_projector(gen, _u_scaling(gen))
         scale = max(np.linalg.norm(dense, 2), 1.0)
         diff = restricted - sla.block_diag(*_per_class(gen.reflection_blocks, proj.projectors))
         assert np.linalg.norm(diff, 2) <= 1e-8 * scale
@@ -493,9 +517,9 @@ class TestReflectionBlocks:
 
     def test_asymmetric_perturbation_is_rejected(self):
         gen = bounded.assemble_generator(*PARITY_CASES["damped16"])
-        a = gen.matrix.copy()
-        a[0, 1] += 1e-8 * np.abs(a).max()
-        bad = dataclasses.replace(gen, matrix=a)
+        skew = 1e-8 * np.abs(gen.entries[2]).max()
+        entries = bounded._summed(*_appended(gen.entries, [0], [1], [skew]), gen.state_size)
+        bad = dataclasses.replace(gen, entries=entries)
         for run in (bounded.spectrum, bounded.decay_rate_experiment,
                     bounded.kernel_and_projection):
             with pytest.raises(bounded.NumericalError, match="reflection symmetric"):
@@ -504,10 +528,10 @@ class TestReflectionBlocks:
     def test_asymmetric_generator_exits_3(self, tmp_path, monkeypatch, capsys):
         assemble = bounded._assemble
 
-        def skewed(*args):
-            matrix, cond = assemble(*args)
-            matrix[0, 1] += 1e-8 * np.abs(matrix).max()
-            return matrix, cond
+        def skewed(cells, *rest):
+            triplets, cond = assemble(cells, *rest)
+            top = np.abs(bounded._summed(*triplets, 3 * math.prod(cells))[2]).max()
+            return _appended(triplets, [0], [1], [1e-8 * top]), cond
 
         monkeypatch.setattr(bounded, "_assemble", skewed)
         rc = cli.main(["spectrum", "--grid", "16", "--out", str(tmp_path)])
@@ -589,9 +613,11 @@ class TestDihedralBlocks:
         gen = bounded.assemble_generator(*D4_CASES[case])
         assert gen.reflection_blocks.counts == (1, 1, 1, 1, 2)
         ev, zero_tol = bounded._eigenvalues(gen)
-        parity = bounded._reflection_blocks(gen.matrix, gen.cells, False)
+        parity = bounded._reflection_blocks(gen.entries, gen.cells, False)
         assert parity.counts == (1, 1, 1, 1) and parity.swap_residual is None
-        for oracle in (np.linalg.eigvals(gen.matrix),
+        # the dense oracle scales u by h^-2, the same similarity as below
+        d = _u_scaling(gen)
+        for oracle in (np.linalg.eigvals(gen.matrix * d[:, None] / d),
                        np.concatenate([np.linalg.eigvals(b) for b in parity.blocks])):
             oracle = _report_order(oracle)
             off = np.abs(oracle) > zero_tol
@@ -602,7 +628,7 @@ class TestDihedralBlocks:
         # B_{-+} is B_{+-} with both half-grids transposed
         gen = bounded.assemble_generator(*PARITY_CASES["damped9"])
         blocks = gen.reflection_blocks
-        parity = bounded._reflection_blocks(gen.matrix, gen.cells, False)
+        parity = bounded._reflection_blocks(gen.entries, gen.cells, False)
         assert blocks.sizes == (45, 30, 30, 18, 60)
         assert blocks.swap_residual <= bounded.SYMMETRY_TOL
         pm, mp = parity.blocks[1], parity.blocks[2]
@@ -615,7 +641,7 @@ class TestDihedralBlocks:
     def test_non_square_keeps_the_parity_blocks(self, case):
         gen = bounded.assemble_generator(*PARITY_CASES[case])
         blocks = gen.reflection_blocks
-        parity = bounded._reflection_blocks(gen.matrix, gen.cells, False)
+        parity = bounded._reflection_blocks(gen.entries, gen.cells, False)
         assert blocks.swap_residual is None and blocks.counts == (1, 1, 1, 1)
         for a, b in zip(blocks.blocks, parity.blocks, strict=True):
             assert np.array_equal(a, b)
@@ -623,9 +649,11 @@ class TestDihedralBlocks:
 
     def test_swap_breaking_perturbation_is_rejected(self):
         gen = bounded.assemble_generator(*PARITY_CASES["damped16"])
-        bad = dataclasses.replace(gen, matrix=gen.matrix + _swap_defect(gen.matrix, gen.cells))
+        defect = _swap_defect(gen.entries[2], gen.cells)
+        entries = bounded._summed(*_appended(gen.entries, *defect), gen.state_size)
+        bad = dataclasses.replace(gen, entries=entries)
         # both reflections still hold
-        assert bounded._reflection_blocks(bad.matrix, bad.cells, False).residual <= 1e-15
+        assert bounded._reflection_blocks(bad.entries, bad.cells, False).residual <= 1e-15
         for run in (bounded.spectrum, bounded.decay_rate_experiment,
                     bounded.kernel_and_projection):
             with pytest.raises(bounded.NumericalError, match="swap symmetric"):
@@ -635,8 +663,9 @@ class TestDihedralBlocks:
         assemble = bounded._assemble
 
         def skewed(cells, *rest):
-            matrix, cond = assemble(cells, *rest)
-            return matrix + _swap_defect(matrix, cells), cond
+            triplets, cond = assemble(cells, *rest)
+            values = bounded._summed(*triplets, 3 * math.prod(cells))[2]
+            return _appended(triplets, *_swap_defect(values, cells)), cond
 
         monkeypatch.setattr(bounded, "_assemble", skewed)
         argv = ["spectrum", "--domain", "rectangle", "--bc", "lt", "--grid", "16"]
@@ -660,3 +689,65 @@ class TestDihedralBlocks:
             state = step @ state
         norms = np.array(norms)
         assert (np.abs(fit.norms - norms) / norms).max() <= 1e-6
+
+
+def _parity_basis(cells, signs):
+    """C_c of a parity class from its definition: (x_i + s x_{M-1-i}) / sqrt 2 per
+    axis, the middle cell of an odd count alone in the even class; columns
+    (field, half-grid cells row-major)."""
+    axes = []
+    for m, s in zip(cells, signs):
+        fold = np.zeros((m, (m + (s > 0)) // 2))
+        for i in range(fold.shape[1]):
+            if 2 * i == m - 1:
+                fold[i, i] = 1.0
+            else:
+                fold[i, i], fold[m - 1 - i, i] = math.sqrt(0.5), s * math.sqrt(0.5)
+        axes.append(fold)
+    return np.kron(np.eye(3), functools.reduce(np.kron, axes))
+
+
+def _swap_basis(k, sign):
+    """The swap fold of a (3, k, k) half-grid from its definition: x_ii, and
+    (x_ij + sign x_ji) / sqrt 2 over i < j."""
+    pairs = [(i, j) for i in range(k) for j in range(i if sign > 0 else i + 1, k)]
+    fold = np.zeros((k * k, len(pairs)))
+    for col, (i, j) in enumerate(pairs):
+        if i == j:
+            fold[i * k + i, col] = 1.0
+        else:
+            fold[i * k + j, col], fold[j * k + i, col] = math.sqrt(0.5), sign * math.sqrt(0.5)
+    return np.kron(np.eye(3), fold)
+
+
+class TestClassMaps:
+    """The bincount folds against C_c built densely from its definition."""
+
+    @pytest.mark.parametrize("case", list({**PARITY_CASES, **D4_CASES}))
+    def test_blocks_and_restrict_follow_the_definition(self, case):
+        gen = bounded.assemble_generator(*{**PARITY_CASES, **D4_CASES}[case])
+        rows, cols, values = gen.entries
+        # summed: no explicit zero, and every (row, col) once, row-major
+        assert np.all(values != 0)
+        assert np.all(np.diff(rows * gen.state_size + cols) > 0)
+        blocks = gen.reflection_blocks
+        signs = list(itertools.product((1, -1), repeat=gen.domain.dim))
+        parity = {s: _parity_basis(gen.cells, s) for s in signs}
+        if blocks.swap_residual is None:
+            bases = [parity[s] for s in signs]
+        else:
+            bases = [parity[s] @ _swap_basis((gen.cells[0] + (s[0] > 0)) // 2, swap)
+                     for s in ((1, 1), (-1, -1)) for swap in (1, -1)] + [parity[1, -1]]
+        a = gen.matrix
+        for b, c in zip(blocks.blocks, bases, strict=True):
+            assert np.abs(b - c.T @ a @ c).max() <= 1e-14 * np.abs(values).max()
+        x = np.random.default_rng(7).standard_normal(gen.state_size)
+        for y, c in zip(blocks.restrict(x), bases, strict=True):
+            expected = c.T @ x
+            if y.ndim == 2:
+                # the (-,+) column in (+,-) coordinates
+                mp = parity[-1, 1].T @ x
+                half = ((gen.cells[0] + 1) // 2, gen.cells[0] // 2)
+                expected = np.column_stack(
+                    [expected, mp.reshape(3, half[1], half[0]).swapaxes(1, 2).ravel()])
+            assert np.abs(y - expected).max() <= 1e-14 * np.abs(x).max()

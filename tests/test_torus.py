@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from thermoplate import torus
+from thermoplate import bounded, torus
 from thermoplate.symbols import (BLOCK, GAMMAS, ROOTS, NumericalError, SingularParameterError,
                                  _scaled_resolvent_from_s, symbol_matrix)
 
@@ -509,6 +509,12 @@ class TestWorkingSet:
         st = bump_state(torus.TorusGrid((16, 16), (TWO_PI, TWO_PI)))
         peak = traced_peak(lambda: torus.laplace_transform_error(st, 2.0, steps=2048))
         assert peak <= 4 * 2 ** 20
+
+    def test_bounded_blocks_peak_at_64(self):
+        # the damped rectangle at 64^2 (n = 12288), whose dense generator alone
+        # would take 1.2 GB: assembly and the five blocks stay block-first
+        gen = lambda: bounded.assemble_generator(bounded.rectangle(), 64, bounded.lt_variant())
+        assert traced_peak(lambda: gen().reflection_blocks) <= 300 * 2 ** 20
 
 
 class TestSerialization:
