@@ -48,13 +48,14 @@ diagonal swap (x, y) -> (y, x), and the classes split by the dihedral group
 D4: (+,+) and (-,-) each into a swap-even half (diagonal cells and
 (x_ij + x_ji) / sqrt 2) and a swap-odd half ((x_ij - x_ji) / sqrt 2), while
 the swap maps (+,-) onto (-,+), so that one block B_E of (+,-) serves both
-and counts twice.  Both splits are index folds: a parity block is one
-bincount of the entries over its class map, the swap folds the parity blocks
-one at a time, and the ghost system is solved and conditioned per parity
-class through the same maps.  Every eigensolve, SVD, Schur form, exponential
-and the zero-cluster projector run on these blocks (B_E's eigenvalues and
-singular values counted twice, one exponential carrying both E states), after
-a check of each symmetry to SYMMETRY_TOL.
+and counts twice.  Both splits are index folds: every block, parity or
+dihedral, is one bincount of the entries over its class map, and the ghost
+system is solved and conditioned per parity class through the same maps.
+Each symmetry S (a reflection, or the swap) is checked on the entries as
+max|A[S][:, S] - A| / max|A| <= SYMMETRY_TOL before any block is formed.
+Every eigensolve, SVD, Schur form, exponential and the zero-cluster
+projector run on these blocks (B_E's eigenvalues and singular values counted
+twice, one exponential carrying both E states).
 
 scipy.linalg is imported inside kernel_and_projection and
 decay_rate_experiment, its only users: loading it takes about a quarter
@@ -83,12 +84,13 @@ IDEMPOTENCY_TOL = 1e-8
 #: largest dense symmetry block, 3 ceil(Mx/2) ceil(My/2) unknowns (88^2 on a rectangle)
 MAX_DENSE_SIZE = 6000
 MIN_CELLS = 8
-#: largest max|A[J][:, J] - A| / max|A| over the box reflections J
+#: largest max|A[S][:, S] - A| / max|A| over the box reflections S and, on a
+#: square box and grid, the diagonal swap S
 SYMMETRY_TOL = 1e-12
 #: real parts are rounded to this multiple of max|lambda| before sorting
 ORDER_QUANTUM = 1e-12
 #: 2^(-k/2), a product of k factors sqrt(1/2) rounded once
-HALF_POWERS = 0.5 ** (np.arange(5) / 2)
+HALF_POWERS = 0.5 ** (np.arange(7) / 2)
 
 
 class AssemblyError(ValueError):
@@ -317,8 +319,8 @@ def _assemble(cells: tuple, steps: tuple, bc: BCVariant) -> tuple:
                                   (er[~on], np.searchsorted(touched, ec[~on]), ev[~on]))
     T, top, low = np.zeros((len(ghosts[0]), len(touched))), 0.0, math.inf
     for signs in itertools.product((1, -1), repeat=dim):
-        g, ng = _parity_map(ghosts[0], X[:, ghosts[1]], cells, signs)
-        t, nt = _parity_map(touched // M, grid[:, touched % M], cells, signs)
+        g, ng = _class_map(ghosts[0], X[:, ghosts[1]], cells, signs)
+        t, nt = _class_map(touched // M, grid[:, touched % M], cells, signs)
         Eg = np.bincount(g[0][gr] * ng + g[0][gc], _coefficients(g, gr, g, gc) * gv, ng * ng)
         Ei = np.bincount(g[0][tr] * nt + t[0][tc], _coefficients(g, tr, t, tc) * tv, ng * nt)
         try:
@@ -401,25 +403,30 @@ def continuum_kernel_fields(gen: DiscreteGenerator) -> list:
 
 
 # ---------------------------------------------------------------------------
-# reflection-parity blocks
+# symmetry blocks
 
-def _half(cells: tuple, signs: tuple) -> tuple:
-    """Half-grid extents of a parity class; the middle cell of an odd count is even."""
-    return tuple((m + (s > 0)) // 2 for m, s in zip(cells, signs))
-
-
-def _parity_map(fields, X, cells: tuple, signs: tuple) -> tuple:
+def _class_map(fields, X, cells: tuple, signs: tuple, swap: int = 0) -> tuple:
     """((coordinate, sign, number of sqrt(1/2) factors), number of coordinates)
-    of each (field, point) in parity class signs; X (a row per axis) may reach
+    of each (field, point) in class (signs, swap); X (a row per axis) may reach
     into the ghost layers.  x and m - 1 - x fold onto min(x, m - 1 - x), the sign
-    on the far side, an odd m's middle cell even only; ranks are row-major.
+    on the far side, an odd m's middle cell even only; a swap class then folds
+    (i, j) and (j, i) onto i <= j, the sign times swap below the diagonal, the
+    diagonal swap-even only.  Ranks are row-major.
     """
-    key, sign, pairs = np.array(fields), np.ones(len(fields)), 0
+    folded, sign, pairs = [], np.ones(len(fields)), 0
     for x, m, s in zip(X, cells, signs):
         far, middle = 2 * x > m - 1, 2 * x == m - 1
-        key = key * (m + 4) + np.where(far, m - 1 - x, x) + 2
+        folded.append(np.where(far, m - 1 - x, x))
         sign = sign * np.where(far, s, 1) * (~middle | (s > 0))
         pairs = pairs + ~middle
+    if swap:
+        below, diagonal = folded[0] > folded[1], folded[0] == folded[1]
+        folded = [np.minimum(*folded), np.maximum(*folded)]
+        sign = sign * np.where(below, swap, 1) * (~diagonal | (swap > 0))
+        pairs = pairs + ~diagonal
+    key = np.array(fields)
+    for x, m in zip(folded, cells):
+        key = key * (m + 4) + x + 2
     index = np.zeros(len(key), dtype=np.intp)
     kept, index[sign != 0] = np.unique(key[sign != 0], return_inverse=True)
     return (index, sign, pairs), len(kept)
@@ -438,40 +445,28 @@ def _class_block(entries: tuple, fold: tuple) -> np.ndarray:
     return np.bincount(flat, _coefficients(fold, rows, fold, cols) * values, n * n).reshape(n, n)
 
 
-def _swap_fold(B: np.ndarray, k: int, sign: int) -> np.ndarray:
-    """The diagonal swap's fold of a (3, k, k) half-grid along every axis of B:
-    over the pairs i <= j (sign +1) or i < j (sign -1), row-major per field,
-    (x_ij + sign x_ji) / sqrt 2, and x_ii itself on the diagonal."""
-    i, j = np.triu_indices(k, 0 if sign > 0 else 1)
-    ij, ji = (((np.arange(3)[:, None] * k + p) * k + q).ravel() for p, q in ((i, j), (j, i)))
-    factor = np.tile(np.where(i == j, 0.5, HALF_POWERS[1]), 3)
-    add = np.add if sign > 0 else np.subtract
-    if B.ndim == 1:
-        return add(B[ij], B[ji]) * factor
-    out = np.empty((len(ij), len(ij)))
-    for r in range(0, len(ij), 64):  # row slabs keep the temporaries in cache
-        rows = add(B[ij[r:r + 64]], B[ji[r:r + 64]]) * factor[r:r + 64, None]
-        out[r:r + 64] = add(rows[:, ij], rows[:, ji]) * factor
-    return out
+def _fold(fold: tuple, x: np.ndarray) -> np.ndarray:
+    """C_c^T x by one bincount over the class map."""
+    return np.bincount(fold[0], fold[1] * HALF_POWERS[fold[2]] * x)
 
 
 @dataclass(frozen=True)
 class ReflectionBlocks:
     """The generator in the orthonormal symmetry basis of the box.
 
-    The classes are the reflection parities, one sign per axis and +1 first;
     C_c maps class coordinates (field, half-grid cells row-major) to the state,
-    blocks[c] = C_c^T A C_c, and maps[signs] is the state's _parity_map.  On a
-    square box and grid (swap_residual not None) (+,+), (-,-) split into
-    swap-even and swap-odd blocks, and the last, B_E of (+,-), serves (-,+) too.
+    blocks[c] = C_c^T A C_c and maps[c] is the state's _class_map.  The classes
+    are the reflection parities, one sign per axis and +1 first; on a square
+    box and grid (swap_residual not None) they are the D4 classes instead:
+    (+,+) and (-,-) each swap-even then swap-odd, and last B_E of (+,-), which
+    serves (-,+) too.
     """
 
-    cells: tuple
     blocks: tuple
     counts: tuple
     residual: float
     swap_residual: float | None
-    maps: dict
+    maps: tuple
 
     @property
     def sizes(self) -> tuple:
@@ -479,65 +474,49 @@ class ReflectionBlocks:
 
     def restrict(self, x: np.ndarray) -> list:
         """C_c^T x per block; the E block's is the (+,-), (-,+) column pair, the
-        (-,+) column in (+,-) coordinates, where B_E acts on it."""
-        parity = {signs: np.bincount(index, sign * HALF_POWERS[pairs] * x)
-                  .reshape(3, *_half(self.cells, signs))
-                  for signs, (index, sign, pairs) in self.maps.items()}
-        if self.swap_residual is None:
-            return [y.ravel() for y in parity.values()]
-        out = [_swap_fold(parity[signs].ravel(), parity[signs].shape[1], swap)
-               for signs in ((1, 1), (-1, -1)) for swap in (1, -1)]
-        return out + [np.column_stack([parity[1, -1].ravel(),
-                                       np.swapaxes(parity[-1, 1], 1, 2).ravel()])]
+        (-,+) column in (+,-) coordinates, where B_E acts on it: the (+,-) fold
+        of the swapped state x[P]."""
+        out = [_fold(m, x) for m in self.maps]
+        if self.swap_residual is not None:
+            k = math.isqrt(len(x) // 3)
+            out[-1] = np.column_stack(
+                [out[-1], _fold(self.maps[-1], x.reshape(3, k, k).transpose(0, 2, 1).ravel())])
+        return out
 
 
 def _reflection_blocks(entries: tuple, cells: tuple, square: bool) -> ReflectionBlocks:
     """Check that A (its summed triplets) commutes with every axis reflection J,
-    then form the blocks.
+    and on a square box and grid with the diagonal swap P, then form the blocks.
 
-    A residual max|A[J][:, J] - A| / max|A| above SYMMETRY_TOL raises
-    NumericalError, since the blocks drop every coupling between classes.  On a
-    square box and grid the swap P is checked on each dense parity block in
-    turn, max|B[P][:, P] - B| on (+,+), (-,-), max|B_{+-}[P][:, P] - B_{-+}| on E.
+    Each defect is max|A[S][:, S] - A| / max|A| over the entries; one above
+    SYMMETRY_TOL raises NumericalError, since the blocks drop every coupling
+    between classes.  Every block is one _class_block over its _class_map.
     """
     (rows, cols, values), n = entries, 3 * math.prod(cells)
-    keys, scale, residual = rows * n + cols, float(np.abs(values).max()), 0.0
-    for a in range(len(cells)):
-        J = np.flip(np.arange(n).reshape(3, *cells), 1 + a).ravel()
-        image = J[rows] * n + J[cols]
+    keys, scale = rows * n + cols, float(np.abs(values).max())
+    state = np.arange(n).reshape(3, *cells)
+
+    def defect(perm):
+        image = perm[rows] * n + perm[cols]
         at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
-        mirror = np.where(keys[at] == image, values[at], 0.0)
-        residual = max(residual, float(np.abs(mirror - values).max()) / scale)
+        return float(np.abs(np.where(keys[at] == image, values[at], 0.0) - values).max()) / scale
+
+    residual = max(defect(np.flip(state, 1 + a).ravel()) for a in range(len(cells)))
     if not residual <= SYMMETRY_TOL:
         raise NumericalError(f"generator is not reflection symmetric (residual "
                              f"{residual:.3e} above {SYMMETRY_TOL:g})")
-    grid, fields = np.indices(cells).reshape(len(cells), -1), np.repeat(np.arange(3), n // 3)
-    maps = {signs: _parity_map(fields, np.tile(grid, 3), cells, signs)[0]
-            for signs in itertools.product((1, -1), repeat=len(cells))}
-    if not square:
-        return ReflectionBlocks(cells, tuple(_class_block(entries, m) for m in maps.values()),
-                                (1,) * len(maps), residual, None, maps)
-
-    def swap_defect(B, C, signs):
-        # max|B[P][:, P] - C| / max|A|, P transposing the (3, kx, ky) half-grid
-        half = (3, *_half(cells, signs))
-        p = np.arange(len(B)).reshape(half).transpose(0, 2, 1).ravel()
-        return max(float(np.abs(B[p[r:r + 64]].reshape(-1, *half).transpose(0, 1, 3, 2)
-                                - C[r:r + 64].reshape(-1, 3, half[2], half[1])).max())
-                   for r in range(0, len(p), 64)) / scale
-
-    blocks, swap_residual = [], 0.0
-    for signs in ((1, 1), (-1, -1)):
-        B = _class_block(entries, maps[signs])
-        swap_residual = max(swap_residual, swap_defect(B, B, signs))
-        blocks += [_swap_fold(B, _half(cells, signs)[0], swap) for swap in (1, -1)]
-        del B
-    E = _class_block(entries, maps[1, -1])
-    swap_residual = max(swap_residual, swap_defect(E, _class_block(entries, maps[-1, 1]), (1, -1)))
-    if not swap_residual <= SYMMETRY_TOL:
+    swap_residual = defect(state.transpose(0, 2, 1).ravel()) if square else None
+    if square and not swap_residual <= SYMMETRY_TOL:
         raise NumericalError(f"generator is not swap symmetric (residual "
                              f"{swap_residual:.3e} above {SYMMETRY_TOL:g})")
-    return ReflectionBlocks(cells, (*blocks, E), (1, 1, 1, 1, 2), residual, swap_residual, maps)
+    classes = ([((1, 1), 1), ((1, 1), -1), ((-1, -1), 1), ((-1, -1), -1), ((1, -1), 0)]
+               if square else [(s, 0) for s in itertools.product((1, -1), repeat=len(cells))])
+    fields = np.repeat(np.arange(3), n // 3)
+    points = np.tile(np.indices(cells).reshape(len(cells), -1), 3)
+    maps = tuple(_class_map(fields, points, cells, s, w)[0] for s, w in classes)
+    return ReflectionBlocks(tuple(_class_block(entries, m) for m in maps),
+                            (1, 1, 1, 1, 2) if square else (1,) * len(maps),
+                            residual, swap_residual, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -751,3 +751,15 @@ class TestClassMaps:
                 expected = np.column_stack(
                     [expected, mp.reshape(3, half[1], half[0]).swapaxes(1, 2).ravel()])
             assert np.abs(y - expected).max() <= 1e-14 * np.abs(x).max()
+
+    @pytest.mark.parametrize("case", list({**PARITY_CASES, **D4_CASES}))
+    def test_residuals_follow_the_dense_definition(self, case):
+        # max|A[J][:, J] - A| / max|A|, over the reflections J and for the swap P
+        gen = bounded.assemble_generator(*{**PARITY_CASES, **D4_CASES}[case])
+        blocks, a = gen.reflection_blocks, gen.matrix
+        defect = lambda p: np.abs(a[np.ix_(p, p)] - a).max() / np.abs(a).max()
+        state = np.arange(gen.state_size).reshape(3, *gen.cells)
+        assert blocks.residual == max(defect(np.flip(state, 1 + axis).ravel())
+                                      for axis in range(gen.domain.dim))
+        if blocks.swap_residual is not None:
+            assert blocks.swap_residual == defect(state.transpose(0, 2, 1).ravel())
