@@ -53,15 +53,16 @@ dihedral, is one bincount of the entries over its class map, and the ghost
 system is solved and conditioned per parity class through the same maps.
 Each symmetry S (a reflection, or the swap) is checked on the entries as
 max|A[S][:, S] - A| / max|A| <= SYMMETRY_TOL before any block is formed.
-Every eigensolve, SVD, Schur form, exponential and the zero-cluster
-projector run on these blocks (B_E's eigenvalues and singular values counted
-twice, one exponential carrying both E states).
+Every eigensolve, SVD, Schur form, exponential and zero-cluster projector runs
+on these blocks (B_E's eigenvalues and singular values counted twice, one
+exponential carrying both E states); the SVDs, and the projector's one Schur
+form and one Sylvester solve per block, on the exactly balanced S_c B_c S_c^-1.
 
 scipy.linalg is imported inside kernel_and_projection and
 decay_rate_experiment, its only users: loading it takes about a quarter
 second that every other command would pay at start-up, and calling
-sla.schur and sla.expm through the module object keeps wrappers patched
-onto those attributes (tracers, tests) in effect.
+sla.schur, sla.lapack.dtrsyl and sla.expm through the module objects keeps
+wrappers patched onto those attributes (tracers, tests) in effect.
 """
 
 from __future__ import annotations
@@ -204,12 +205,18 @@ class DiscreteGenerator:
         return state[:m], state[m:2 * m], state[2 * m:]
 
     @functools.cached_property
+    def balancing(self) -> np.ndarray:
+        """diag S: 2^round(log2 h_min^-2) on u, 1 on v and theta; S A S^-1 is exact."""
+        h = min((b - a) / m for (a, b), m in zip(self.domain.bounds, self.cells))
+        return np.repeat([2.0 ** round(math.log2(h ** -2)), 1.0, 1.0], self.n_cells)
+
+    @functools.cached_property
     def reflection_blocks(self) -> ReflectionBlocks:
         """The entries split by the symmetries of the box, checked and built
         once; the diagonal swap joins when the box and the grid are square."""
         square = (self.domain.dim == 2 and self.cells[0] == self.cells[1]
                   and len({b - a for a, b in self.domain.bounds}) == 1)
-        return _reflection_blocks(self.entries, self.cells, square)
+        return _reflection_blocks(self.entries, self.cells, square, self.balancing)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +462,11 @@ class ReflectionBlocks:
     """The generator in the orthonormal symmetry basis of the box.
 
     C_c maps class coordinates (field, half-grid cells row-major) to the state,
-    blocks[c] = C_c^T A C_c and maps[c] is the state's _class_map.  The classes
-    are the reflection parities, one sign per axis and +1 first; on a square
-    box and grid (swap_residual not None) they are the D4 classes instead:
-    (+,+) and (-,-) each swap-even then swap-odd, and last B_E of (+,-), which
-    serves (-,+) too.
+    blocks[c] = C_c^T A C_c, maps[c] is the state's _class_map, balancing[c] is
+    diag C_c^T S C_c (S = diag DiscreteGenerator.balancing).  The classes are
+    the reflection parities, one sign per axis and +1 first; on a square box and
+    grid (swap_residual not None) they are the D4 classes instead: (+,+) and
+    (-,-) each swap-even then swap-odd, and last B_E of (+,-), which serves (-,+) too.
     """
 
     blocks: tuple
@@ -467,6 +474,7 @@ class ReflectionBlocks:
     residual: float
     swap_residual: float | None
     maps: tuple
+    balancing: tuple
 
     @property
     def sizes(self) -> tuple:
@@ -484,13 +492,13 @@ class ReflectionBlocks:
         return out
 
 
-def _reflection_blocks(entries: tuple, cells: tuple, square: bool) -> ReflectionBlocks:
+def _reflection_blocks(entries: tuple, cells: tuple, square: bool, balancing) -> ReflectionBlocks:
     """Check that A (its summed triplets) commutes with every axis reflection J,
     and on a square box and grid with the diagonal swap P, then form the blocks.
 
     Each defect is max|A[S][:, S] - A| / max|A| over the entries; one above
     SYMMETRY_TOL raises NumericalError, since the blocks drop every coupling
-    between classes.  Every block is one _class_block over its _class_map.
+    between classes.  A block, and its balancing, is one bincount over its _class_map.
     """
     (rows, cols, values), n = entries, 3 * math.prod(cells)
     keys, scale = rows * n + cols, float(np.abs(values).max())
@@ -516,7 +524,9 @@ def _reflection_blocks(entries: tuple, cells: tuple, square: bool) -> Reflection
     maps = tuple(_class_map(fields, points, cells, s, w)[0] for s, w in classes)
     return ReflectionBlocks(tuple(_class_block(entries, m) for m in maps),
                             (1, 1, 1, 1, 2) if square else (1,) * len(maps),
-                            residual, swap_residual, maps)
+                            residual, swap_residual, maps,
+                            tuple(np.bincount(m[0], m[1] ** 2 * HALF_POWERS[2 * m[2]] * balancing)
+                                  for m in maps))
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +582,15 @@ def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
     analytic kernel and is grid-stable, unlike counting against zero_tol,
     which a physical near-null pseudomode crosses on fine grids.
     zero_cluster_count counts eigenvalues with |lambda| <= zero_tol and so
-    includes generalized (Jordan) directions.  The singular values are the
-    union of the blocks' (the basis is orthonormal), the E block's twice, in
-    descending order.
+    includes generalized (Jordan) directions.  The singular values are S A S^-1's,
+    the balanced blocks' (E's twice) in descending order: its sigma_max, so the
+    floor, is about h^2 times A's, while the physical values hardly move.
     """
     ev, zero_tol = _eigenvalues(gen)
     blocks = gen.reflection_blocks
     try:
-        sv = np.concatenate([np.tile(np.linalg.svd(B, compute_uv=False), k)
-                             for B, k in zip(blocks.blocks, blocks.counts)])
+        sv = np.concatenate([np.tile(np.linalg.svd(B * s[:, None] / s, compute_uv=False), k)
+                             for B, s, k in zip(blocks.blocks, blocks.balancing, blocks.counts)])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     sv = np.sort(sv)[::-1]
@@ -625,13 +635,13 @@ def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
                           ) -> KernelProjection:
     """The oblique projection onto the zero cluster, block by block.
 
-    The right invariant subspace V_c of the cluster comes from the real Schur
-    form of block c sorted to put |lambda| <= zero_tol first, the left
-    subspace W_c from that of its transpose; P_c = V_c (W_c^T V_c)^{-1} W_c^T
-    is the real Riesz projection, zero where the class holds no part of the
-    cluster; the E pair's dimension counts twice.  pairing_condition is the
-    condition number of the block-diagonal W^T V, idempotency_residual
-    max_c max|P_c^2 - P_c| / max(max_c max|P_c|, 1).
+    Each block is balanced, S_c B_c S_c^-1 = Z T Z^T in one real Schur form sorted
+    with |lambda| <= zero_tol first, and T11 Y - Y T22 = -T12 is solved once (a
+    failed or rescaled solve means an unseparated cluster: NumericalError); the
+    real Riesz projection P_c = S_c^-1 Z1 (Z1^T - Y Z2^T) S_c is zero where the
+    class holds no part of the cluster, the E pair's dimension counting twice.
+    pairing_condition is max_c sqrt(1 + |Y|_2^2), the balanced projectors' norm,
+    idempotency_residual max_c max|P_c^2 - P_c| / max(max_c max|P_c|, 1).
     """
     import scipy.linalg as sla
 
@@ -639,30 +649,25 @@ def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
         zero_tol = _eigenvalues(gen)[1]
     blocks = gen.reflection_blocks
     keep = lambda x, y: np.hypot(x, y) <= zero_tol
-    pairs = []
-    for c, B in enumerate(blocks.blocks):
+    P, cond, d = [], 1.0, 0
+    for c, (B, s, k) in enumerate(zip(blocks.blocks, blocks.balancing, blocks.counts)):
         try:
-            _, ZR, d_right = sla.schur(B, output="real", sort=keep)
-            _, ZL, d_left = sla.schur(B.T, output="real", sort=keep)
+            T, Z, dc = sla.schur(B * s[:, None] / s, output="real", sort=keep)
         except sla.LinAlgError as exc:
             raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-        if d_right != d_left:
-            raise NumericalError(f"left/right zero-cluster dimensions disagree in block "
-                                 f"{c} ({d_left} vs {d_right})")
-        pairs.append((ZR[:, :d_right], ZL[:, :d_left]))
-    d = sum(k * V.shape[1] for (V, _), k in zip(pairs, blocks.counts))
-    if d == 0:
-        return KernelProjection(0, tuple(np.zeros_like(B) for B in blocks.blocks), 1.0, 0.0)
-    sv = np.concatenate([np.linalg.svd(W.T @ V, compute_uv=False) for V, W in pairs])
-    cond = float(sv.max() / sv.min())
+        Y, scale, info = (sla.lapack.dtrsyl(T[:dc, :dc], T[dc:, dc:], -T[:dc, dc:], isgn=-1)
+                          if 0 < dc < len(B) else (np.zeros((dc, len(B) - dc)), 1.0, 0))
+        if info != 0 or scale != 1.0 or not np.all(np.isfinite(Y)):
+            raise NumericalError(f"zero cluster not separated in block {c} (dtrsyl info {info})")
+        P.append(Z[:, :dc] @ (Z[:, :dc].T - Y @ Z[:, dc:].T) / s[:, None] * s)
+        cond, d = max(cond, float(np.hypot(1.0, np.linalg.norm(Y, 2)))), d + k * dc
     if not cond <= PAIRING_CONDITION_LIMIT:
         raise NumericalError(f"ill-conditioned subspace pairing (cond {cond:.3e})")
-    P = tuple(V @ np.linalg.solve(W.T @ V, W.T) for V, W in pairs)
     residual = (max(float(np.abs(Pc @ Pc - Pc).max()) for Pc in P)
                 / max(max(float(np.abs(Pc).max()) for Pc in P), 1.0))
     if not residual <= IDEMPOTENCY_TOL:
         raise NumericalError(f"projection is not idempotent (residual {residual:.3e})")
-    return KernelProjection(d, P, cond, residual)
+    return KernelProjection(d, tuple(P), cond, residual)
 
 
 # ---------------------------------------------------------------------------

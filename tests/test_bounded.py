@@ -107,6 +107,15 @@ class TestInterval:
         sv = np.asarray(spec1d.smallest_singular_values)
         assert np.all(np.diff(sv) >= 0)
 
+    def test_kernel_count_on_fine_grid(self):
+        # on the unbalanced blocks the fourth-smallest singular value (7.8e-5)
+        # fell under the floor (9.1e-4) here; balanced, the third is 1.1e-10,
+        # the floor 7.1e-9 and the fourth 4.6e-3
+        gen = bounded.assemble_generator(bounded.interval(), 400, bounded.free_beta(0.5))
+        rep = bounded.spectrum(gen)
+        assert rep.kernel_dimension == 3
+        assert rep.zero_cluster_count == 5
+
     def test_slowest_oscillatory_pair(self, spec1d):
         # physical oracle for the unit interval: about -2.09 +/- 30.11i
         ev = spec1d.eigenvalues
@@ -188,6 +197,38 @@ class TestProjection:
         assert proj.idempotency_residual <= bounded.IDEMPOTENCY_TOL
         _assert_commutes(gen, proj.projectors, 1e-6 * np.abs(gen.matrix).max())
 
+    def test_matches_contour_integral_projector(self):
+        # the trapezoid rule for (2 pi i)^-1 of the resolvent on |z| = 1/2, 64 nodes:
+        # the cluster sits at |lambda| <= 2e-5, the next eigenvalue at 4.9, and the
+        # rule on the balanced blocks agrees with it to 1.5e-12.  Measured, relative
+        # to |P_c|_2: 2.7e-13 on the even block and 3.4e-10 on the odd one (the
+        # two-Schur projector was 4.7e-9 and 1.1e-8 off)
+        gen = bounded.assemble_generator(*PARITY_CASES["interval25"])
+        proj = bounded.kernel_and_projection(gen)
+        z = 0.5 * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+        for p, b in zip(proj.projectors, gen.reflection_blocks.blocks, strict=True):
+            eye = np.eye(len(b))
+            contour = sum(zk * np.linalg.inv(zk * eye - b) for zk in z) / len(z)
+            assert np.abs(contour.imag).max() <= 1e-12
+            assert np.linalg.norm(p - contour.real, 2) <= 3e-9 * np.linalg.norm(p, 2)
+
+    @pytest.mark.parametrize("scale, info", [(1.0, 1), (0.5, 0)])
+    def test_unseparated_cluster_is_rejected(self, monkeypatch, scale, info):
+        # dtrsyl reports info = 1 when T11 and T22 share (nearly) an eigenvalue,
+        # and scales the solution down when it would overflow
+        monkeypatch.setattr(sla.lapack, "dtrsyl", lambda a, b, c, **kw: (0.0 * c, scale, info))
+        gen = bounded.assemble_generator(*PARITY_CASES["interval25"])
+        with pytest.raises(bounded.NumericalError, match="not separated"):
+            bounded.kernel_and_projection(gen)
+
+    def test_unseparated_cluster_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sla.lapack, "dtrsyl", lambda a, b, c, **kw: (0.0 * c, 1.0, 1))
+        rc = cli.main(["decay", "--grid", "20", "--out", str(tmp_path / "never")])
+        assert rc == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "not separated" in err[0]
+        assert not (tmp_path / "never").exists()
+
     def test_empty_cluster_for_damped_variant(self):
         gen = bounded.assemble_generator(
             bounded.rectangle(), 12, bounded.lt_variant(0.3, 1.0)
@@ -239,6 +280,13 @@ class TestDecayRate:
     def test_horizon_must_be_positive_and_finite(self, gen1d, horizon):
         with pytest.raises(ValueError, match="horizon"):
             bounded.decay_rate_experiment(gen1d, horizon=horizon)
+
+    def test_balanced_projector_keeps_the_fine_grid_fit(self):
+        # decay --grid 200 --seed 3: the gap is 0.0018 with the balanced blocks;
+        # one Schur form of the unbalanced blocks reads 0.111 here (0.977 at 400)
+        gen = bounded.assemble_generator(*PARITY_CASES["interval200"])
+        fit = bounded.decay_rate_experiment(gen, seed=3)
+        assert fit.relative_gap <= 0.01
 
     def test_csv_rows(self, gen1d):
         fit = bounded.decay_rate_experiment(gen1d)
@@ -367,10 +415,11 @@ def _dense_projector(a, zero_tol, d=None):
     return v @ np.linalg.solve(w.T @ v, w.T)
 
 
-def _u_scaling(gen):
-    """diag(h^-2 on u, 1 on v and theta) on a unit box: a similarity that keeps
-    dense LAPACK oracles at roundoff on the h^-4-scaled generators."""
-    return np.repeat([gen.cells[0] ** 2, 1.0, 1.0], gen.n_cells).astype(float)
+def _balanced_matrix(gen):
+    """S A S^-1 for the generator's balancing S: dense LAPACK oracles stay at
+    roundoff on it, where the h^-4-scaled A puts them off their bars."""
+    s = gen.balancing
+    return gen.matrix * s[:, None] / s
 
 
 def _appended(triplets, rows, cols, values):
@@ -439,12 +488,14 @@ class TestReflectionBlocks:
         assert np.abs(ev - dense)[off].max() <= 1e-10 * top
 
     def test_singular_values_and_counts_match_dense(self, parity_gen):
+        # the singular values are the balanced generator's, S A S^-1
         rep = bounded.spectrum(parity_gen)
-        sv = np.linalg.svd(parity_gen.matrix, compute_uv=False)
+        sv = np.linalg.svd(_balanced_matrix(parity_gen), compute_uv=False)
         dense_ev = np.linalg.eigvals(parity_gen.matrix)
         blocks = parity_gen.reflection_blocks
+        balanced = [b * s[:, None] / s for b, s in zip(blocks.blocks, blocks.balancing)]
         sv_blocks = np.sort(np.concatenate(
-            [np.linalg.svd(b, compute_uv=False) for b in _per_class(blocks, blocks.blocks)]))
+            [np.linalg.svd(b, compute_uv=False) for b in _per_class(blocks, balanced)]))
         assert np.abs(sv_blocks[::-1] - sv).max() <= 1e-13 * sv[0]
         assert np.abs(rep.smallest_singular_values - sv[-8:][::-1]).max() <= 1e-13 * sv[0]
         kernel_tol = bounded.KERNEL_SV_FACTOR * bounded.MACHINE_EPS * sv[0]
@@ -463,14 +514,15 @@ class TestReflectionBlocks:
 
     @pytest.mark.parametrize("case", ["interval25", "free12"])
     def test_block_projector_matches_dense_schur(self, case):
-        # the 100- and 200-cell intervals' Jordan clusters make both
-        # projectors roundoff-sensitive at 2e-5 and 1e-3 (see below); the
-        # off-diagonal class pairs of the restricted dense one must vanish
+        # the off-diagonal class pairs of the restricted dense projector must
+        # vanish; unbalanced, the dense oracle is off by 1.8e-5 and 6.2e-4 on
+        # the 100- and 200-cell intervals' Jordan clusters (see below)
         gen = bounded.assemble_generator(*PARITY_CASES[case])
         proj = bounded.kernel_and_projection(gen)
-        # the dense oracle scales u by h^-2, where its own error (measured
-        # against a contour-integral projector) stays below the block path's
-        dense, restricted = _restricted_dense_projector(gen, _u_scaling(gen))
+        # the dense oracle runs on the balanced generator too; against a 64-point
+        # contour-integral projector it sits at 9.7e-13 and 9.4e-13 |P|, the blocks
+        # at 5.0e-13 and 1.7e-13
+        dense, restricted = _restricted_dense_projector(gen, gen.balancing)
         scale = max(np.linalg.norm(dense, 2), 1.0)
         diff = restricted - sla.block_diag(*_per_class(gen.reflection_blocks, proj.projectors))
         assert np.linalg.norm(diff, 2) <= 1e-8 * scale
@@ -479,7 +531,8 @@ class TestReflectionBlocks:
         gen = bounded.assemble_generator(*PARITY_CASES["interval200"])
         a = gen.matrix
         projectors = bounded.kernel_and_projection(gen).projectors
-        dense, restricted = _restricted_dense_projector(gen)
+        # balanced, the dense oracle agrees with the blocks to 2.6e-9 |P|
+        dense, restricted = _restricted_dense_projector(gen, gen.balancing)
         norm = np.linalg.norm
         scale = 1e-12 * norm(a, 2) * max(norm(p, 2) for p in projectors)
         for p, b in zip(projectors, gen.reflection_blocks.blocks, strict=True):
@@ -581,6 +634,32 @@ class TestReflectionBlocks:
             assert max(shape) <= n // 2, (shape, n)
 
 
+class TestFactorizationBudget:
+    @pytest.mark.parametrize("case", [(bounded.interval(), 100, bounded.free_beta(0.5)),
+                                      PARITY_CASES["free12"]], ids=["interval100", "free12"])
+    def test_decay_factors_each_block_once(self, case, monkeypatch):
+        gen = bounded.assemble_generator(*case)
+        blocks = gen.reflection_blocks
+        calls = {}
+        for owner, name in ((np.linalg, "eigvals"), (sla, "schur"), (sla, "expm")):
+            def wrapper(a, *args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls.setdefault(_name, []).append(np.array(a))
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+        fit = bounded.decay_rate_experiment(gen)
+        dt = fit.times[1] - fit.times[0]
+        # eigvals on the blocks, one Schur form of each balanced block (never of
+        # a transpose: no block is symmetric) and one exponential of B_c dt
+        for name, expected in (
+                ("eigvals", blocks.blocks),
+                ("schur", [b * s[:, None] / s for b, s in zip(blocks.blocks, blocks.balancing)]),
+                ("expm", [b * dt for b in blocks.blocks])):
+            assert len(calls[name]) == len(expected), name
+            for a, b in zip(calls[name], expected):
+                assert np.array_equal(a, b), name
+
+
 class TestExport:
     def test_spectrum_report_serialization(self, spec1d):
         d = json.loads(cli._bounded_json(spec1d))
@@ -613,11 +692,10 @@ class TestDihedralBlocks:
         gen = bounded.assemble_generator(*D4_CASES[case])
         assert gen.reflection_blocks.counts == (1, 1, 1, 1, 2)
         ev, zero_tol = bounded._eigenvalues(gen)
-        parity = bounded._reflection_blocks(gen.entries, gen.cells, False)
+        parity = bounded._reflection_blocks(gen.entries, gen.cells, False, gen.balancing)
         assert parity.counts == (1, 1, 1, 1) and parity.swap_residual is None
-        # the dense oracle scales u by h^-2, the same similarity as below
-        d = _u_scaling(gen)
-        for oracle in (np.linalg.eigvals(gen.matrix * d[:, None] / d),
+        # the dense oracle runs on the balanced generator, an exact similarity
+        for oracle in (np.linalg.eigvals(_balanced_matrix(gen)),
                        np.concatenate([np.linalg.eigvals(b) for b in parity.blocks])):
             oracle = _report_order(oracle)
             off = np.abs(oracle) > zero_tol
@@ -628,7 +706,7 @@ class TestDihedralBlocks:
         # B_{-+} is B_{+-} with both half-grids transposed
         gen = bounded.assemble_generator(*PARITY_CASES["damped9"])
         blocks = gen.reflection_blocks
-        parity = bounded._reflection_blocks(gen.entries, gen.cells, False)
+        parity = bounded._reflection_blocks(gen.entries, gen.cells, False, gen.balancing)
         assert blocks.sizes == (45, 30, 30, 18, 60)
         assert blocks.swap_residual <= bounded.SYMMETRY_TOL
         pm, mp = parity.blocks[1], parity.blocks[2]
@@ -641,7 +719,7 @@ class TestDihedralBlocks:
     def test_non_square_keeps_the_parity_blocks(self, case):
         gen = bounded.assemble_generator(*PARITY_CASES[case])
         blocks = gen.reflection_blocks
-        parity = bounded._reflection_blocks(gen.entries, gen.cells, False)
+        parity = bounded._reflection_blocks(gen.entries, gen.cells, False, gen.balancing)
         assert blocks.swap_residual is None and blocks.counts == (1, 1, 1, 1)
         for a, b in zip(blocks.blocks, parity.blocks, strict=True):
             assert np.array_equal(a, b)
@@ -653,7 +731,8 @@ class TestDihedralBlocks:
         entries = bounded._summed(*_appended(gen.entries, *defect), gen.state_size)
         bad = dataclasses.replace(gen, entries=entries)
         # both reflections still hold
-        assert bounded._reflection_blocks(bad.entries, bad.cells, False).residual <= 1e-15
+        parity = bounded._reflection_blocks(bad.entries, bad.cells, False, bad.balancing)
+        assert parity.residual <= 1e-15
         for run in (bounded.spectrum, bounded.decay_rate_experiment,
                     bounded.kernel_and_projection):
             with pytest.raises(bounded.NumericalError, match="swap symmetric"):
@@ -681,7 +760,7 @@ class TestDihedralBlocks:
         assert fit.projector_dimension == 7
         a = gen.matrix
         state = np.random.default_rng(5).standard_normal(gen.state_size)
-        state -= _dense_projector(a, bounded._eigenvalues(gen)[1]) @ state
+        state -= _dense_projector(a, bounded._eigenvalues(gen)[1], gen.balancing) @ state
         step = sla.expm(a * (fit.times[1] - fit.times[0]))
         norms = []
         for _ in fit.times:
