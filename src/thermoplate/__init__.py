@@ -14,9 +14,6 @@ from .symbols import (
     SingularParameterError,
     characteristic_roots,
     determinant_pair,
-    resolvent_matrix,
-    scaled_resolvent_symbol,
-    scaling_matrix,
     symbol_matrix,
 )
 
@@ -29,9 +26,6 @@ __all__ = [
     "SingularParameterError",
     "characteristic_roots",
     "determinant_pair",
-    "resolvent_matrix",
-    "scaled_resolvent_symbol",
-    "scaling_matrix",
     "symbol_matrix",
     "__version__",
 ]

@@ -9,11 +9,12 @@ layers: two for u, one for theta.  Free edges impose
     (ii)  u_nnn + (2 - c) u_ntt = 0
     (iii) theta_n = 0
 
-with c the flexural coupling coefficient (beta on intervals, mu on
-rectangles).  The tangential terms vanish in 1D, so beta does not enter the
-interval generator.  The damped variant keeps (i), adds the boundary
-feedback u + b theta to (ii) through the theta-flux substitution, and turns
-(iii) into the Robin condition theta_n + b theta = 0.
+with c = mu the flexural coupling coefficient.  mu multiplies only the
+tangential terms, which vanish in 1D, so it does not enter the interval
+generator and is checked (mu < 1) on rectangles only.  The damped variant
+(rectangles only) keeps (i), adds the boundary feedback u + b theta to (ii)
+through the theta-flux substitution, and turns (iii) into the Robin
+condition theta_n + b theta = 0.
 Rectangle corner ghosts are closed by second-order diagonal extrapolation in
 the zero-cross-difference form u(gc) = u(gx) + u(gy) - u(cc), which is exact
 on quadratics and keeps the assembled operator stable; corner cells sit
@@ -129,35 +130,23 @@ def rectangle(ax: float = 0.0, bx: float = 1.0, ay: float = 0.0,
 class BCVariant:
     """Free plate edges or the damped variant with boundary feedback."""
 
-    tag: str = "free_beta"
-    beta: float = 0.5
+    tag: str = "free"
     mu: float = 0.3
     b: float = 1.0
 
     def __post_init__(self):
-        if self.tag not in ("free_beta", "free_2d", "lt_variant"):
+        if self.tag not in ("free", "lt_variant"):
             raise ValueError(f"unknown boundary variant {self.tag!r}")
         if self.tag == "lt_variant" and not self.b > 0.0:
             raise ValueError("the damped variant requires b > 0")
-        if self.tag != "free_beta" and not self.mu < 1.0:
-            raise ValueError(f"mu must be below 1, where the free plate energy stops being "
-                             f"coercive (got {self.mu:g})")
-
-    @property
-    def coefficient(self) -> float:
-        return self.beta if self.tag == "free_beta" else self.mu
 
     @property
     def damped(self) -> bool:
         return self.tag == "lt_variant"
 
 
-def free_beta(beta: float = 0.5) -> BCVariant:
-    return BCVariant("free_beta", beta=beta)
-
-
-def free_2d(mu: float = 0.3) -> BCVariant:
-    return BCVariant("free_2d", mu=mu)
+def free(mu: float = 0.3) -> BCVariant:
+    return BCVariant("free", mu=mu)
 
 
 def lt_variant(mu: float = 0.3, b: float = 1.0) -> BCVariant:
@@ -172,7 +161,6 @@ class DiscreteGenerator:
     bc: BCVariant
     cells: tuple
     entries: tuple
-    centers: tuple
     ghost_condition: float
 
     @property
@@ -189,20 +177,6 @@ class DiscreteGenerator:
         out = np.zeros((self.state_size, self.state_size))
         out[self.entries[:2]] = self.entries[2]
         return out
-
-    def cell_mesh(self) -> tuple:
-        """Raveled cell-center coordinate arrays, one per axis."""
-        if self.domain.dim == 1:
-            return (self.centers[0].copy(),)
-        X, Y = np.meshgrid(self.centers[0], self.centers[1], indexing="ij")
-        return X.ravel(), Y.ravel()
-
-    def pack(self, u, v, theta) -> np.ndarray:
-        return np.concatenate([np.ravel(u), np.ravel(v), np.ravel(theta)])
-
-    def unpack(self, state: np.ndarray) -> tuple:
-        m = self.n_cells
-        return state[:m], state[m:2 * m], state[2 * m:]
 
     @functools.cached_property
     def balancing(self) -> np.ndarray:
@@ -251,17 +225,18 @@ def _grid_cells(domain: DomainSpec, grid_points) -> tuple:
 
 
 def assemble_generator(domain: DomainSpec, grid_points, bc: BCVariant) -> DiscreteGenerator:
+    if domain.dim == 2 and not bc.mu < 1.0:
+        raise AssemblyError(f"mu must be below 1, where the free plate energy stops being "
+                            f"coercive (got {bc.mu:g})")
     cells = _grid_cells(domain, grid_points)
-    if domain.dim == 1 and bc.tag != "free_beta":
-        raise AssemblyError(f"{bc.tag} requires a rectangle domain")
+    if domain.dim == 1 and bc.damped:
+        raise AssemblyError("the damped variant requires a rectangle domain")
     steps = tuple((b - a) / m for (a, b), m in zip(domain.bounds, cells))
-    centers = tuple(a + (np.arange(m) + 0.5) * h
-                    for (a, _), m, h in zip(domain.bounds, cells, steps))
     triplets, cond = _assemble(cells, steps, bc)
     entries = _summed(*triplets, 3 * math.prod(cells))
     if not np.all(np.isfinite(entries[2])):
         raise AssemblyError("non-finite entries after ghost elimination")
-    return DiscreteGenerator(domain, bc, cells, entries, centers, cond)
+    return DiscreteGenerator(domain, bc, cells, entries, cond)
 
 
 def _summed(rows, cols, values, width: int) -> tuple:
@@ -274,7 +249,7 @@ def _summed(rows, cols, values, width: int) -> tuple:
 def _assemble(cells: tuple, steps: tuple, bc: BCVariant) -> tuple:
     """The generator as unsummed (row, column, value) triplets, and the ghost condition."""
     dim, M = len(cells), math.prod(cells)
-    c, robin, feedback = bc.coefficient, (bc.b if bc.damped else 0.0), 0.5 * bc.damped
+    c, robin, feedback = bc.mu, (bc.b if bc.damped else 0.0), 0.5 * bc.damped
     # the grid padded by two layers, a flat index per point; columns: interior u,
     # theta cells, then u, theta ghosts, row-major (no column: past every array)
     ext = tuple(m + 4 for m in cells)
@@ -378,35 +353,6 @@ def _assemble(cells: tuple, steps: tuple, bc: BCVariant) -> tuple:
                 triplets.append((2 * M + cell[sel], M + cell[sel] + sgn * d * stride,
                                  np.full(sel.sum(), w / h ** 2)))
     return tuple(np.concatenate(z) for z in zip(*triplets)), top / low
-
-
-def continuum_kernel_fields(gen: DiscreteGenerator) -> list:
-    """Analytic kernel elements of the free-BC operator, sampled on the grid.
-
-    Each is a (name, state vector) pair with zero v; the damped variant has
-    no kernel and returns an empty list.
-    """
-    if gen.bc.damped:
-        return []
-    m = gen.n_cells
-    zeros = np.zeros(m)
-    if gen.domain.dim == 1:
-        (x,) = gen.cell_mesh()
-        items = [
-            ("constant", np.ones(m), zeros),
-            ("linear_x", x, zeros),
-            ("quadratic_theta", -0.5 * x * x, np.ones(m)),
-        ]
-    else:
-        x, y = gen.cell_mesh()
-        c = gen.bc.coefficient
-        items = [
-            ("constant", np.ones(m), zeros),
-            ("linear_x", x, zeros),
-            ("linear_y", y, zeros),
-            ("quadratic_theta", -(x * x + y * y) / (2.0 * (1.0 + c)), np.ones(m)),
-        ]
-    return [(name, gen.pack(u, zeros, th)) for name, u, th in items]
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +685,14 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
     if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
         raise NumericalError("norm history underflowed; shorten the horizon")
     mask = times >= 0.5 * horizon
-    slope = np.polyfit(times[mask], np.log(norms[mask]), 1)[0]
+    try:
+        # a window whose squared times underflow zeroes polyfit's column scale;
+        # raise there, before LAPACK sees the NaNs
+        with np.errstate(divide="raise", invalid="raise"):
+            slope = np.polyfit(times[mask], np.log(norms[mask]), 1)[0]
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(f"decay fit over the window [{0.5 * horizon:g}, {horizon:g}] "
+                             f"failed: {exc}") from exc
     fitted = float(-slope)
     gap = abs(fitted - eps_spec) / eps_spec
     return DecayFit(

@@ -20,11 +20,10 @@ somewhat further (6.5e-11 and 3.7e-9 relative on the damped 16^2 square).
 Config files are flat UTF-8 `key = value` lines with `#` comments; unknown
 keys are rejected.  Flags reach the config as raw strings too, so flag and
 config values go through one parser, `_coerce`, which also checks the
-allowed choices, that every float is finite and that every k is positive: a
-bad value exits 1 with one `error:` line that names the key.  The output
-root can also be set through the THERMOPLATE_OUT environment variable.
-Setting THERMOPLATE_PERTURB_ROOTS (test hook) perturbs the computed
-characteristic roots so the `roots` invariant check trips.
+allowed choices, that every float is finite, every k positive and the seed
+non-negative: a bad value exits 1 with one `error:` line that names the
+key.  The output root can also be set through the THERMOPLATE_OUT
+environment variable.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ import numpy as np
 from . import __version__, bounded, multipliers, symbols, torus
 
 ENV_OUT = "THERMOPLATE_OUT"
-ENV_PERTURB = "THERMOPLATE_PERTURB_ROOTS"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 EXIT_OK = 0
@@ -116,6 +114,8 @@ def _coerce(name: str, default, raw: str):
             raise ValueError(f"expected finite numbers, got {raw!r}")
         if name in ("k", "k_values") and min(numbers) <= 0:
             raise ValueError(f"expected positive numbers, got {raw!r}")
+        if name == "seed" and value < 0:
+            raise ValueError(f"expected a non-negative integer, got {raw!r}")
     except ValueError as exc:
         raise ConfigError(f"key {name!r}: {exc}") from None
     choices = _CHOICES.get(name)
@@ -242,9 +242,6 @@ def _write_outputs(cfg: RunConfig, checks: dict, artifacts: dict, wall: float) -
 
 def cmd_roots(cfg: RunConfig) -> tuple:
     roots = symbols.characteristic_roots()
-    perturb = os.environ.get(ENV_PERTURB, "")
-    if perturb:
-        roots = replace(roots, gamma1=roots.gamma1 + float(perturb))
     ok = True
     try:
         roots.validate()
@@ -356,9 +353,7 @@ def _domain_from_config(cfg: RunConfig) -> bounded.DomainSpec:
 
 
 def _bc_from_config(cfg: RunConfig) -> bounded.BCVariant:
-    if cfg.bc == "lt":
-        return bounded.lt_variant(cfg.mu, cfg.b)
-    return bounded.free_beta(cfg.beta) if cfg.domain == "interval" else bounded.free_2d(cfg.mu)
+    return bounded.lt_variant(cfg.mu, cfg.b) if cfg.bc == "lt" else bounded.free(cfg.mu)
 
 
 def cmd_spectrum(cfg: RunConfig) -> tuple:

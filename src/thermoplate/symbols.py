@@ -228,37 +228,17 @@ def _resolvent_entries(s, lam, rows, cols) -> np.ndarray:
     return out
 
 
-def resolvent_matrix(xi, lam: complex) -> np.ndarray:
-    """(lambda - A(xi))^{-1} from the explicit adjugate over the determinant."""
-    return resolvent_matrices(_squared_norm(xi), lam)
-
-
 def resolvent_matrices(s, lam) -> np.ndarray:
     """Resolvent over broadcast arrays of s = |xi|^2 and lambda; shape (..., 3, 3)."""
     return _resolvent_entries(s, lam, *BLOCK)
 
 
-def scaling_matrix(j: int, xi) -> np.ndarray:
-    """S_j(xi) = (1+|xi|^2)^{j/2} diag(1+|xi|^2, 1, 1)."""
-    if j not in (0, 1, 2):
-        raise ValueError(f"scaling index must be 0, 1 or 2, got {j}")
-    s = _squared_norm(xi)
-    a = 1.0 + s
-    return a ** (j / 2) * np.diag([a, 1.0, 1.0])
-
-
-def scaled_resolvent_symbol(j: int, xi, lam: complex) -> np.ndarray:
-    """M^{(j)} = lambda^{j/2} S_{2-j}(xi) (lambda - A(xi))^{-1} S_0(xi)^{-1}.
-
-    lambda^{j/2} uses the principal branch; every sector this library
-    samples satisfies |arg lambda| < pi, where that branch is continuous.
-    """
-    return _scaled_resolvent_from_s(j, _squared_norm(xi), lam, *BLOCK)
-
-
 def _scaled_resolvent_from_s(j: int, s, lam, rows, cols) -> np.ndarray:
     """Entries (rows, cols) of M^{(j)} over broadcast arrays of s and lambda.
 
+    M^{(j)} = lambda^{j/2} S_{2-j}(xi) (lambda - A(xi))^{-1} S_0(xi)^{-1} with
+    S_j(xi) = (1+s)^{j/2} diag(1+s, 1, 1); lambda^{j/2} uses the principal
+    branch, continuous on every sector sampled here (|arg lambda| < pi).
     Conjugation by the diagonal scaling matrices only multiplies the first
     row by a = 1+s and divides the first column by a, so it is applied
     entry by entry to the resolvent entries.

@@ -213,7 +213,7 @@ def test_criterion_5_semigroup_evolution():
 def test_criterion_6_bounded_spectrum():
     t0 = time.perf_counter()
     dom = bounded.interval(0.0, 1.0)
-    bc = bounded.free_beta(0.5)
+    bc = bounded.free()
     ok = True
     parts = []
     for m in (50, 100, 200):
@@ -242,7 +242,7 @@ def test_criterion_6_bounded_spectrum():
 def test_criterion_7_exponential_stability():
     t0 = time.perf_counter()
     gen1 = bounded.assemble_generator(
-        bounded.interval(0.0, 1.0), 100, bounded.free_beta(0.5)
+        bounded.interval(0.0, 1.0), 100, bounded.free()
     )
     fit1 = bounded.decay_rate_experiment(gen1)
     ok = fit1.decaying and fit1.relative_gap <= 0.10
@@ -278,7 +278,6 @@ def test_criterion_7_exponential_stability():
 def test_criterion_8_reproducibility(tmp_path, monkeypatch):
     t0 = time.perf_counter()
     monkeypatch.setenv(cli.ENV_OUT, str(tmp_path))
-    monkeypatch.delenv(cli.ENV_PERTURB, raising=False)
     commands = [
         ["roots"],
         ["witness", "1", "10", "100"],

@@ -13,10 +13,28 @@ import scipy.linalg as sla
 from thermoplate import bounded, cli
 
 
+def continuum_kernel_fields(gen):
+    """Analytic kernel elements of the free operator sampled at the cell centers:
+    (name, state vector) pairs with zero v; the damped variant has none."""
+    if gen.bc.damped:
+        return []
+    centers = [a + (np.arange(m) + 0.5) * ((b - a) / m)
+               for (a, b), m in zip(gen.domain.bounds, gen.cells)]
+    mesh = [x.ravel() for x in np.meshgrid(*centers, indexing="ij")]
+    ones, zeros = np.ones(gen.n_cells), np.zeros(gen.n_cells)
+    linear = [(f"linear_{axis}", x, zeros) for axis, x in zip("xy", mesh)]
+    # theta = 1 pairs with u = -|x|^2 / (2 (1 + mu)) on the rectangle and -x^2 / 2 on
+    # the interval, where mu drops out with the tangential terms
+    quadratic = -sum(x * x for x in mesh) / (2.0 * (1.0 + gen.bc.mu) if gen.domain.dim == 2
+                                             else 2.0)
+    items = [("constant", ones, zeros), *linear, ("quadratic_theta", quadratic, ones)]
+    return [(name, np.concatenate([u, zeros, th])) for name, u, th in items]
+
+
 @pytest.fixture(scope="module")
 def gen1d():
     return bounded.assemble_generator(
-        bounded.interval(0.0, 1.0), 100, bounded.free_beta(0.5)
+        bounded.interval(0.0, 1.0), 100, bounded.free()
     )
 
 
@@ -28,7 +46,7 @@ def spec1d(gen1d):
 @pytest.fixture(scope="module")
 def gen2d():
     return bounded.assemble_generator(
-        bounded.rectangle(0.0, 1.0, 0.0, 1.0), 12, bounded.free_2d(0.3)
+        bounded.rectangle(0.0, 1.0, 0.0, 1.0), 12, bounded.free(0.3)
     )
 
 
@@ -40,14 +58,12 @@ class TestValidation:
             bounded.DomainSpec(bounds=((1.0, 1.0),))
 
     def test_variant_domain_pairing(self):
-        with pytest.raises(bounded.AssemblyError):
+        with pytest.raises(bounded.AssemblyError, match="damped variant requires a rectangle"):
             bounded.assemble_generator(bounded.interval(), 50, bounded.lt_variant())
-        with pytest.raises(bounded.AssemblyError):
-            bounded.assemble_generator(bounded.interval(), 50, bounded.free_2d())
 
     def test_minimum_cells(self):
         with pytest.raises(bounded.AssemblyError):
-            bounded.assemble_generator(bounded.interval(), 4, bounded.free_beta())
+            bounded.assemble_generator(bounded.interval(), 4, bounded.free())
 
     def test_dense_size_limit_before_assembly(self, monkeypatch):
         def refuse(*args):
@@ -59,7 +75,7 @@ class TestValidation:
         assert bounded._grid_cells(bounded.interval(), cells - 1) == (cells - 1,)
         assert bounded._grid_cells(bounded.rectangle(), 64) == (64, 64)
         with pytest.raises(bounded.AssemblyError, match="dense limit"):
-            bounded.assemble_generator(bounded.interval(), cells, bounded.free_beta())
+            bounded.assemble_generator(bounded.interval(), cells, bounded.free())
         with pytest.raises(bounded.AssemblyError, match="dense limit"):
             bounded.assemble_generator(bounded.rectangle(), 10**10, bounded.lt_variant())
         with pytest.raises(bounded.AssemblyError, match="dense limit"):
@@ -73,17 +89,17 @@ class TestValidation:
     @pytest.mark.parametrize("mu", [1.0, 1.5, np.nan])
     def test_rectangle_mu_below_one(self, mu):
         # the ghost system is singular at mu = 1 and the spectrum leaves the
-        # left half plane beyond it
-        for variant in (bounded.free_2d, bounded.lt_variant):
-            with pytest.raises(ValueError, match="mu must be below 1"):
-                variant(mu)
-        assert bounded.free_2d(0.99).mu == 0.99
-        assert bounded.free_beta(0.5).mu == 0.3
+        # left half plane beyond it; mu does not enter the interval
+        for variant in (bounded.free, bounded.lt_variant):
+            with pytest.raises(bounded.AssemblyError, match="mu must be below 1"):
+                bounded.assemble_generator(bounded.rectangle(), 8, variant(mu))
+        assert bounded.assemble_generator(bounded.rectangle(), 8, bounded.free(0.99)).bc.mu == 0.99
+        assert bounded.assemble_generator(bounded.interval(), 20, bounded.free(mu)).state_size == 60
+        assert bounded.free().mu == 0.3
 
     def test_damped_flag(self):
         assert bounded.lt_variant().damped
-        assert not bounded.free_beta().damped
-        assert not bounded.free_2d().damped
+        assert not bounded.free().damped
 
 
 class TestInterval:
@@ -111,7 +127,7 @@ class TestInterval:
         # on the unbalanced blocks the fourth-smallest singular value (7.8e-5)
         # fell under the floor (9.1e-4) here; balanced, the third is 1.1e-10,
         # the floor 7.1e-9 and the fourth 4.6e-3
-        gen = bounded.assemble_generator(bounded.interval(), 400, bounded.free_beta(0.5))
+        gen = bounded.assemble_generator(bounded.interval(), 400, bounded.free())
         rep = bounded.spectrum(gen)
         assert rep.kernel_dimension == 3
         assert rep.zero_cluster_count == 5
@@ -125,7 +141,7 @@ class TestInterval:
         assert slow.imag == pytest.approx(30.11, abs=0.05)
 
     def test_kernel_fields_annihilated(self, gen1d):
-        fields = bounded.continuum_kernel_fields(gen1d)
+        fields = continuum_kernel_fields(gen1d)
         assert [name for name, _ in fields] == [
             "constant",
             "linear_x",
@@ -139,25 +155,18 @@ class TestInterval:
         # polynomials up to degree 2 are reproduced exactly by the stencils,
         # so the defect is machine noise amplified by the h^-4 matrix scale
         dom = bounded.interval(0.0, 1.0)
-        bc = bounded.free_beta(0.5)
+        bc = bounded.free()
         for m in (50, 100):
             gen = bounded.assemble_generator(dom, m, bc)
             floor = 100.0 * np.finfo(float).eps * np.abs(gen.matrix).max()
-            for _, v in bounded.continuum_kernel_fields(gen):
+            for _, v in continuum_kernel_fields(gen):
                 r = np.linalg.norm(gen.matrix @ v) / np.linalg.norm(v)
                 assert r <= floor
-
-    def test_beta_does_not_enter(self):
-        # no tangential direction in 1D, so the coupling coefficient drops out
-        dom = bounded.interval(0.0, 1.0)
-        a, b = (bounded.assemble_generator(dom, 60, bounded.free_beta(beta)).matrix
-                for beta in (0.1, 0.9))
-        assert np.array_equal(a, b)
 
     def test_jordan_action_on_velocity_block(self, gen1d):
         m = gen1d.n_cells
         z = np.zeros(m)
-        u, v, t = gen1d.unpack(gen1d.matrix @ gen1d.pack(z, np.ones(m), z))
+        u, v, t = np.split(gen1d.matrix @ np.concatenate([z, np.ones(m), z]), 3)
         assert np.abs(u - 1.0).max() <= 1e-9
         assert np.abs(v).max() <= 1e-9
         assert np.abs(t).max() <= 1e-6
@@ -188,7 +197,7 @@ class TestProjection:
         # n = 600: a projector built in complex arithmetic leaves an
         # imaginary part above 1e-6 here, so the real path must hold
         gen = bounded.assemble_generator(
-            bounded.interval(0.0, 1.0), 200, bounded.free_beta(0.5)
+            bounded.interval(0.0, 1.0), 200, bounded.free()
         )
         proj = bounded.kernel_and_projection(gen)
         assert all(p.dtype == np.float64 for p in proj.projectors)
@@ -298,7 +307,7 @@ class TestDecayRate:
 class TestConvergence:
     def test_orders_in_second_order_window(self):
         rep = bounded.convergence_study(
-            bounded.interval(), bounded.free_beta(0.5), (50, 100, 200), count=4
+            bounded.interval(), bounded.free(), (50, 100, 200), count=4
         )
         assert np.all(rep.orders >= 1.5)
         assert np.all(rep.orders <= 2.5)
@@ -306,20 +315,20 @@ class TestConvergence:
     def test_non_nested_rejected(self):
         with pytest.raises(ValueError, match="non-nested"):
             bounded.convergence_study(
-                bounded.interval(), bounded.free_beta(0.5), (50, 75, 100)
+                bounded.interval(), bounded.free(), (50, 75, 100)
             )
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_needs_a_mode_to_track(self, count):
         with pytest.raises(ValueError, match="at least one mode"):
             bounded.convergence_study(
-                bounded.interval(), bounded.free_beta(0.5), (8, 16, 32), count=count
+                bounded.interval(), bounded.free(), (8, 16, 32), count=count
             )
 
     def test_needs_three_grids(self):
         with pytest.raises(ValueError):
             bounded.convergence_study(
-                bounded.interval(), bounded.free_beta(0.5), (50, 100)
+                bounded.interval(), bounded.free(), (50, 100)
             )
 
 
@@ -331,7 +340,7 @@ class TestRectangle:
         assert rep.kernel_dimension == 4
 
     def test_free_kernel_fields(self, gen2d):
-        fields = bounded.continuum_kernel_fields(gen2d)
+        fields = continuum_kernel_fields(gen2d)
         names = [name for name, _ in fields]
         assert names == ["constant", "linear_x", "linear_y", "quadratic_theta"]
         for _, vec in fields:
@@ -348,7 +357,7 @@ class TestRectangle:
         rep = bounded.spectrum(gen)
         assert rep.zero_cluster_count == 0
         assert rep.max_real_part < 0.0
-        assert bounded.continuum_kernel_fields(gen) == []
+        assert continuum_kernel_fields(gen) == []
 
     def test_lt_robin_coefficient_shifts_spectrum(self):
         # stronger boundary cooling must not create growing modes
@@ -361,7 +370,7 @@ class TestRectangle:
 
 
 class TestNonSquareRectangle:
-    @pytest.mark.parametrize("variant", [bounded.free_2d(0.3), bounded.lt_variant(0.3, 1.0)])
+    @pytest.mark.parametrize("variant", [bounded.free(0.3), bounded.lt_variant(0.3, 1.0)])
     def test_transposed_domain_is_permuted_generator(self, variant):
         wide = bounded.assemble_generator(bounded.rectangle(0.0, 2.0, 0.0, 1.0), (12, 10), variant)
         tall = bounded.assemble_generator(bounded.rectangle(0.0, 1.0, 0.0, 2.0), (10, 12), variant)
@@ -373,20 +382,20 @@ class TestNonSquareRectangle:
 
     def test_free_kernel_residual_is_roundoff_level(self):
         gen = bounded.assemble_generator(
-            bounded.rectangle(0.0, 2.0, 0.0, 1.0), (12, 10), bounded.free_2d(0.3)
+            bounded.rectangle(0.0, 2.0, 0.0, 1.0), (12, 10), bounded.free(0.3)
         )
         floor = 100.0 * np.finfo(float).eps * np.abs(gen.matrix).max()
-        fields = bounded.continuum_kernel_fields(gen)
+        fields = continuum_kernel_fields(gen)
         assert len(fields) == 4
         for _, v in fields:
             assert np.linalg.norm(gen.matrix @ v) / np.linalg.norm(v) <= floor
 
 
 PARITY_CASES = {
-    "interval25": (bounded.interval(), 25, bounded.free_beta(0.5)),
-    "interval200": (bounded.interval(), 200, bounded.free_beta(0.5)),
+    "interval25": (bounded.interval(), 25, bounded.free()),
+    "interval200": (bounded.interval(), 200, bounded.free()),
     "damped16": (bounded.rectangle(), 16, bounded.lt_variant(0.3, 1.0)),
-    "free12": (bounded.rectangle(), 12, bounded.free_2d(0.3)),
+    "free12": (bounded.rectangle(), 12, bounded.free(0.3)),
     "damped9x13": (bounded.rectangle(), (9, 13), bounded.lt_variant(0.3, 1.0)),
     "damped9": (bounded.rectangle(), 9, bounded.lt_variant(0.3, 1.0)),
     "box2x1": (bounded.rectangle(0.0, 2.0, 0.0, 1.0), 16, bounded.lt_variant(0.3, 1.0)),
@@ -619,7 +628,7 @@ class TestReflectionBlocks:
             return gen
 
         monkeypatch.setattr(bounded, "assemble_generator", assembled)
-        free = bounded.assemble_generator(bounded.interval(), 40, bounded.free_beta(0.5))
+        free = bounded.assemble_generator(bounded.interval(), 40, bounded.free())
         damped = bounded.assemble_generator(bounded.rectangle(), 12, bounded.lt_variant())
         record(np.linalg, "solve", operands=2)
         bounded.spectrum(damped)
@@ -628,14 +637,14 @@ class TestReflectionBlocks:
         bounded.spectrum(free)
         bounded.kernel_and_projection(free)
         bounded.decay_rate_experiment(free)
-        bounded.convergence_study(bounded.interval(), bounded.free_beta(0.5), (16, 32, 64))
+        bounded.convergence_study(bounded.interval(), bounded.free(), (16, 32, 64))
         assert len(shapes) >= 16
         for shape, n in shapes:
             assert max(shape) <= n // 2, (shape, n)
 
 
 class TestFactorizationBudget:
-    @pytest.mark.parametrize("case", [(bounded.interval(), 100, bounded.free_beta(0.5)),
+    @pytest.mark.parametrize("case", [(bounded.interval(), 100, bounded.free()),
                                       PARITY_CASES["free12"]], ids=["interval100", "free12"])
     def test_decay_factors_each_block_once(self, case, monkeypatch):
         gen = bounded.assemble_generator(*case)

@@ -9,19 +9,18 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
 import scipy
 
-from thermoplate import bounded, cli, multipliers
+from thermoplate import bounded, cli, multipliers, symbols
 from thermoplate.symbols import NumericalError
 
 
 def run(argv, tmp_path, monkeypatch, env=None):
     monkeypatch.setenv(cli.ENV_OUT, str(tmp_path))
-    monkeypatch.delenv(cli.ENV_PERTURB, raising=False)
     for key, val in (env or {}).items():
         monkeypatch.setenv(key, val)
     return cli.main(argv)
@@ -176,10 +175,10 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: key 'k': ")
 
     def test_perturbed_roots_fail_check(self, tmp_path, monkeypatch):
-        rc = run(
-            ["roots"], tmp_path, monkeypatch, env={cli.ENV_PERTURB: "1e-3"}
-        )
-        assert rc == cli.EXIT_CHECK
+        exact = symbols.characteristic_roots()
+        monkeypatch.setattr(symbols, "characteristic_roots",
+                            lambda: replace(exact, gamma1=exact.gamma1 + 1e-3))
+        assert run(["roots"], tmp_path, monkeypatch) == cli.EXIT_CHECK
         # a failed check still writes its artifact and a manifest that hashes it
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["checks"]["root_invariants"] is False
@@ -210,9 +209,13 @@ class TestExitCodes:
     def test_perturbed_roots_fail_check_under_optimize(self, tmp_path):
         # validation must not rest on assert, which python -O strips
         src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=src, **{cli.ENV_PERTURB: "0.1",
-                                                  cli.ENV_OUT: str(tmp_path)})
-        proc = subprocess.run([sys.executable, "-O", "-m", "thermoplate.cli", "roots"],
+        script = ("import dataclasses, sys\nfrom thermoplate import cli, symbols\n"
+                  "exact = symbols.characteristic_roots()\n"
+                  "symbols.characteristic_roots = lambda: dataclasses.replace(\n"
+                  "    exact, gamma1=exact.gamma1 + 0.1)\n"
+                  "sys.exit(cli.main(['roots', '--out', sys.argv[1]]))\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script, str(tmp_path)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == cli.EXIT_CHECK, proc.stderr
 
@@ -316,6 +319,7 @@ class TestExitCodes:
             ("spectrum --domain rectangle --bc lt --grid 8", "--b", "b", "inf"),
             ("evolve", "--length", "length", "-inf"),
             ("decay", "--horizon", "horizon", "nan"),
+            ("evolve", "--seed", "seed", "-1"),
         ],
     )
     def test_bad_value_fails_alike_as_flag_and_config_line(self, command, flag, key, value,
@@ -338,6 +342,17 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: mu must be below 1")
         assert not out.exists()
+
+    def test_tiny_decay_horizon_is_one_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # the fit window's squared times underflow, so polyfit cannot scale its columns
+        argv = ["decay", "--domain", "rectangle", "--bc", "lt", "--grid", "8", "--samples", "8",
+                "--horizon", "1e-300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(argv, tmp_path, monkeypatch) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+        assert "window" in err[0]
 
     def test_numerical_error_maps_to_three(self, tmp_path, monkeypatch):
         def boom(state, t):
@@ -457,6 +472,19 @@ class TestOutputs:
         assert rows[0] == "re,im"
         assert len(rows) == len(report["eigenvalues"]) + 1 == 151
 
+    def test_beta_enters_no_artifact(self, tmp_path, monkeypatch):
+        # --beta is accepted and echoed in the manifest, but the interval has
+        # no tangential terms for a coupling coefficient to multiply
+        written = []
+        for beta in ("0.1", "0.9"):
+            out = tmp_path / beta
+            argv = ["spectrum", "--grid", "50", "--beta", beta, "--out", str(out)]
+            assert run(argv, tmp_path, monkeypatch) == 0
+            assert json.loads((out / "manifest.json").read_text())["config"]["beta"] == float(beta)
+            written.append([(out / name).read_bytes()
+                            for name in ("spectrum.csv", "spectrum.json")])
+        assert written[0] == written[1]
+
     def test_decay_on_fine_free_interval(self, tmp_path, monkeypatch):
         # n = 600, where a projector built in complex arithmetic aborts
         assert run(["decay", "--grid", "200"], tmp_path, monkeypatch) == cli.EXIT_OK
@@ -536,7 +564,6 @@ class TestImports:
         argvs = [["roots"], ["spectrum", "--grid", "20"], ["converge", "--grids", "8,16,32"],
                  ["decay", "--grid", "20"]]
         env = dict(os.environ, PYTHONPATH=src)
-        env.pop(cli.ENV_PERTURB, None)
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), json.dumps(argvs)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -556,7 +583,6 @@ class TestReproducibility:
         outputs = {}
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-            env.pop(cli.ENV_PERTURB, None)
             dirs = {name: tmp_path / threads / name for name in runs}
             argvs = [[*argv, "--out", str(dirs[name])] for name, argv in runs.items()]
             proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
@@ -579,7 +605,6 @@ class TestReproducibility:
         outputs = {}
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-            env.pop(cli.ENV_PERTURB, None)
             dirs = {name: tmp_path / threads / name for name in runs}
             argvs = [[*argv, "--out", str(dirs[name])] for name, argv in runs.items()]
             proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
@@ -608,7 +633,6 @@ class TestReproducibility:
         outputs = {}
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-            env.pop(cli.ENV_PERTURB, None)
             dirs = {name: tmp_path / threads / name for name in runs}
             argvs = [[*argv, "--out", str(dirs[name])] for name, argv in runs.items()]
             proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],

@@ -349,7 +349,8 @@ class TestResolventEntryScans:
         rng = np.random.default_rng(4)
         xi = 10.0 ** rng.uniform(-1.5, 1.5, size=(40, 2))
         lam = 1.0 + 10.0 ** rng.uniform(-2, 2, 40) * np.exp(1j * rng.uniform(-1.6, 1.6, 40))
-        blocks = [symbols.scaled_resolvent_symbol(j, x, l) for x, l in zip(xi, lam)]
+        blocks = [symbols._scaled_resolvent_from_s(j, float(x @ x), l, *symbols.BLOCK)
+                  for x, l in zip(xi, lam)]
         for row in range(3):
             for col in range(3):
                 got = mp.resolvent_entry_symbol(j, row, col)(xi, lam)

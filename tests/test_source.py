@@ -56,3 +56,44 @@ def test_commands_return_their_artifacts():
             if isinstance(fn, ast.Attribute) and fn.attr == "save_state":
                 found.append(f"{node.name}:{call.lineno} calls save_state")
     assert not found, found
+
+
+#: definitions that nothing in the package references, each with its reason
+UNCALLED = {
+    "DiscreteGenerator.matrix": "the dense oracle; the perfbench tracer reads it",
+    "_Parser.error": "argparse calls it",
+    "laplace_transform_error": "acceptance oracle of the torus semigroup",
+    "modal_decay_fit": "acceptance oracle of the torus decay",
+    "determinant_pair": "acceptance oracle of the determinant factorizations",
+    "load_state": "the reader of the states that evolve writes",
+}
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, node) of every def and class below node, methods as Class.name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def test_every_function_has_a_caller():
+    # a def or class counts as called when its name appears, as a name or an
+    # attribute, anywhere in the package outside its own body; dunders are
+    # Python's.  Matching by name is blind to a method that shares a name
+    # with another module's attribute (struct.pack would hide a method pack)
+    defs, refs = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defs += [(path.name, qual, node) for qual, node in _definitions(tree)]
+        refs += [(path.name, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+                 for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+    uncalled = sorted(
+        qual for where, qual, node in defs
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and not any(name == node.name
+                    and (file != where or not node.lineno <= line <= node.end_lineno)
+                    for file, name, line in refs))
+    assert uncalled == sorted(UNCALLED)

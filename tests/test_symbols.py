@@ -101,7 +101,7 @@ class TestResolvent:
             s = 10.0 ** rng.uniform(-3, 2)
             lam = 10.0 ** rng.uniform(-2, 2) * cmath.exp(1j * rng.uniform(-1.5, 1.5))
             a = symbols.symbol_matrix(math.sqrt(s))
-            r = symbols.resolvent_matrix(math.sqrt(s), lam)
+            r = symbols.resolvent_matrices(s, lam)
             res = np.abs((lam * np.eye(3) - a) @ r - np.eye(3)).max()
             assert res <= 1e-12
 
@@ -139,7 +139,7 @@ class TestResolvent:
         # lambda on the spectrum of one mode
         lam = -symbols.ROOTS.gamma1 * 4.0
         with pytest.raises(symbols.SingularParameterError):
-            symbols.resolvent_matrix(2.0, lam)
+            symbols.resolvent_matrices(4.0, lam)
 
     def test_batched_singular_names_offending_mode(self):
         lam = -symbols.ROOTS.gamma1 * 4.0
@@ -153,19 +153,19 @@ class TestResolvent:
 
     def test_lambda_zero_rejected_at_zero_frequency(self):
         with pytest.raises(symbols.SingularParameterError):
-            symbols.resolvent_matrix(0.0, 0.0)
+            symbols.resolvent_matrices(0.0, 0.0)
 
     def test_singular_floor_is_relative(self):
         # det = lambda^3 = 1e-300 at s = 0 is far from singular relative to
         # its scale |lambda|^3; the closed form is diag(1/lam) + 1/lam^2 e_12
         lam = 1e-100
-        r = symbols.resolvent_matrix(0.0, lam)
+        r = symbols.resolvent_matrices(0.0, lam)
         expected = np.array([[1 / lam, 1 / lam ** 2, 0.0], [0.0, 1 / lam, 0.0],
                              [0.0, 0.0, 1 / lam]])
         assert np.allclose(r, expected, rtol=1e-15, atol=0.0)
         s = 1e-101
         dense = np.linalg.inv(s * np.eye(3) - symbols.symbol_matrix(math.sqrt(s)))
-        assert np.allclose(symbols.resolvent_matrix(math.sqrt(s), s), dense, rtol=1e-12)
+        assert np.allclose(symbols.resolvent_matrices(s, s), dense, rtol=1e-12)
         # exact cancellation stays singular at any scale
         for s in (1e-90, 1.0, 1e90):
             with pytest.raises(symbols.SingularParameterError):
@@ -190,6 +190,16 @@ class TestResolvent:
         assert not isinstance(info.value, symbols.SingularParameterError)
 
 
+def scaled_resolvent(j, s, lam):
+    """The whole 3x3 M^(j) at one (s, lambda)."""
+    return symbols._scaled_resolvent_from_s(j, s, lam, *symbols.BLOCK)
+
+
+def scaling_matrix(j, s):
+    """S_j(xi) = (1+|xi|^2)^{j/2} diag(1+|xi|^2, 1, 1), the dense oracle's scaling."""
+    return (1.0 + s) ** (j / 2) * np.diag([1.0 + s, 1.0, 1.0])
+
+
 class TestScaledResolvent:
     # Hand-checked at s = 1, lambda = 1: det = (1+gamma1)(1+gamma2)(1+gamma3) = 5.
     M0_ORACLE = np.array(
@@ -201,11 +211,11 @@ class TestScaledResolvent:
     )
 
     def test_j0_oracle(self):
-        m0 = symbols.scaled_resolvent_symbol(0, 1.0, 1.0)
+        m0 = scaled_resolvent(0, 1.0, 1.0)
         assert np.allclose(m0, self.M0_ORACLE, rtol=0, atol=1e-12)
 
     def test_j1_mixed_entry_oracle(self):
-        m1 = symbols.scaled_resolvent_symbol(1, 1.0, 1.0)
+        m1 = scaled_resolvent(1, 1.0, 1.0)
         assert m1[1, 0] == pytest.approx(-0.2 * math.sqrt(2.0), abs=1e-12)
 
     @pytest.mark.parametrize("j", [0, 1, 2])
@@ -218,13 +228,13 @@ class TestScaledResolvent:
             res = np.linalg.inv(lam * np.eye(3) - a)
             dense = (
                 lam ** (j / 2.0)
-                * symbols.scaling_matrix(2 - j, xi)
+                * scaling_matrix(2 - j, xi * xi)
                 @ res
-                @ np.linalg.inv(symbols.scaling_matrix(0, xi))
+                @ np.linalg.inv(scaling_matrix(0, xi * xi))
             )
-            got = symbols.scaled_resolvent_symbol(j, xi, lam)
+            got = scaled_resolvent(j, xi * xi, lam)
             assert np.allclose(got, dense, rtol=1e-10, atol=1e-13)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
-            symbols.scaled_resolvent_symbol(3, 1.0, 1.0)
+            scaled_resolvent(3, 1.0, 1.0)
