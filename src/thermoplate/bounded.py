@@ -57,7 +57,10 @@ max|A[S][:, S] - A| / max|A| <= SYMMETRY_TOL before any block is formed.
 Every eigensolve, SVD, Schur form, exponential and zero-cluster projector runs
 on these blocks (B_E's eigenvalues and singular values counted twice, one
 exponential carrying both E states); the SVDs, and the projector's one Schur
-form and one Sylvester solve per block, on the exactly balanced S_c B_c S_c^-1.
+form and one Sylvester solve per block, on the exactly balanced S_c B_c S_c^-1
+(a power of two sigma on the u coordinates).  One eigvals per block and
+generator (block_spectrum) fixes the zero cluster for every command; decay
+projects it off exactly when it is nonempty, which the free variants are.
 
 scipy.linalg is imported inside kernel_and_projection and
 decay_rate_experiment, its only users: loading it takes about a quarter
@@ -79,6 +82,8 @@ from .symbols import NumericalError
 
 MACHINE_EPS = np.finfo(float).eps
 ZERO_TOL_FACTOR = 1e-6
+#: every modulus off a nonempty zero cluster is at least this multiple of every one in it
+CLUSTER_GAP = 10.0
 #: singular values at most this multiple of sigma_max count as kernel
 KERNEL_SV_FACTOR = 10.0
 PAIRING_CONDITION_LIMIT = 1e10
@@ -178,11 +183,11 @@ class DiscreteGenerator:
         out[self.entries[:2]] = self.entries[2]
         return out
 
-    @functools.cached_property
-    def balancing(self) -> np.ndarray:
-        """diag S: 2^round(log2 h_min^-2) on u, 1 on v and theta; S A S^-1 is exact."""
+    @property
+    def sigma(self) -> float:
+        """2^round(log2 h_min^-2): S = diag(sigma on u, 1 on v and theta), S A S^-1 exact."""
         h = min((b - a) / m for (a, b), m in zip(self.domain.bounds, self.cells))
-        return np.repeat([2.0 ** round(math.log2(h ** -2)), 1.0, 1.0], self.n_cells)
+        return 2.0 ** round(math.log2(h ** -2))
 
     @functools.cached_property
     def reflection_blocks(self) -> ReflectionBlocks:
@@ -190,7 +195,35 @@ class DiscreteGenerator:
         once; the diagonal swap joins when the box and the grid are square."""
         square = (self.domain.dim == 2 and self.cells[0] == self.cells[1]
                   and len({b - a for a, b in self.domain.bounds}) == 1)
-        return _reflection_blocks(self.entries, self.cells, square, self.balancing)
+        return _reflection_blocks(self.entries, self.cells, square)
+
+    @functools.cached_property
+    def block_spectrum(self) -> tuple:
+        """(eigenvalues, zero_tol, decay margin) from one eigvals per block, E's twice.
+
+        Report order: descending real part rounded to a multiple of ORDER_QUANTUM
+        max|lambda| (roundoff-level gaps do not reorder rows), then descending
+        imaginary part.  The zero cluster is |lambda| <= zero_tol = ZERO_TOL_FACTOR
+        max|lambda|, the margin minus the spectral abscissa off it (inf if nothing is).
+        zero_tol grows like h^-2, the physical modes do not: a cluster not
+        CLUSTER_GAP times below every other modulus raises NumericalError.
+        """
+        blocks = self.reflection_blocks
+        try:
+            ev = np.concatenate([np.tile(np.linalg.eigvals(B), k)
+                                 for B, k in zip(blocks.blocks, blocks.counts)])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+        top = float(np.abs(ev).max())
+        ev = ev[np.lexsort((-ev.imag, -np.round(ev.real / (ORDER_QUANTUM * top))))]
+        zero_tol = ZERO_TOL_FACTOR * top
+        cluster = np.abs(ev) <= zero_tol
+        inside, off = float(np.abs(ev[cluster]).max(initial=0.0)), ev[~cluster]
+        if len(off) and not np.abs(off).min() >= CLUSTER_GAP * inside:
+            raise NumericalError(f"zero cluster takes in physical modes: min |lambda| "
+                                 f"{np.abs(off).min():.4g} off it is below {CLUSTER_GAP:g} x "
+                                 f"max |lambda| {inside:.4g} in it (zero_tol {zero_tol:.4g})")
+        return ev, zero_tol, float(-off.real.max()) if len(off) else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +441,9 @@ class ReflectionBlocks:
     """The generator in the orthonormal symmetry basis of the box.
 
     C_c maps class coordinates (field, half-grid cells row-major) to the state,
-    blocks[c] = C_c^T A C_c, maps[c] is the state's _class_map, balancing[c] is
-    diag C_c^T S C_c (S = diag DiscreteGenerator.balancing).  The classes are
-    the reflection parities, one sign per axis and +1 first; on a square box and
-    grid (swap_residual not None) they are the D4 classes instead: (+,+) and
+    blocks[c] = C_c^T A C_c and maps[c] is the state's _class_map.  The classes
+    are the reflection parities, one sign per axis and +1 first; on a square box
+    and grid (swap_residual not None) they are the D4 classes instead: (+,+) and
     (-,-) each swap-even then swap-odd, and last B_E of (+,-), which serves (-,+) too.
     """
 
@@ -420,7 +452,6 @@ class ReflectionBlocks:
     residual: float
     swap_residual: float | None
     maps: tuple
-    balancing: tuple
 
     @property
     def sizes(self) -> tuple:
@@ -438,13 +469,13 @@ class ReflectionBlocks:
         return out
 
 
-def _reflection_blocks(entries: tuple, cells: tuple, square: bool, balancing) -> ReflectionBlocks:
+def _reflection_blocks(entries: tuple, cells: tuple, square: bool) -> ReflectionBlocks:
     """Check that A (its summed triplets) commutes with every axis reflection J,
     and on a square box and grid with the diagonal swap P, then form the blocks.
 
     Each defect is max|A[S][:, S] - A| / max|A| over the entries; one above
     SYMMETRY_TOL raises NumericalError, since the blocks drop every coupling
-    between classes.  A block, and its balancing, is one bincount over its _class_map.
+    between classes.  A block is one bincount over its _class_map.
     """
     (rows, cols, values), n = entries, 3 * math.prod(cells)
     keys, scale = rows * n + cols, float(np.abs(values).max())
@@ -470,9 +501,14 @@ def _reflection_blocks(entries: tuple, cells: tuple, square: bool, balancing) ->
     maps = tuple(_class_map(fields, points, cells, s, w)[0] for s, w in classes)
     return ReflectionBlocks(tuple(_class_block(entries, m) for m in maps),
                             (1, 1, 1, 1, 2) if square else (1,) * len(maps),
-                            residual, swap_residual, maps,
-                            tuple(np.bincount(m[0], m[1] ** 2 * HALF_POWERS[2 * m[2]] * balancing)
-                                  for m in maps))
+                            residual, swap_residual, maps)
+
+
+def _balanced_blocks(gen: DiscreteGenerator):
+    """Yield (S_c B_c S_c^-1, diag S_c) per block; coordinates are field-major, a third each."""
+    for B in gen.reflection_blocks.blocks:
+        s = np.repeat([gen.sigma, 1.0, 1.0], len(B) // 3)
+        yield B * s[:, None] / s, s
 
 
 # ---------------------------------------------------------------------------
@@ -496,47 +532,21 @@ class SpectrumReport:
     block_sizes: tuple
 
 
-def _eigenvalues(gen: DiscreteGenerator) -> tuple:
-    """The blocks' eigenvalues in report order and the default zero tolerance.
-
-    The order is descending real part rounded to a multiple of ORDER_QUANTUM
-    max|lambda|, then descending imaginary part: roundoff-level gaps between
-    real parts do not reorder the rows.  The E block's eigenvalues count twice.
-    """
-    blocks = gen.reflection_blocks
-    try:
-        ev = np.concatenate([np.tile(np.linalg.eigvals(B), k)
-                             for B, k in zip(blocks.blocks, blocks.counts)])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    top = float(np.abs(ev).max())
-    ev = ev[np.lexsort((-ev.imag, -np.round(ev.real / (ORDER_QUANTUM * top))))]
-    return ev, ZERO_TOL_FACTOR * top
-
-
-def _decay_margin(ev: np.ndarray, zero_tol: float) -> float:
-    """Minus the spectral abscissa off the zero cluster (inf if nothing is off it)."""
-    nonzero = ev[np.abs(ev) > zero_tol]
-    return float(-nonzero.real.max()) if len(nonzero) else float("inf")
-
-
 def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
     """Block eigensolves with zero-cluster bookkeeping.
 
     kernel_dimension counts singular values at the rounding floor (a fixed
-    multiple of machine epsilon times sigma_max); that count matches the
-    analytic kernel and is grid-stable, unlike counting against zero_tol,
-    which a physical near-null pseudomode crosses on fine grids.
-    zero_cluster_count counts eigenvalues with |lambda| <= zero_tol and so
-    includes generalized (Jordan) directions.  The singular values are S A S^-1's,
+    multiple of machine epsilon times sigma_max), which matches the analytic
+    kernel; zero_cluster_count counts eigenvalues with |lambda| <= zero_tol and
+    so includes generalized (Jordan) directions.  The singular values are S A S^-1's,
     the balanced blocks' (E's twice) in descending order: its sigma_max, so the
     floor, is about h^2 times A's, while the physical values hardly move.
     """
-    ev, zero_tol = _eigenvalues(gen)
+    ev, zero_tol, margin = gen.block_spectrum
     blocks = gen.reflection_blocks
     try:
-        sv = np.concatenate([np.tile(np.linalg.svd(B * s[:, None] / s, compute_uv=False), k)
-                             for B, s, k in zip(blocks.blocks, blocks.balancing, blocks.counts)])
+        sv = np.concatenate([np.tile(np.linalg.svd(B, compute_uv=False), k)
+                             for (B, _), k in zip(_balanced_blocks(gen), blocks.counts)])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     sv = np.sort(sv)[::-1]
@@ -547,7 +557,7 @@ def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
         zero_tol=zero_tol,
         kernel_dimension=int((sv <= kernel_tol).sum()),
         zero_cluster_count=int((np.abs(ev) <= zero_tol).sum()),
-        decay_margin=_decay_margin(ev, zero_tol),
+        decay_margin=margin,
         max_real_part=float(ev.real.max()),
         largest_modulus=float(np.abs(ev).max()),
         kernel_tolerance=kernel_tol,
@@ -577,8 +587,7 @@ class KernelProjection:
     idempotency_residual: float
 
 
-def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
-                          ) -> KernelProjection:
+def kernel_and_projection(gen: DiscreteGenerator) -> KernelProjection:
     """The oblique projection onto the zero cluster, block by block.
 
     Each block is balanced, S_c B_c S_c^-1 = Z T Z^T in one real Schur form sorted
@@ -591,14 +600,12 @@ def kernel_and_projection(gen: DiscreteGenerator, zero_tol: float | None = None
     """
     import scipy.linalg as sla
 
-    if zero_tol is None:
-        zero_tol = _eigenvalues(gen)[1]
-    blocks = gen.reflection_blocks
+    zero_tol = gen.block_spectrum[1]
     keep = lambda x, y: np.hypot(x, y) <= zero_tol
     P, cond, d = [], 1.0, 0
-    for c, (B, s, k) in enumerate(zip(blocks.blocks, blocks.balancing, blocks.counts)):
+    for c, ((B, s), k) in enumerate(zip(_balanced_blocks(gen), gen.reflection_blocks.counts)):
         try:
-            T, Z, dc = sla.schur(B * s[:, None] / s, output="real", sort=keep)
+            T, Z, dc = sla.schur(B, output="real", sort=keep)
         except sla.LinAlgError as exc:
             raise NumericalError(f"Schur decomposition failed: {exc}") from exc
         Y, scale, info = (sla.lapack.dtrsyl(T[:dc, :dc], T[dc:, dc:], -T[:dc, dc:], isgn=-1)
@@ -633,21 +640,21 @@ class DecayFit:
     swap_residual: float | None
     ghost_condition: float
     block_sizes: tuple
-    # projector diagnostics, None when the kernel was not projected out
+    # projector diagnostics, None when the zero cluster is empty (nothing projected)
     projector_dimension: int | None = None
     pairing_condition: float | None = None
     idempotency_residual: float | None = None
 
 
 def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
-                          horizon: float | None = None, seed: int = 0,
-                          project_off_kernel: bool = True) -> DecayFit:
+                          horizon: float | None = None, seed: int = 0) -> DecayFit:
     """Fit exp(-eps t) to the norm history of a random trajectory.
 
     The fit window is the second half of the horizon, where the slowest
     surviving mode dominates; the spectral abscissa off the zero cluster is
     the reference value.  The initial state is restricted to the blocks once
-    and projected there (y_c - P_c y_c); each block gets its own propagator,
+    and, when the zero cluster is nonempty (the free variants), projected
+    there (y_c - P_c y_c); each block gets its own propagator,
     which carries both E states as one two-column product, and the stacked
     2-norm of the block states is the state norm.
     """
@@ -657,8 +664,7 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
         raise ValueError("need at least 8 samples for a stable fit")
     if horizon is not None and not 0.0 < horizon < np.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    ev, zero_tol = _eigenvalues(gen)
-    eps_spec = _decay_margin(ev, zero_tol)
+    ev, zero_tol, eps_spec = gen.block_spectrum
     if not np.isfinite(eps_spec) or eps_spec <= 0:
         raise NumericalError(f"no positive spectral decay margin (got {eps_spec})")
     if horizon is None:
@@ -666,8 +672,8 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
     blocks = gen.reflection_blocks
     states = blocks.restrict(np.random.default_rng(seed).standard_normal(gen.state_size))
     diagnostics = {}
-    if project_off_kernel:
-        proj = kernel_and_projection(gen, zero_tol)
+    if np.any(np.abs(ev) <= zero_tol):
+        proj = kernel_and_projection(gen)
         states = [y - P @ y for P, y in zip(proj.projectors, states)]
         diagnostics = dict(projector_dimension=proj.algebraic_dimension,
                            pairing_condition=proj.pairing_condition,
@@ -724,7 +730,7 @@ class ConvergenceReport:
 
 
 def _slow_modes(gen: DiscreteGenerator, count: int) -> np.ndarray:
-    ev, zero_tol = _eigenvalues(gen)
+    ev, zero_tol, _ = gen.block_spectrum
     nz = ev[np.abs(ev) > zero_tol]
     nz = nz[nz.imag >= -1e-9 * float(np.abs(ev).max())]
     nz = nz[np.argsort(np.abs(nz))]
@@ -737,18 +743,16 @@ def _slow_modes(gen: DiscreteGenerator, count: int) -> np.ndarray:
 def _match_modes(ref: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Pair each reference eigenvalue with its nearest candidate."""
     out = np.empty(len(ref), dtype=complex)
-    used = set()
+    used = np.zeros(len(cand), dtype=bool)
     for i, lam in enumerate(ref):
-        dist = np.abs(cand - lam)
-        for k in used:
-            dist[k] = np.inf
+        dist = np.where(used, np.inf, np.abs(cand - lam))
         k = int(np.argmin(dist))
         if dist[k] > 0.5 * max(abs(lam), 1.0):
             raise NumericalError(
                 f"eigenvalue matching failed: {lam} has no partner "
                 f"(nearest at distance {dist[k]:.3e})"
             )
-        used.add(k)
+        used[k] = True
         out[i] = cand[k]
     return out
 

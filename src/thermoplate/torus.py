@@ -216,12 +216,12 @@ def _evolve_batches(state: StateField, ts):
     NumericalError before it is yielded.
     """
     ts = np.asarray(ts, dtype=float).ravel()
-    bad = ts[~((ts >= 0.0) & (ts < math.inf))]
-    if bad.size:
-        raise ValueError(f"time must be finite and nonnegative, got {float(bad[0])!r}")
     g = state.grid
-    U = _coefficients(state).reshape(3, -1)
     s, inverse = np.unique(g.s_array().ravel(), return_inverse=True)
+    bad = [t for t in ts.tolist() if not (t >= 0.0 and t * float(s[-1]) < math.inf)]
+    if bad:
+        raise ValueError(f"time must be >= 0 with t max|xi|^2 finite, got {bad[0]!r}")
+    U = _coefficients(state).reshape(3, -1)
     step = max(1, _BATCH_MODE_TIMES // U.shape[1])
     axes = tuple(range(1, g.dim + 1))
     for lo in range(0, ts.size, step):

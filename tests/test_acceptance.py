@@ -261,7 +261,7 @@ def test_criterion_7_exponential_stability():
         and min_mod > rep.zero_tol
     )
     ok = ok and neutral_free
-    fit2 = bounded.decay_rate_experiment(gen2, project_off_kernel=False)
+    fit2 = bounded.decay_rate_experiment(gen2)
     ok = ok and fit2.decaying and fit2.relative_gap <= 0.10
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300.0

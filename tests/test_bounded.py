@@ -247,15 +247,29 @@ class TestProjection:
         assert all(np.abs(p).max() == 0.0 for p in proj.projectors)
 
 
-class TestEvolution:
-    def test_projection_follows_zero_tol(self, gen1d):
-        # a wider zero tolerance takes in a sixth eigenvalue; the projector
-        # must follow it rather than reuse the one built for the default
-        wide = bounded.kernel_and_projection(gen1d, 20.0)
-        assert wide.algebraic_dimension == 6
-        for p in wide.projectors:
-            assert np.abs(p @ p - p).max() <= bounded.IDEMPOTENCY_TOL
-        _assert_commutes(gen1d, wide.projectors, 1e-6 * np.abs(gen1d.matrix).max())
+class TestZeroCluster:
+    def test_cluster_swallowing_physical_modes_is_refused(self, spec1d, tmp_path, monkeypatch,
+                                                          capsys):
+        # zero_tol 20 at 100 cells takes in the real mode -4.94 (as zero_tol does
+        # by itself from about 1200 cells), only 4.4 times below the next modulus 21.8
+        monkeypatch.setattr(bounded, "ZERO_TOL_FACTOR", 20.0 / spec1d.largest_modulus)
+        gen = bounded.assemble_generator(bounded.interval(), 100, bounded.free())
+        for run in (bounded.spectrum, bounded.kernel_and_projection,
+                    bounded.decay_rate_experiment):
+            with pytest.raises(bounded.NumericalError, match="takes in physical modes"):
+                run(gen)
+        rc = cli.main(["spectrum", "--grid", "100", "--out", str(tmp_path / "never")])
+        assert rc == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: zero cluster")
+        assert "4.94" in err[0] and "zero_tol 20" in err[0]
+        assert not (tmp_path / "never").exists()
+
+    def test_default_cluster_sits_far_below_the_physical_modes(self, gen1d):
+        ev, zero_tol, _ = gen1d.block_spectrum
+        cluster = np.abs(ev) <= zero_tol
+        assert cluster.sum() == 5
+        assert np.abs(ev[~cluster]).min() >= 270 * np.abs(ev[cluster]).max()
 
 
 class TestDecayRate:
@@ -265,17 +279,17 @@ class TestDecayRate:
         assert fit.relative_gap <= 0.10
         assert fit.spectral_rate == pytest.approx(2.09, abs=0.03)
 
-    def test_unprojected_fit_stalls_on_kernel(self, gen1d):
-        fit = bounded.decay_rate_experiment(gen1d, project_off_kernel=False)
-        # the generalized kernel freezes the norm, so no decay is seen
-        assert not fit.decaying
-
-    def test_projector_diagnostics(self, gen1d):
+    def test_projection_follows_the_zero_cluster(self, gen1d, monkeypatch):
+        # the free fit projects its cluster off; the damped cluster is empty,
+        # so that fit carries no diagnostics and takes no Schur form
         fit = bounded.decay_rate_experiment(gen1d)
         assert fit.projector_dimension == 5
         assert fit.pairing_condition < bounded.PAIRING_CONDITION_LIMIT
         assert fit.idempotency_residual <= bounded.IDEMPOTENCY_TOL
-        bare = bounded.decay_rate_experiment(gen1d, project_off_kernel=False)
+        damped = bounded.assemble_generator(bounded.rectangle(), 12, bounded.lt_variant())
+        monkeypatch.setattr(sla, "schur", lambda *a, **k: pytest.fail("schur on a damped fit"))
+        bare = bounded.decay_rate_experiment(damped)
+        assert bounded.spectrum(damped).zero_cluster_count == 0
         assert [bare.projector_dimension, bare.pairing_condition,
                 bare.idempotency_residual] == [None, None, None]
 
@@ -424,11 +438,22 @@ def _dense_projector(a, zero_tol, d=None):
     return v @ np.linalg.solve(w.T @ v, w.T)
 
 
+def _balancing(gen):
+    """diag S: sigma on the u cells, 1 on v and theta."""
+    return np.repeat([gen.sigma, 1.0, 1.0], gen.n_cells)
+
+
 def _balanced_matrix(gen):
     """S A S^-1 for the generator's balancing S: dense LAPACK oracles stay at
     roundoff on it, where the h^-4-scaled A puts them off their bars."""
-    s = gen.balancing
+    s = _balancing(gen)
     return gen.matrix * s[:, None] / s
+
+
+def _balanced_blocks(gen):
+    """S_c B_c S_c^-1 per block; its coordinates run field by field, a third each."""
+    return [b * s[:, None] / s for b in gen.reflection_blocks.blocks
+            for s in [np.repeat([gen.sigma, 1.0, 1.0], len(b) // 3)]]
 
 
 def _appended(triplets, rows, cols, values):
@@ -462,7 +487,7 @@ def _per_class(blocks, mats):
 
 def _restricted_dense_projector(gen, d=None):
     """Q P Q^T for the dense Schur projector P: restrict its columns, then its rows."""
-    dense = _dense_projector(gen.matrix, bounded._eigenvalues(gen)[1], d)
+    dense = _dense_projector(gen.matrix, gen.block_spectrum[1], d)
     blocks = gen.reflection_blocks
     return dense, _restrict_columns(blocks, _restrict_columns(blocks, dense).T).T
 
@@ -489,7 +514,7 @@ class TestReflectionBlocks:
         assert np.abs(q.T @ q - np.eye(parity_gen.state_size)).max() <= 1e-14
 
     def test_eigenvalues_match_dense_row_by_row(self, parity_gen):
-        ev, zero_tol = bounded._eigenvalues(parity_gen)
+        ev, zero_tol, _ = parity_gen.block_spectrum
         dense = _report_order(np.linalg.eigvals(parity_gen.matrix))
         top = np.abs(dense).max()
         off = np.abs(dense) > zero_tol
@@ -502,9 +527,8 @@ class TestReflectionBlocks:
         sv = np.linalg.svd(_balanced_matrix(parity_gen), compute_uv=False)
         dense_ev = np.linalg.eigvals(parity_gen.matrix)
         blocks = parity_gen.reflection_blocks
-        balanced = [b * s[:, None] / s for b, s in zip(blocks.blocks, blocks.balancing)]
-        sv_blocks = np.sort(np.concatenate(
-            [np.linalg.svd(b, compute_uv=False) for b in _per_class(blocks, balanced)]))
+        balanced = _per_class(blocks, _balanced_blocks(parity_gen))
+        sv_blocks = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in balanced]))
         assert np.abs(sv_blocks[::-1] - sv).max() <= 1e-13 * sv[0]
         assert np.abs(rep.smallest_singular_values - sv[-8:][::-1]).max() <= 1e-13 * sv[0]
         kernel_tol = bounded.KERNEL_SV_FACTOR * bounded.MACHINE_EPS * sv[0]
@@ -531,7 +555,7 @@ class TestReflectionBlocks:
         # the dense oracle runs on the balanced generator too; against a 64-point
         # contour-integral projector it sits at 9.7e-13 and 9.4e-13 |P|, the blocks
         # at 5.0e-13 and 1.7e-13
-        dense, restricted = _restricted_dense_projector(gen, gen.balancing)
+        dense, restricted = _restricted_dense_projector(gen, _balancing(gen))
         scale = max(np.linalg.norm(dense, 2), 1.0)
         diff = restricted - sla.block_diag(*_per_class(gen.reflection_blocks, proj.projectors))
         assert np.linalg.norm(diff, 2) <= 1e-8 * scale
@@ -541,7 +565,7 @@ class TestReflectionBlocks:
         a = gen.matrix
         projectors = bounded.kernel_and_projection(gen).projectors
         # balanced, the dense oracle agrees with the blocks to 2.6e-9 |P|
-        dense, restricted = _restricted_dense_projector(gen, gen.balancing)
+        dense, restricted = _restricted_dense_projector(gen, _balancing(gen))
         norm = np.linalg.norm
         scale = 1e-12 * norm(a, 2) * max(norm(p, 2) for p in projectors)
         for p, b in zip(projectors, gen.reflection_blocks.blocks, strict=True):
@@ -552,7 +576,7 @@ class TestReflectionBlocks:
 
     def test_decay_norms_match_dense_expm(self):
         gen = bounded.assemble_generator(*PARITY_CASES["damped16"])
-        fit = bounded.decay_rate_experiment(gen, seed=3, project_off_kernel=False)
+        fit = bounded.decay_rate_experiment(gen, seed=3)
         step = sla.expm(gen.matrix * (fit.times[1] - fit.times[0]))
         state = np.random.default_rng(3).standard_normal(gen.state_size)
         norms = []
@@ -632,7 +656,7 @@ class TestReflectionBlocks:
         damped = bounded.assemble_generator(bounded.rectangle(), 12, bounded.lt_variant())
         record(np.linalg, "solve", operands=2)
         bounded.spectrum(damped)
-        bounded.decay_rate_experiment(damped, project_off_kernel=False)
+        bounded.decay_rate_experiment(damped)
         seen.append(free.state_size)
         bounded.spectrum(free)
         bounded.kernel_and_projection(free)
@@ -662,11 +686,17 @@ class TestFactorizationBudget:
         # a transpose: no block is symmetric) and one exponential of B_c dt
         for name, expected in (
                 ("eigvals", blocks.blocks),
-                ("schur", [b * s[:, None] / s for b, s in zip(blocks.blocks, blocks.balancing)]),
+                ("schur", _balanced_blocks(gen)),
                 ("expm", [b * dt for b in blocks.blocks])):
             assert len(calls[name]) == len(expected), name
             for a, b in zip(calls[name], expected):
                 assert np.array_equal(a, b), name
+        # spectrum and the projector read the same eigenvalues: one eigvals per
+        # block over all three calls, and one more Schur form per block
+        bounded.spectrum(gen)
+        bounded.kernel_and_projection(gen)
+        assert len(calls["eigvals"]) == len(blocks.blocks)
+        assert len(calls["schur"]) == 2 * len(blocks.blocks)
 
 
 class TestExport:
@@ -700,8 +730,8 @@ class TestDihedralBlocks:
     def test_eigenvalues_match_dense_and_parity_blocks(self, case):
         gen = bounded.assemble_generator(*D4_CASES[case])
         assert gen.reflection_blocks.counts == (1, 1, 1, 1, 2)
-        ev, zero_tol = bounded._eigenvalues(gen)
-        parity = bounded._reflection_blocks(gen.entries, gen.cells, False, gen.balancing)
+        ev, zero_tol, _ = gen.block_spectrum
+        parity = bounded._reflection_blocks(gen.entries, gen.cells, False)
         assert parity.counts == (1, 1, 1, 1) and parity.swap_residual is None
         # the dense oracle runs on the balanced generator, an exact similarity
         for oracle in (np.linalg.eigvals(_balanced_matrix(gen)),
@@ -715,7 +745,7 @@ class TestDihedralBlocks:
         # B_{-+} is B_{+-} with both half-grids transposed
         gen = bounded.assemble_generator(*PARITY_CASES["damped9"])
         blocks = gen.reflection_blocks
-        parity = bounded._reflection_blocks(gen.entries, gen.cells, False, gen.balancing)
+        parity = bounded._reflection_blocks(gen.entries, gen.cells, False)
         assert blocks.sizes == (45, 30, 30, 18, 60)
         assert blocks.swap_residual <= bounded.SYMMETRY_TOL
         pm, mp = parity.blocks[1], parity.blocks[2]
@@ -728,7 +758,7 @@ class TestDihedralBlocks:
     def test_non_square_keeps_the_parity_blocks(self, case):
         gen = bounded.assemble_generator(*PARITY_CASES[case])
         blocks = gen.reflection_blocks
-        parity = bounded._reflection_blocks(gen.entries, gen.cells, False, gen.balancing)
+        parity = bounded._reflection_blocks(gen.entries, gen.cells, False)
         assert blocks.swap_residual is None and blocks.counts == (1, 1, 1, 1)
         for a, b in zip(blocks.blocks, parity.blocks, strict=True):
             assert np.array_equal(a, b)
@@ -740,7 +770,7 @@ class TestDihedralBlocks:
         entries = bounded._summed(*_appended(gen.entries, *defect), gen.state_size)
         bad = dataclasses.replace(gen, entries=entries)
         # both reflections still hold
-        parity = bounded._reflection_blocks(bad.entries, bad.cells, False, bad.balancing)
+        parity = bounded._reflection_blocks(bad.entries, bad.cells, False)
         assert parity.residual <= 1e-15
         for run in (bounded.spectrum, bounded.decay_rate_experiment,
                     bounded.kernel_and_projection):
@@ -769,7 +799,7 @@ class TestDihedralBlocks:
         assert fit.projector_dimension == 7
         a = gen.matrix
         state = np.random.default_rng(5).standard_normal(gen.state_size)
-        state -= _dense_projector(a, bounded._eigenvalues(gen)[1], gen.balancing) @ state
+        state -= _dense_projector(a, gen.block_spectrum[1], _balancing(gen)) @ state
         step = sla.expm(a * (fit.times[1] - fit.times[0]))
         norms = []
         for _ in fit.times:

@@ -302,6 +302,19 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
+    @pytest.mark.parametrize("t", ["1e308", "1.7e308"])
+    def test_overflowing_time_is_usage_error(self, t, tmp_path, monkeypatch, capsys):
+        # t max|xi|^2 overflows, where the phases of the propagators turn invalid
+        never = tmp_path / "never"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run(["evolve", "--modes", "4", "--t", t, "--out", str(never)], tmp_path,
+                     monkeypatch)
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: time must be >= 0 with t max|xi|^2")
+        assert err[0].endswith(f"got {float(t)!r}") and not never.exists()
+
     @pytest.mark.parametrize(
         "command, flag, key, value",
         [
