@@ -526,10 +526,6 @@ class SpectrumReport:
     largest_modulus: float
     kernel_tolerance: float
     smallest_singular_values: np.ndarray
-    symmetry_residual: float
-    swap_residual: float | None
-    ghost_condition: float
-    block_sizes: tuple
 
 
 def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
@@ -562,10 +558,6 @@ def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
         largest_modulus=float(np.abs(ev).max()),
         kernel_tolerance=kernel_tol,
         smallest_singular_values=sv[-8:][::-1].copy(),
-        symmetry_residual=blocks.residual,
-        swap_residual=blocks.swap_residual,
-        ghost_condition=gen.ghost_condition,
-        block_sizes=blocks.sizes,
     )
 
 
@@ -636,10 +628,6 @@ class DecayFit:
     window_start: float
     decaying: bool
     seed: int
-    symmetry_residual: float
-    swap_residual: float | None
-    ghost_condition: float
-    block_sizes: tuple
     # projector diagnostics, None when the zero cluster is empty (nothing projected)
     projector_dimension: int | None = None
     pairing_condition: float | None = None
@@ -710,10 +698,6 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
         window_start=float(0.5 * horizon),
         decaying=fitted > 0.1 * eps_spec,
         seed=seed,
-        symmetry_residual=blocks.residual,
-        swap_residual=blocks.swap_residual,
-        ghost_condition=gen.ghost_condition,
-        block_sizes=blocks.sizes,
         **diagnostics,
     )
 

@@ -8,14 +8,17 @@ manifest.json (config snapshot, version, numerical environment, wall time,
 per-check pass/fail, sha256 per artifact).  The exit code is 0 on success,
 1 on usage errors, 2 when a check fails, 3 on numerical failure; only runs
 that exit 0 or 2 create the directory.  The artifact formats live in this
-module only: the library returns plain dataclasses, `_plain` turns them into
-JSON values and `_csv` writes every CSV table.  Given the same config and
-seed, every data file is byte-identical across reruns on one numpy/scipy/BLAS
-build with one BLAS thread count; only the wall time inside the manifest
-varies.  The manifest's environment block records that build and the BLAS
-thread variables, since another thread count can move the bounded-domain
-eigenvalues in their last digits and the `decay` fits and norm histories
-somewhat further (6.5e-11 and 3.7e-9 relative on the damped 16^2 square).
+module only: the library returns plain dataclasses, `_json_text` writes them
+through one json.dumps hook, `_encoded`, and `_csv` writes every CSV table.
+The bounded reports leave the generator's diagnostics to `_bounded_json`,
+which writes them into both spectrum.json and decay.json.  Given the same
+config and seed, every data file is byte-identical across reruns on one
+numpy/scipy/BLAS build with one BLAS thread count; only the wall time inside
+the manifest varies.  The manifest's environment block records that build
+and the BLAS thread variables, since another thread count can move the
+bounded-domain eigenvalues in their last digits and the `decay` fits and
+norm histories somewhat further (6.5e-11 and 3.7e-9 relative on the damped
+16^2 square).
 
 Config files are flat UTF-8 `key = value` lines with `#` comments; unknown
 keys are rejected.  Flags reach the config as raw strings too, so flag and
@@ -156,34 +159,33 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _plain(obj):
-    """obj as plain JSON values, converted all the way down.
-
-    Dataclasses become dicts of their fields, arrays and numpy scalars go
-    through tolist(), tuples become lists and complex numbers [re, im].
-    """
+def _encoded(obj):
+    """json.dumps's default hook: a dataclass as its fields, an array or numpy
+    scalar through tolist(), a complex number as [re, im]; json walks the rest."""
     if is_dataclass(obj):
-        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    if isinstance(obj, dict):
-        return {key: _plain(val) for key, val in obj.items()}
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
     if isinstance(obj, (np.ndarray, np.generic)):
-        return _plain(obj.tolist())
-    if isinstance(obj, (tuple, list)):
-        return [_plain(val) for val in obj]
+        return obj.tolist()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _json_text(obj) -> str:
-    return json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, default=_encoded, indent=2, sort_keys=True) + "\n"
 
 
-def _bounded_json(report, skip=()) -> str:
-    """A bounded report's JSON without the skip fields; swap_residual only
-    where the diagonal swap applies (a square box on a square grid)."""
-    return _json_text({key: val for key, val in _plain(report).items()
-                       if key not in skip and not (key == "swap_residual" and val is None)})
+def _bounded_json(gen: bounded.DiscreteGenerator, report, skip=()) -> str:
+    """A bounded report's JSON without the skip fields, plus the generator's
+    diagnostics; swap_residual only where the diagonal swap applies (a square
+    box on a square grid)."""
+    blocks = gen.reflection_blocks
+    record = {key: val for key, val in _encoded(report).items() if key not in skip}
+    record.update(symmetry_residual=blocks.residual, ghost_condition=gen.ghost_condition,
+                  block_sizes=blocks.sizes)
+    if blocks.swap_residual is not None:
+        record["swap_residual"] = blocks.swap_residual
+    return _json_text(record)
 
 
 def _csv(header: str, rows) -> str:
@@ -248,14 +250,8 @@ def cmd_roots(cfg: RunConfig) -> tuple:
     except ValueError as exc:
         ok = False
         print(f"roots: invariant violated: {exc}")
-    record = {
-        "gamma1": roots.gamma1,
-        "gamma2": roots.gamma2,
-        "gamma3": roots.gamma3,
-        "theta0": roots.theta0,
-        "residuals": [abs(symbols.poly_eval(-g)) for g in roots.as_array()],
-        "invariants_ok": ok,
-    }
+    record = {**_encoded(roots), "invariants_ok": ok,
+              "residuals": [abs(symbols.poly_eval(-g)) for g in roots.as_array()]}
     if cfg.json_output:
         print(_json_text(record), end="")
     else:
@@ -285,7 +281,7 @@ def cmd_multscan(cfg: RunConfig) -> tuple:
     ok = all(r.passed for r in reports)
     growth = ext / base
     payload = {
-        "reports": [{**_plain(r), "passed": r.passed} for r in reports],
+        "reports": [{**_encoded(r), "passed": r.passed} for r in reports],
         "origin_growth": {"base_c0": base, "extended_c0": ext, "ratio": growth},
     }
     for r in reports:
@@ -301,7 +297,7 @@ def cmd_entries(cfg: RunConfig) -> tuple:
     ok = True
     for j in (0, 2):
         scans = multipliers.scaled_resolvent_entry_scans(j)
-        payload[f"j{j}"] = {f"{r + 1}{c + 1}": {**_plain(rep), "passed": rep.passed}
+        payload[f"j{j}"] = {f"{r + 1}{c + 1}": {**_encoded(rep), "passed": rep.passed}
                             for (r, c), rep in scans.items()}
         passed = all(rep.passed for rep in scans.values())
         worst = max(rec.c_alpha for rep in scans.values() for rec in rep.records)
@@ -360,17 +356,16 @@ def cmd_spectrum(cfg: RunConfig) -> tuple:
     gen = bounded.assemble_generator(_domain_from_config(cfg), cfg.grid,
                                      _bc_from_config(cfg))
     rep = bounded.spectrum(gen)
-    if gen.bc.damped:
-        ok = rep.zero_cluster_count == 0 and rep.decay_margin > 0.0
-    else:
-        ok = rep.max_real_part <= rep.zero_tol
+    # decay_margin is the abscissa off the zero cluster, which holds no physical
+    # mode (CLUSTER_GAP); the damped variant has no kernel, so no cluster either
+    ok = rep.decay_margin > 0.0 and (rep.zero_cluster_count == 0 or not gen.bc.damped)
     print(f"spectrum: grid={'x'.join(map(str, gen.cells))} "
           f"kernel_dimension={rep.kernel_dimension} "
           f"cluster={rep.zero_cluster_count} decay_margin={rep.decay_margin:.6g} "
           f"max_re={rep.max_real_part:.3e} ok={ok}")
     return ({"spectral_enclosure": ok},
             {"spectrum.csv": _csv("re,im", zip(rep.eigenvalues.real, rep.eigenvalues.imag)),
-             "spectrum.json": _bounded_json(rep)})
+             "spectrum.json": _bounded_json(gen, rep)})
 
 
 def cmd_decay(cfg: RunConfig) -> tuple:
@@ -382,7 +377,7 @@ def cmd_decay(cfg: RunConfig) -> tuple:
           f"relative_gap={fit.relative_gap:.4f}")
     return ({"rate_matches_spectrum": fit.relative_gap <= 0.1},
             {"decay.csv": _csv("t,norm", zip(fit.times, fit.norms)),
-             "decay.json": _bounded_json(fit, skip=("times", "norms"))})
+             "decay.json": _bounded_json(gen, fit, skip=("times", "norms"))})
 
 
 def cmd_converge(cfg: RunConfig) -> tuple:

@@ -47,7 +47,7 @@ IMAG_RESIDUE_TOL = 1e-10
 #: largest |xi| whose s^3 = |xi|^6 is finite; the symbol determinant is cubic in s
 _XI_LIMIT = sys.float_info.max ** (1.0 / 6.0)
 
-_A1 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, -1.0]])
+_A1 = symbol_matrix(1.0)
 _W_REAL, _W_PAIR = -ROOTS.gamma1, -ROOTS.gamma2
 
 

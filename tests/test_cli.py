@@ -185,6 +185,19 @@ class TestExitCodes:
         payload = (tmp_path / "roots.json").read_bytes()
         assert manifest["artifacts"] == {"roots.json": hashlib.sha256(payload).hexdigest()}
 
+    def test_growing_mode_below_zero_tol_fails_enclosure(self, tmp_path, monkeypatch, capsys):
+        # a free spectrum whose abscissa off the zero cluster is positive grows,
+        # however far below zero_tol its largest real part sits
+        exact = cli.bounded.spectrum
+
+        def growing(gen):
+            rep = exact(gen)
+            return replace(rep, decay_margin=-rep.zero_tol / 2, max_real_part=rep.zero_tol / 2)
+
+        monkeypatch.setattr(cli.bounded, "spectrum", growing)
+        assert run(["spectrum", "--grid", "50"], tmp_path, monkeypatch) == cli.EXIT_CHECK
+        assert capsys.readouterr().err == "check failure: spectral_enclosure\n"
+
     @pytest.mark.parametrize("argv, code", [
         (["spectrum", "--grid", "4"], cli.EXIT_USAGE),
         (["evolve", "--modes", "8", "--t", "1e300"], cli.EXIT_NUMERICAL),
@@ -437,7 +450,7 @@ class TestManifest:
         assert cfg["grid"] == 50
 
 
-class TestPlain:
+class TestEncoded:
     def test_nested_dataclass_becomes_json_values(self):
         @dataclass
         class Inner:
@@ -451,14 +464,43 @@ class TestPlain:
             missing: None
 
         obj = Outer(Inner(np.array([1.0 + 2.0j, -0.5j]), (1, 2.5)), np.int64(7), None)
-        plain = cli._plain(obj)
-        assert plain == {"inner": {"values": [[1.0, 2.0], [0.0, -0.5]], "pair": [1, 2.5]},
-                         "count": 7, "missing": None}
-        assert type(plain["count"]) is int
-        assert json.loads(cli._json_text(obj)) == plain
+        # one level per call: json.dumps calls the hook again on what it returns
+        assert cli._encoded(obj)["inner"] is obj.inner
+        assert type(cli._encoded(obj.count)) is int
+        text = cli._json_text(obj)
+        assert json.loads(text) == {"inner": {"values": [[1.0, 2.0], [0.0, -0.5]],
+                                              "pair": [1, 2.5]},
+                                    "count": 7, "missing": None}
+        assert '"count": 7,' in text
+
+    def test_unsupported_type_is_a_type_error(self):
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            cli._json_text({"ids": {1, 2}})
+
+
+GENERATOR_KEYS = {"block_sizes", "ghost_condition", "symmetry_residual"}
+SPECTRUM_KEYS = {"decay_margin", "eigenvalues", "grid", "kernel_dimension", "kernel_tolerance",
+                 "largest_modulus", "max_real_part", "smallest_singular_values",
+                 "zero_cluster_count", "zero_tol"}
+DECAY_KEYS = {"decaying", "fitted_rate", "idempotency_residual", "pairing_condition",
+              "projector_dimension", "relative_gap", "seed", "spectral_rate", "window_start"}
 
 
 class TestOutputs:
+    @pytest.mark.parametrize("argv, extra", [
+        (["spectrum", "--grid", "50"], SPECTRUM_KEYS),
+        (["spectrum", "--domain", "rectangle", "--bc", "lt", "--grid", "9"],
+         SPECTRUM_KEYS | {"swap_residual"}),
+        (["decay", "--grid", "50"], DECAY_KEYS),
+        (["decay", "--domain", "rectangle", "--bc", "lt", "--grid", "9"],
+         DECAY_KEYS | {"swap_residual"}),
+    ], ids=["interval", "square", "free", "damped"])
+    def test_bounded_json_keys(self, argv, extra, tmp_path, monkeypatch):
+        # the report's fields and the generator's diagnostics, nothing else
+        assert run(argv, tmp_path, monkeypatch) == cli.EXIT_OK
+        record = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+        assert set(record) == GENERATOR_KEYS | extra
+
     def test_roots_json_parseable(self, tmp_path, monkeypatch, capsys):
         assert run(["roots", "--json"], tmp_path, monkeypatch) == cli.EXIT_OK
         payload = json.loads(capsys.readouterr().out)
