@@ -416,6 +416,7 @@ _COMMANDS = {
 COMMANDS = tuple(_COMMANDS)
 _FLAG_HELP = {
     "out": "output directory",
+    "seed": "random seed; only evolve and decay read it",
     "k_values": "comma-separated k list (lambda = 1/k^2)",
     "grids": "comma-separated grid list, each 2x the last",
 }

@@ -17,11 +17,13 @@ complex pair, exp(tau A1) = e^{-gamma1 tau} R_r + Re(e^{w tau}) P
 cancel, a Horner-evaluated Taylor series of exp(tau A1) takes over, so every
 entry keeps its relative accuracy as s t -> 0.  The nilpotent mode s = 0 is
 exactly I + t A(0).  evolve_many transforms a state once and evaluates each
-distinct s for a batch of times at once, applying it to every mode sharing it:
-each propagator entry is gathered from one contiguous (batch, distinct s)
-block, and each inverse-transformed batch is made C-contiguous before its
-residue maxima and per-node copies.  The Laplace oracle reads those batches
-directly, with no per-node state.
+distinct s (the grid's cached table) for a batch of times at once, applying
+it to every mode sharing it: each propagator entry is gathered from one
+contiguous (batch, distinct s) block, and each batch is inverse-transformed
+in place, C-contiguous for its residue maxima and per-node copies.  The Laplace
+oracle reads those batches directly, with no per-node state.  The norms and
+random_state, whose fields are real, use real-input transforms (rfftn,
+irfftn); propagation keeps fftn and ifftn, so its imaginary residue is measured.
 
 resolvent_bound_sweep screens each lambda's 3x3 matrices with a closed form
 for the largest singular value (the top eigenvalue of M^H M by the
@@ -35,6 +37,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +115,13 @@ class TorusGrid:
             return axes[0] ** 2
         return axes[0][:, None] ** 2 + axes[1][None, :] ** 2
 
+    @cached_property
+    def distinct_s(self) -> tuple:
+        """(distinct s ascending, each mode's index into them), read-only, built once."""
+        s, inverse = np.unique(self.s_array().ravel(), return_inverse=True)
+        s.flags.writeable = inverse.flags.writeable = False
+        return s, inverse
+
     def points(self) -> list:
         return [
             length * np.arange(m) / m
@@ -161,13 +171,11 @@ def cosine_mode_state(grid: TorusGrid, k, amplitudes=(1.0, 0.0, 0.0)) -> StateFi
 
 
 def random_state(grid: TorusGrid, rng) -> StateField:
-    """Random smooth state with coefficients damped by (1 + |xi|^2)^-2."""
-    damp = (1.0 + grid.s_array()) ** -2.0
-    fields = []
-    for _ in range(3):
-        coeff = np.fft.fftn(rng.standard_normal(grid.shape), norm="ortho")
-        fields.append(np.fft.ifftn(coeff * damp, norm="ortho").real.copy())
-    return StateField(grid, *fields)
+    """Random smooth real state, coefficients damped by (1 + |xi|^2)^-2 on the half spectrum."""
+    damp = (1.0 + grid.s_array()[..., :grid.modes[-1] // 2 + 1]) ** -2.0
+    return StateField(grid, *[
+        np.fft.irfftn(np.fft.rfftn(rng.standard_normal(grid.shape), norm="ortho") * damp,
+                      s=grid.shape, axes=tuple(range(grid.dim)), norm="ortho") for _ in range(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +212,10 @@ def _distinct_propagators(s: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 
 def _coefficients(state: StateField) -> np.ndarray:
-    return np.stack([np.fft.fftn(f, norm="ortho") for f in state.fields()])
+    out = np.empty((3,) + state.grid.shape, dtype=complex)
+    for row, f in zip(out, state.fields()):
+        np.fft.fftn(f, norm="ortho", out=row)
+    return out
 
 
 def _evolve_batches(state: StateField, ts):
@@ -217,23 +228,32 @@ def _evolve_batches(state: StateField, ts):
     """
     ts = np.asarray(ts, dtype=float).ravel()
     g = state.grid
-    s, inverse = np.unique(g.s_array().ravel(), return_inverse=True)
+    s, inverse = g.distinct_s
     bad = [t for t in ts.tolist() if not (t >= 0.0 and t * float(s[-1]) < math.inf)]
     if bad:
         raise ValueError(f"time must be >= 0 with t max|xi|^2 finite, got {bad[0]!r}")
     U = _coefficients(state).reshape(3, -1)
     step = max(1, _BATCH_MODE_TIMES // U.shape[1])
     axes = tuple(range(1, g.dim + 1))
+    entry = np.empty((min(step, ts.size), U.shape[1]))
+    product = np.empty(entry.shape, dtype=complex)
     for lo in range(0, ts.size, step):
+        fields = acc = None  # release the previous batch before building the next
         # entry-major (3, 3, batch, distinct s): each entry gathers from one
-        # contiguous block into a C-contiguous (batch, mode) array, a layout
-        # the inverse FFT keeps; the residue maxima and per-node copies need it
+        # contiguous block into a C-contiguous (batch, mode) array, which the
+        # in-place inverse FFT keeps; the residue maxima and per-node copies need it
         P = np.ascontiguousarray(np.moveaxis(_distinct_propagators(s, ts[lo:lo + step]),
                                              (2, 3), (0, 1)))
-        fields = [np.ascontiguousarray(np.fft.ifftn(
-            (np.take(P[i, 0], inverse, axis=1) * U[0] + np.take(P[i, 1], inverse, axis=1) * U[1]
-             + np.take(P[i, 2], inverse, axis=1) * U[2]).reshape((-1,) + g.shape),
-            axes=axes, norm="ortho")) for i in range(3)]
+        gathered, term = entry[:P.shape[2]], product[:P.shape[2]]
+        fields = []
+        for i in range(3):
+            # P[i, 0] U0 + P[i, 1] U1 + P[i, 2] U2 in place, in that order ("clip": unbuffered)
+            acc = np.take(P[i, 0], inverse, axis=1, out=gathered, mode="clip") * U[0]
+            for j in (1, 2):
+                np.take(P[i, j], inverse, axis=1, out=gathered, mode="clip")
+                acc += np.multiply(gathered, U[j], out=term)
+            acc = acc.reshape((-1,) + g.shape)
+            fields.append(np.fft.ifftn(acc, axes=axes, norm="ortho", out=acc))
         real = np.max([np.abs(f.real).reshape(len(f), -1).max(axis=1) for f in fields], axis=0)
         imag = np.max([np.abs(f.imag).reshape(len(f), -1).max(axis=1) for f in fields], axis=0)
         residues = imag / np.maximum(real, 1.0)
@@ -246,7 +266,7 @@ def _evolve_batches(state: StateField, ts):
 def evolve_many(state: StateField, ts):
     """Yield (state, imaginary residue) for each time t >= 0 in ts, in order.
 
-    One forward transform and one np.unique of s serve every time; batches of
+    One forward transform and the grid's distinct-s table serve every time; batches of
     times share one propagator build and one inverse transform per field.  A
     real initial state gives a real result up to rounding: each node's relative
     imaginary residue is checked against IMAG_RESIDUE_TOL, then truncated.
@@ -254,6 +274,7 @@ def evolve_many(state: StateField, ts):
     for fields, residues in _evolve_batches(state, ts):
         for b, residue in enumerate(residues):
             yield StateField(state.grid, *[f[b].real.copy() for f in fields]), residue
+        del fields  # release the batch before the next one is built
 
 
 def evolve(state: StateField, t: float) -> tuple:
@@ -275,10 +296,13 @@ def apply_resolvent(state: StateField, lam: complex) -> tuple:
 
 
 def sobolev_norm(grid: TorusGrid, field, order: float) -> float:
-    """H^order norm of one field: weights (1+|xi|^2)^order under unitary FFT."""
-    coeff = np.fft.fftn(field, norm="ortho")
-    w = 1.0 + grid.s_array()
-    return float(np.sqrt(np.sum(w ** order * np.abs(coeff) ** 2)))
+    """H^order norm, weights (1+|xi|^2)^order over the unitary rfftn half spectrum, whose
+    inner last-axis columns count twice; a complex field adds its real and imaginary parts."""
+    w = (1.0 + grid.s_array()[..., :grid.modes[-1] // 2 + 1]) ** order
+    w[..., 1:-1] *= 2.0
+    parts = (field.real, field.imag) if np.iscomplexobj(field) else (field,)
+    return float(np.sqrt(sum(np.sum(w * np.abs(np.fft.rfftn(p, norm="ortho")) ** 2)
+                             for p in parts)))
 
 
 def e_norm(grid: TorusGrid, u, v, theta, j: int = 0) -> float:
@@ -347,7 +371,7 @@ def _max_singular_value(mats: np.ndarray) -> float:
 
 def resolvent_bound_sweep(j: int, lams, grid: TorusGrid) -> np.ndarray:
     """B(lambda) = max over grid modes of the largest singular value of M^(j)."""
-    s = np.unique(grid.s_array().ravel())
+    s = grid.distinct_s[0]
     out = np.empty(len(lams))
     for i, lam in enumerate(lams):
         out[i] = _max_singular_value(_scaled_resolvent_from_s(j, s, complex(lam), *BLOCK))
@@ -431,24 +455,29 @@ def save_state(path, state: StateField) -> None:
             fh.write(np.ascontiguousarray(f, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size: int) -> bytes:
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise ValueError("truncated state file")
+    return buf
+
+
 def load_state(path) -> StateField:
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ValueError("not a state file (bad magic)")
-        version, dim = struct.unpack("<II", fh.read(8))
+        version, dim = struct.unpack("<II", _read_exact(fh, 8))
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported state format version {version}")
         if not 1 <= dim <= 2:
             raise ValueError(f"bad dimension {dim}")
-        modes = struct.unpack(f"<{dim}I", fh.read(4 * dim))
-        lengths = struct.unpack(f"<{dim}d", fh.read(8 * dim))
+        modes = struct.unpack(f"<{dim}I", _read_exact(fh, 4 * dim))
+        lengths = struct.unpack(f"<{dim}d", _read_exact(fh, 8 * dim))
         grid = TorusGrid(tuple(modes), tuple(lengths))
         count = int(np.prod(modes))
         fields = []
         for _ in range(3):
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError("truncated state file")
+            buf = _read_exact(fh, 8 * count)
             fields.append(np.frombuffer(buf, dtype="<f8").reshape(grid.shape).copy())
         if fh.read(1):
             raise ValueError("trailing bytes in state file")

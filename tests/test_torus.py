@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from thermoplate import bounded, torus
+from thermoplate import bounded, cli, torus
 from thermoplate.symbols import (BLOCK, GAMMAS, ROOTS, NumericalError, SingularParameterError,
                                  _scaled_resolvent_from_s, symbol_matrix)
 
@@ -84,6 +84,26 @@ def propagator(s, t):
     return torus._distinct_propagators(np.array([s]), np.array([t]))[0, 0]
 
 
+ORACLE_GRIDS = [(4,), (128,), (16, 16), (8, 32)]
+
+
+def oracle_grid(modes):
+    return torus.TorusGrid(modes, (TWO_PI,) * len(modes))
+
+
+def sobolev_reference(grid, field, order):
+    """The Parseval sum over the full complex fftn spectrum."""
+    coeff = np.fft.fftn(field, norm="ortho")
+    return float(np.sqrt(np.sum((1.0 + grid.s_array()) ** order * np.abs(coeff) ** 2)))
+
+
+def random_state_reference(grid, rng):
+    """Complex transforms both ways, the imaginary part dropped."""
+    damp = (1.0 + grid.s_array()) ** -2.0
+    return [np.fft.ifftn(np.fft.fftn(rng.standard_normal(grid.shape), norm="ortho") * damp,
+                         norm="ortho").real for _ in range(3)]
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that tracemalloc sees allocated while fn runs."""
     tracemalloc.start()
@@ -128,6 +148,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             torus.StateField(grid128, np.zeros(64), np.zeros(128), np.zeros(128))
 
+    @pytest.mark.parametrize("modes", ORACLE_GRIDS)
+    def test_distinct_s_is_cached_and_read_only(self, modes):
+        grid = oracle_grid(modes)
+        s, inverse = grid.distinct_s
+        want_s, want_inverse = np.unique(grid.s_array().ravel(), return_inverse=True)
+        assert np.array_equal(s, want_s) and np.array_equal(inverse, want_inverse)
+        assert grid.distinct_s is grid.distinct_s
+        assert not s.flags.writeable and not inverse.flags.writeable
+
 
 class TestEnergyNorm:
     def test_single_cosine_oracle(self, grid128):
@@ -154,6 +183,29 @@ class TestEnergyNorm:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalError, match="not a finite double"):
                 torus.e_norm(grid128, huge, huge, huge)
+
+    @pytest.mark.parametrize("modes", ORACLE_GRIDS)
+    @pytest.mark.parametrize("order", [-1, 0, 2, 3])
+    def test_sobolev_norm_matches_the_full_spectrum(self, modes, order):
+        # generic fields, whose coefficients are not at roundoff level: for a
+        # smooth field the H^3 weights amplify the roundoff of the tiny high
+        # coefficients, and both transforms then agree only to about 1e-13
+        grid = oracle_grid(modes)
+        rng = np.random.default_rng(order + 7)
+        real = rng.standard_normal(grid.shape)
+        complex_ = real + 1j * rng.standard_normal(grid.shape)
+        for field in (real, complex_):
+            want = sobolev_reference(grid, field, order)
+            assert abs(torus.sobolev_norm(grid, field, order) - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("modes", ORACLE_GRIDS)
+    def test_random_state_matches_the_complex_path(self, modes):
+        grid = oracle_grid(modes)
+        st = torus.random_state(grid, np.random.default_rng(5))
+        want = random_state_reference(grid, np.random.default_rng(5))
+        for got, ref in zip(st.fields(), want):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_e_norm_composes_field_norms(self, grid128):
         rng = np.random.default_rng(2)
@@ -547,6 +599,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             torus.load_state(path)
 
+    @pytest.mark.parametrize("modes", [(16,), (8, 16)])
+    def test_truncated_header_detected(self, tmp_path, modes):
+        # magic, version and dim, then modes and lengths per axis
+        path = tmp_path / "state.bin"
+        torus.save_state(path, bump_state(oracle_grid(modes)))
+        raw = path.read_bytes()
+        header = 12 + 12 * len(modes)
+        for cut in range(header + 1):
+            path.write_bytes(raw[:cut])
+            match = "bad magic" if cut < 4 else "truncated state file"
+            with pytest.raises(ValueError, match=match):
+                torus.load_state(path)
+
     def test_trailing_bytes_detected(self, tmp_path, grid128):
         path = tmp_path / "state.bin"
         torus.save_state(path, bump_state(grid128))
@@ -554,3 +619,23 @@ class TestSerialization:
             fh.write(b"\x00" * 8)
         with pytest.raises(ValueError):
             torus.load_state(path)
+
+
+class TestTransformBudget:
+    @pytest.mark.parametrize("modes, batches", [(64, 1), (128, 2)])
+    def test_evolve_command_transforms(self, modes, batches, tmp_path, monkeypatch):
+        # random_state: 3 rfftn and 3 irfftn; evolve_many over (t, t/2) and the
+        # second half step: 3 fftn each, 3 ifftn per batch; the three e_norm
+        # calls: 9 rfftn.  128^2 modes fill a batch with one time.
+        calls = {}
+        for owner, name in ((np.fft, "fftn"), (np.fft, "ifftn"), (np.fft, "rfftn"),
+                            (np.fft, "irfftn"), (np, "unique")):
+            def wrapper(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+        argv = ["evolve", "--dim", "2", "--modes", str(modes), "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert calls == {"fftn": 6, "ifftn": 3 + 3 * batches, "rfftn": 12, "irfftn": 3,
+                         "unique": 1}
