@@ -338,11 +338,13 @@ def _assemble(cells: tuple, steps: tuple, bc: BCVariant) -> tuple:
         t, nt = _class_map(touched // M, grid[:, touched % M], cells, signs)
         Eg = np.bincount(g[0][gr] * ng + g[0][gc], _coefficients(g, gr, g, gc) * gv, ng * ng)
         Ei = np.bincount(g[0][tr] * nt + t[0][tc], _coefficients(g, tr, t, tc) * tv, ng * nt)
+        sv = np.linalg.svdvals(Eg.reshape(ng, ng))
         try:
+            if not sv[-1] > 0.0:
+                raise np.linalg.LinAlgError(f"smallest singular value {sv[-1]:g}")
             Tc = np.linalg.solve(Eg.reshape(ng, ng), -Ei.reshape(ng, nt))
         except np.linalg.LinAlgError as exc:
             raise AssemblyError(f"singular ghost-elimination system: {exc}") from exc
-        sv = np.linalg.svdvals(Eg.reshape(ng, ng))
         top, low = max(top, float(sv[0])), min(low, float(sv[-1]))
         gi, ti = np.ix_(np.arange(len(g[0])), np.arange(len(t[0])))
         T += _coefficients(g, gi, t, ti) * Tc[g[0][gi], t[0][ti]]
@@ -588,7 +590,9 @@ def kernel_and_projection(gen: DiscreteGenerator) -> KernelProjection:
     real Riesz projection P_c = S_c^-1 Z1 (Z1^T - Y Z2^T) S_c is zero where the
     class holds no part of the cluster, the E pair's dimension counting twice.
     pairing_condition is max_c sqrt(1 + |Y|_2^2), the balanced projectors' norm,
-    idempotency_residual max_c max|P_c^2 - P_c| / max(max_c max|P_c|, 1).
+    idempotency_residual max_c max|P_c^2 - P_c| / max(max_c max|P_c|, 1).  P_c is idempotent
+    for every Y (Z1^T Z1 = I, Z2^T Z1 = 0), so the residual sees rounding and Z, never Y;
+    Y rests on dtrsyl's info and scale checks.
     """
     import scipy.linalg as sla
 
@@ -668,16 +672,18 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
                            idempotency_residual=proj.idempotency_residual)
     dt = horizon / (samples - 1)
     try:
-        steps = [sla.expm(B * dt) for B in blocks.blocks]
-    except (ValueError, sla.LinAlgError) as exc:
-        raise NumericalError(f"propagator construction failed: {exc}") from exc
+        with np.errstate(over="raise", invalid="raise"):
+            steps = [sla.expm(B * dt) for B in blocks.blocks]
+    except (ValueError, FloatingPointError, sla.LinAlgError) as exc:
+        raise NumericalError(f"propagator over one sample step of the horizon {horizon:g} "
+                             f"failed: {exc}") from exc
     times = np.linspace(0.0, horizon, samples)
     norms = np.empty(samples)
     for i in range(samples):
         norms[i] = np.linalg.norm(np.concatenate([y.ravel() for y in states]))
         states = [step @ y for step, y in zip(steps, states)]
     if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
-        raise NumericalError("norm history underflowed; shorten the horizon")
+        raise NumericalError("norm history is not finite or reached zero; shorten the horizon")
     mask = times >= 0.5 * horizon
     try:
         # a window whose squared times underflow zeroes polyfit's column scale;

@@ -37,6 +37,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -426,6 +427,11 @@ _FLAG_HELP = {
 # argument parsing
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -1 and -1.5 for numbers; -1e-3 and -.5 are values too
+        self._negative_number_matcher = re.compile(r"-[\d.].*")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")

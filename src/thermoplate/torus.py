@@ -25,10 +25,9 @@ oracle reads those batches directly, with no per-node state.  The norms and
 random_state, whose fields are real, use real-input transforms (rfftn,
 irfftn); propagation keeps fftn and ifftn, so its imaginary residue is measured.
 
-resolvent_bound_sweep screens each lambda's 3x3 matrices with a closed form
-for the largest singular value (the top eigenvalue of M^H M by the
-trigonometric formula) and confirms with LAPACK's SVD every matrix within
-1e-6 of the screened maximum, so its bounds are the SVD's, bit for bit.
+resolvent_bound_sweep sends to LAPACK's SVD only the 3x3 matrices whose
+largest |entry| reaches a third of the stack's largest, since
+max|m_ij| <= sigma_max <= 3 max|m_ij|; its bounds are the SVD's, bit for bit.
 """
 
 from __future__ import annotations
@@ -157,15 +156,9 @@ def cosine_mode_state(grid: TorusGrid, k, amplitudes=(1.0, 0.0, 0.0)) -> StateFi
     k = np.atleast_1d(np.asarray(k, dtype=int))
     if k.shape != (grid.dim,):
         raise ValueError("mode index must have one entry per axis")
-    pts = grid.points()
-    if grid.dim == 1:
-        phase = 2.0 * np.pi * k[0] * pts[0] / grid.lengths[0]
-    else:
-        phase = (
-            2.0 * np.pi * k[0] * pts[0][:, None] / grid.lengths[0]
-            + 2.0 * np.pi * k[1] * pts[1][None, :] / grid.lengths[1]
-        )
-    c = np.cos(phase)
+    # one phase per axis, broadcast over the grid and summed
+    c = np.cos(sum(np.ix_(*[2.0 * np.pi * kk * x / length
+                            for kk, x, length in zip(k, grid.points(), grid.lengths)])))
     au, av, at = amplitudes
     return StateField(grid, au * c, av * c, at * c)
 
@@ -323,50 +316,18 @@ def e_norm(grid: TorusGrid, u, v, theta, j: int = 0) -> float:
 # ---------------------------------------------------------------------------
 # resolvent bound sweeps
 
-def _largest_singular_values(mats: np.ndarray) -> np.ndarray:
-    """Largest singular value of each 3x3 in a (n, 3, 3) stack, in closed form.
-
-    Each matrix is scaled by its largest |entry| c, and the top eigenvalue of
-    H = M^H M comes from the trigonometric formula for a Hermitian 3x3.  The
-    result is within about 3e-15 relative of LAPACK's, except where the top
-    two singular values (nearly) coincide: there r sits at -1, where acos has
-    infinite slope, and the error reaches about 1e-8.  A screen, not a result.
-    """
-    c = np.abs(mats).max(axis=(1, 2))
-    m = mats / np.where(c == 0.0, 1.0, c)[:, None, None]
-    col = [m[:, :, k] for k in range(3)]
-    h00, h11, h22 = (np.einsum("ni,ni->n", x.conj(), x).real for x in col)
-    h01, h02, h12 = (np.einsum("ni,ni->n", col[a].conj(), col[b])
-                     for a, b in ((0, 1), (0, 2), (1, 2)))
-    q = (h00 + h11 + h22) / 3.0
-    d0, d1, d2 = h00 - q, h11 - q, h22 - q
-    off = np.abs(h01) ** 2 + np.abs(h02) ** 2 + np.abs(h12) ** 2
-    p = np.sqrt((d0 ** 2 + d1 ** 2 + d2 ** 2 + 2.0 * off) / 6.0)
-    inv = 1.0 / np.where(p == 0.0, 1.0, p)
-    d0, d1, d2, h01, h02, h12 = (x * inv for x in (d0, d1, d2, h01, h02, h12))
-    det = (d0 * d1 * d2 + 2.0 * (h01 * h12 * h02.conj()).real
-           - d0 * np.abs(h12) ** 2 - d1 * np.abs(h02) ** 2 - d2 * np.abs(h01) ** 2)
-    r = np.clip(det / 2.0, -1.0, 1.0)
-    lam = np.where(p == 0.0, q, q + 2.0 * p * np.cos(np.arccos(r) / 3.0))
-    return c * np.sqrt(lam)
-
-
-#: screened values within this relative band of the top one go to LAPACK;
-#: about 200 times the screen's worst measured error
-_SCREEN_BAND = 1e-6
-
-
 def _max_singular_value(mats: np.ndarray) -> float:
     """Largest singular value over a (n, 3, 3) stack, as LAPACK's SVD gives it.
 
-    The closed form screens the stack; the SVD confirms every matrix within
-    _SCREEN_BAND of the screened maximum, which holds LAPACK's argmax, so the
-    result equals the SVD of the whole stack bit for bit.  A non-finite
-    screen sends every matrix to the SVD.
+    A 3x3 M has max|m_ij| <= sigma_max(M) <= ||M||_F <= 3 max|m_ij|, so a
+    matrix whose largest |entry| is below a third of the stack's largest
+    cannot hold the maximum; the SVD runs on the rest (1e-12 covers rounding),
+    and the result equals the SVD of the whole stack bit for bit.  A NaN
+    sends every matrix to the SVD.
     """
-    screen = _largest_singular_values(mats)
-    near = ~(screen < (1.0 - _SCREEN_BAND) * screen.max())
-    return np.linalg.svd(mats[near], compute_uv=False).max()
+    top = np.abs(mats).max(axis=(1, 2))
+    keep = ~(top < (1.0 - 1e-12) / 3.0 * top.max())
+    return np.linalg.svd(mats[keep], compute_uv=False).max()
 
 
 def resolvent_bound_sweep(j: int, lams, grid: TorusGrid) -> np.ndarray:

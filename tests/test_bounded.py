@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,12 @@ class TestValidation:
         with pytest.raises(bounded.AssemblyError, match="dense limit"):
             bounded.convergence_study(bounded.rectangle(), bounded.lt_variant(),
                                       (25, 50, 100))
+
+    def test_singular_ghost_system_is_an_assembly_error(self):
+        # at b = 1e160 a ghost class's system reads a zero singular value,
+        # though np.linalg.solve still returns
+        with pytest.raises(bounded.AssemblyError, match="singular ghost-elimination"):
+            bounded.assemble_generator(bounded.rectangle(), 8, bounded.lt_variant(0.3, 1e160))
 
     def test_lt_requires_positive_robin_coefficient(self):
         with pytest.raises(ValueError):
@@ -302,6 +309,12 @@ class TestDecayRate:
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
     def test_horizon_must_be_positive_and_finite(self, gen1d, horizon):
         with pytest.raises(ValueError, match="horizon"):
+            bounded.decay_rate_experiment(gen1d, horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [1e308, 1e20])
+    def test_overflowing_step_names_the_horizon(self, gen1d, horizon):
+        # B dt overflows at 1e308; at 1e20 the squarings inside expm do
+        with pytest.raises(bounded.NumericalError, match=re.escape(f"horizon {horizon:g}")):
             bounded.decay_rate_experiment(gen1d, horizon=horizon)
 
     def test_balanced_projector_keeps_the_fine_grid_fit(self):

@@ -380,6 +380,27 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
         assert "window" in err[0]
 
+    @pytest.mark.parametrize("argv, code", [
+        # a b so large that a ghost class's system is exactly singular
+        ("spectrum --domain rectangle --bc lt --grid 8 --b 1e160", cli.EXIT_USAGE),
+        # the generator times the sample step overflows
+        ("decay --grid 50 --horizon 1e308", cli.EXIT_NUMERICAL),
+        ("spectrum --domain rectangle --grid 100", cli.EXIT_USAGE),
+        ("roots --seed -1", cli.EXIT_USAGE),
+        ("sweep --modes 4 --k-values 1e-100", cli.EXIT_USAGE),
+        ("decay --domain rectangle --bc lt --grid 8 --samples 8 --horizon 1e-300",
+         cli.EXIT_NUMERICAL),
+    ], ids=["huge-b", "huge-horizon", "above-dense-limit", "negative-seed", "overflowing-det",
+            "tiny-horizon"])
+    def test_failure_is_one_line_and_its_exit_code(self, argv, code, tmp_path, monkeypatch,
+                                                    capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv.split(), tmp_path, monkeypatch) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "Traceback" not in err and "Warning" not in err
+
     def test_numerical_error_maps_to_three(self, tmp_path, monkeypatch):
         def boom(state, t):
             raise NumericalError("synthetic instability")
@@ -415,6 +436,19 @@ class TestFlagPrecedence:
         assert rc == cli.EXIT_OK
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["grid"] == 60
+
+    def test_negative_value_parses_alike_in_every_spelling(self, tmp_path):
+        cfgfile = tmp_path / "mu.cfg"
+        cfgfile.write_text("mu = -1e-3\n")
+        parser = cli._build_parser()
+        configs = [cli._resolve_config(parser.parse_args(["spectrum", *spelling]))
+                   for spelling in (["--mu", "-1e-3"], ["--mu=-1e-3"],
+                                    ["--config", str(cfgfile)])]
+        assert configs[0].mu == -1e-3 and configs[0] == configs[1] == configs[2]
+
+    def test_flag_without_value_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        assert run(["spectrum", "--mu"], tmp_path, monkeypatch) == cli.EXIT_USAGE
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_out_flag_beats_environment(self, tmp_path, monkeypatch):
         other = tmp_path / "elsewhere"

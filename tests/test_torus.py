@@ -460,46 +460,52 @@ class TestResolvent:
 
 class TestSingularValueScreen:
     @staticmethod
-    def worst(mats):
-        want = np.linalg.svd(mats, compute_uv=False)[:, 0]
-        got = torus._largest_singular_values(mats)
-        return np.max(np.abs(got - want) / np.where(want == 0.0, 1.0, want))
-
-    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
-    def test_closed_form_on_random_matrices(self, scale):
-        rng = np.random.default_rng(11)
-        mats = rng.standard_normal((5000, 3, 3)) + 1j * rng.standard_normal((5000, 3, 3))
-        assert self.worst(scale * mats) <= 1e-14
-
-    def test_closed_form_on_special_matrices(self):
-        rng = np.random.default_rng(12)
+    def stacks(rng):
+        """Random, rank-one, unitary, scaled monomial and near-tied (double top) stacks."""
+        z = rng.standard_normal((500, 3, 3)) + 1j * rng.standard_normal((500, 3, 3))
         a, b = (rng.standard_normal((500, 3)) + 1j * rng.standard_normal((500, 3))
                 for _ in range(2))
-        rank_one = np.einsum("ni,nj->nij", a, b.conj())
-        assert self.worst(rank_one) <= 1e-14
-        assert self.worst(random_unitaries(rng, 500)) <= 1e-14
-        # scaled permutations with entries in {1, -1, 1j, -1j}; a power-of-two
-        # scale divides out exactly, so H = I and the p = 0 branch gives c
         units = rng.choice(np.array([1.0, -1.0, 1j, -1j]), size=(500, 3))
         perms = np.eye(3)[np.array([rng.permutation(3) for _ in range(500)])]
-        monomial = units[:, :, None] * perms
-        assert self.worst(rng.uniform(0.5, 5.0, 500)[:, None, None] * monomial) <= 1e-14
-        scale = 2.0 ** rng.integers(-60, 60, 500)
-        assert np.array_equal(
-            torus._largest_singular_values(scale[:, None, None] * monomial), scale)
-        assert np.array_equal(torus._largest_singular_values(np.zeros((4, 3, 3))), np.zeros(4))
+        monomial = rng.uniform(0.5, 5.0, 500)[:, None, None] * units[:, :, None] * perms
+        tied = (random_unitaries(rng, 500) * np.array([1.0, 1.0, 0.3])) @ random_unitaries(rng, 500)
+        tied *= (1.0 + 1e-9 * rng.random(500))[:, None, None]
+        return {"random": z, "rank_one": np.einsum("ni,nj->nij", a, b.conj()),
+                "unitary": random_unitaries(rng, 500), "monomial": monomial, "tied": tied}
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300, 1e-160, 1e154])
+    def test_screen_equals_the_svd_of_the_whole_stack(self, scale):
+        for name, mats in self.stacks(np.random.default_rng(12)).items():
+            mats = scale * mats
+            assert torus._max_singular_value(mats) == \
+                np.linalg.svd(mats, compute_uv=False).max(), name
+        assert torus._max_singular_value(np.zeros((4, 3, 3))) == 0.0
 
     def test_double_top_singular_value(self):
-        # U diag(1, 1, 0.3) V puts r at -1, where acos has infinite slope: the
-        # screen may be off by up to 1e-8 relative there, and it may misorder
-        # matrices closer than that; the SVD over its band still finds the max
+        # U diag(1, 1, 0.3) V: near-ties at the top of every matrix and across
+        # the stack; the entry screen keeps whichever holds the max
         rng = np.random.default_rng(13)
         n = 5000
         scale = 1.0 + 1e-9 * rng.random(n)
         mats = (random_unitaries(rng, n) * np.array([1.0, 1.0, 0.3])) @ random_unitaries(rng, n)
         mats *= scale[:, None, None]
-        assert self.worst(mats) <= 1e-8
         assert torus._max_singular_value(mats) == np.linalg.svd(mats, compute_uv=False).max()
+
+    def test_screen_keeps_few_matrices_on_the_benchmark_grid(self, monkeypatch):
+        # the 16384-mode sweep over a 200 pi period, j = 2: 8193 distinct s
+        grid = torus.TorusGrid((16384,), (100.0 * TWO_PI,))
+        assert grid.distinct_s[0].size == 8193
+        sizes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            sizes.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        torus.resolvent_bound_sweep(2, [1.0, 1e-2, 1e-4, 2.0, 1.01, 1.0001], grid)
+        assert len(sizes) == 6
+        assert max(sizes) <= 300, sizes
 
     def test_non_finite_screen_sends_every_matrix_to_the_svd(self):
         mats = np.ones((3, 3, 3), dtype=complex)
