@@ -694,6 +694,10 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
         raise NumericalError(f"decay fit over the window [{0.5 * horizon:g}, {horizon:g}] "
                              f"failed: {exc}") from exc
     fitted = float(-slope)
+    if fitted <= 0.0:
+        raise NumericalError(f"fitted decay rate {fitted:.3g} is not positive against the margin "
+                             f"{eps_spec:.6g}: the fit window of the horizon {horizon:g} (default "
+                             f"8/margin = {8.0 / eps_spec:.3g}) sees the rounding floor, not decay")
     gap = abs(fitted - eps_spec) / eps_spec
     return DecayFit(
         fitted_rate=fitted,

@@ -1,25 +1,30 @@
-"""Empirical multiplier-class bounds for symbols on sampled sectors.
+"""Empirical multiplier-class bounds for radial symbols on sampled sectors.
 
 A symbol m(xi, lambda) has order s when every xi-derivative obeys
 
     |d^alpha m(xi, lambda)| <= C_alpha (|lambda|^{1/2} + |xi|)^s |xi|^{-|alpha|}
 
 uniformly over the sector.  The scans here certify that empirically: they
-sample a shifted sector, estimate the derivatives by iterated central
-differences, and report the observed sup constants C_alpha per multi-index.
-All multi-indices of a scan share one stencil table: the symbol is evaluated
-once per distinct stencil point, offsets in descending lexicographic order,
-the order of each multi-index's own leaves, so every sum is bit-identical to
-a separate pass per multi-index.  A pass is evidence over the sample, not a
-proof; report metadata says so.
+sample a shifted sector, take every derivative exactly, and report the
+observed sup constants C_alpha per multi-index.  A pass is evidence over the
+sample, not a proof; report metadata says so.
+
+A symbol must be radial, m = g(|xi|^2, lambda).  It is called once per scan
+as symbol(s, lam, order) on the sample's distinct pairs (s, lambda) =
+(|xi|^2, lambda), and returns the Taylor coefficients g_k = d^k g/ds^k / k!,
+k = 0..order, as an (order + 1, n) array; symbols.Jet computes them.  The
+chain rule then gives every derivative at every sample point, elementwise:
+
+    d^alpha g(|xi|^2) = sum_k prod_i alpha_i! / (k_i! (alpha_i - 2 k_i)!)
+                        (2 xi_i)^(alpha_i - 2 k_i) g^(|alpha| - |k|)(s)
+
+over 0 <= 2 k_i <= alpha_i.  No difference quotient enters, so a
+derivative that vanishes identically reads exactly 0.
 
 Scans of one sample share its grid: the flattened points, their norms and
-their difference steps are built once per distinct SectorSample and kept
-read-only.  Each scan has one workspace, a stencil-point buffer and a
-weighted-term buffer refilled at every offset, so its steady state allocates
-no per-point arrays of its own.  A symbol therefore receives read-only
-arguments: lambda is the shared grid and xi the point buffer, which the next
-offset overwrites.  It must not write to them or keep them.
+the distinct pairs are built once per distinct SectorSample and kept
+read-only.  A symbol therefore receives read-only arguments; it must not
+write to them or keep them.
 """
 
 from __future__ import annotations
@@ -32,12 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import GAMMAS, ROOTS, NumericalError, _scaled_resolvent_from_s
-
-EPS = np.finfo(float).eps
-#: relative central-difference step; eps^(1/3) balances truncation against
-#: cancellation for first and second differences
-STEP_FACTOR = EPS ** (1.0 / 3.0)
+from .symbols import GAMMAS, ROOTS, Jet, NumericalError, _scaled_resolvent_from_s
 
 DEFAULT_CEILING = 1e6
 
@@ -125,166 +125,109 @@ class MultiplierReport:
         raise KeyError(alpha)
 
 
-def _multi_indices(dim: int, max_order: int):
-    for alpha in itertools.product(range(max_order + 1), repeat=dim):
-        if sum(alpha) <= max_order:
-            yield alpha
-
-
-def _stencil(alpha: tuple) -> dict:
-    """d^alpha as {offset: weight}: per coordinate the order-m central difference
-    has leaves m-2i (in steps h) weighted (-1)^i C(m, i); coordinates compose by product."""
-    axes = [[(m - 2 * i, (-1.0) ** i * math.comb(m, i)) for i in range(m + 1)] for m in alpha]
-    return {tuple(o for o, _ in leaf): math.prod(w for _, w in leaf)
-            for leaf in itertools.product(*axes)}
-
-
-def _central_differences(symbol, xi, lam, alphas, h) -> list[np.ndarray]:
-    """d^alpha at every row of xi for each alpha, one symbol call per stencil offset.
-
-    Offsets are visited in descending lexicographic order, the order in which
-    itertools.product yields one alpha's leaves, so each alpha's sum is formed
-    in the same order as by a pass of its own.  Steps h are per point and per
-    coordinate, frozen from the base point.  The stencil points and the
-    weighted terms go through one buffer each, filled in the operand order of
-    xi + offset*h and weight*value, so no sum changes; the symbol sees the
-    point buffer read-only.  The point buffer is filled column by column,
-    which is fastest when xi and h are column-major as in the sample grid.
-    """
-    tables = [_stencil(alpha) for alpha in alphas]
-    accs = [np.zeros(xi.shape[0], dtype=complex) for _ in alphas]
-    point = np.empty(xi.shape, order="F")
-    term = np.empty(xi.shape[0], dtype=complex)
-    for offset in sorted(set().union(*tables), reverse=True):
-        point.flags.writeable = True
-        for k, o in enumerate(offset):
-            np.multiply(float(o), h[:, k], out=point[:, k])
-            np.add(xi[:, k], point[:, k], out=point[:, k])
-        point.flags.writeable = False
-        vals = np.asarray(symbol(point, lam), dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            idx = int(np.argmin(np.isfinite(vals)))
-            raise NumericalError(f"non-finite symbol value at xi={point[idx]}, lambda={lam[idx]}")
-        for table, acc in zip(tables, accs):
-            if offset in table:
-                acc += np.multiply(table[offset], vals, out=term)
-    for alpha, acc in zip(alphas, accs):
-        acc /= math.prod(((2.0 * h[:, k]) ** m for k, m in enumerate(alpha) if m),
-                         start=np.ones(xi.shape[0]))
-    return accs
-
-
 @functools.lru_cache(maxsize=1)
 def _sample_grid(sample: SectorSample) -> tuple[np.ndarray, ...]:
-    """The full tensor sample, flattened: XI, LAM, |XI| and the steps H, read-only.
+    """XI, LAM and |XI| per point of the flattened sample, the distinct pairs
+    S, LAMS of (|xi|^2, lambda) and each point's pair index PAIR, read-only.
 
-    XI and H are column-major, so each coordinate of a stencil point is one
-    contiguous pass.  One entry suffices: the CLI scans one sample at a time,
-    many symbols each.
+    xi_points runs over the moduli, each along unit directions, so |xi|^2 is
+    the squared modulus.  One entry suffices: the CLI scans one sample at a
+    time, many symbols each.
     """
     xi = sample.xi_points()
     lams = sample.lambda_points()
     XI = np.repeat(xi, len(lams), axis=0)
     LAM = np.tile(lams, len(xi))
     norms = np.linalg.norm(XI, axis=1)
-    H = STEP_FACTOR * np.maximum(np.abs(XI), norms[:, None])
-    XI, H = np.asfortranarray(XI), np.asfortranarray(H)
-    for arr in (XI, LAM, norms, H):
+    r = np.asarray(sample.xi_moduli)
+    s, s_idx = np.unique(np.repeat(r * r, len(xi) // len(r)), return_inverse=True)
+    lam, lam_idx = np.unique(lams, return_inverse=True)
+    S, LAMS = np.repeat(s, len(lam)), np.tile(lam, len(s))
+    PAIR = (s_idx[:, None] * len(lam) + lam_idx).ravel()
+    grid = (XI, LAM, norms, S, LAMS, PAIR)
+    for arr in grid:
         arr.flags.writeable = False
-    return XI, LAM, norms, H
+    return grid
 
 
 def multiplier_order_scan(symbol, order_s: float, sample: SectorSample,
                           max_alpha: int | None = None,
                           symbol_id: str = "symbol") -> MultiplierReport:
-    """Scan one symbol against the order-s derivative bounds.
+    """Scan one radial symbol against the order-s derivative bounds.
 
-    symbol must accept batched arguments: xi of shape (n, dim) and lam of
-    shape (n,), returning n complex values; it must be pure.  Both arguments
-    are read-only: lam is the sample grid shared by every scan of an equal
-    sample, and xi a buffer that the next stencil offset overwrites, so the
-    symbol must neither write to them nor keep them.
+    symbol(s, lam, order) must be pure; it is called once, with order =
+    max_alpha, on the distinct pairs (see the module docstring).
     """
     if max_alpha is None:
         max_alpha = sample.dim + 1
-    if not 0 <= max_alpha <= 4:
-        raise ValueError(f"max_alpha must lie in 0..4 (cost control above 4), got {max_alpha}")
-    XI, LAM, norms, H = _sample_grid(sample)
+    if max_alpha < 0:
+        raise ValueError(f"max_alpha must be nonnegative, got {max_alpha}")
+    XI, LAM, norms, S, LAMS, PAIR = _sample_grid(sample)
+    jet = np.asarray(symbol(S, LAMS, max_alpha), dtype=complex)
+    if jet.shape != (max_alpha + 1, len(S)):
+        raise ValueError(f"{symbol_id} returned Taylor coefficients of shape {jet.shape}, "
+                         f"expected {(max_alpha + 1, len(S))}")
+    finite = np.isfinite(jet).all(axis=0)
+    if not np.all(finite):
+        idx = int(np.argmax(PAIR == np.argmin(finite)))
+        raise NumericalError(f"non-finite Taylor coefficient at xi={XI[idx]}, lambda={LAM[idx]}")
+    jet = jet[:, PAIR]
+    # (2 xi_d)^p for p = 0..max_alpha, by repeated products
+    powers = [list(itertools.accumulate([2.0 * x] * max_alpha, np.multiply, initial=1.0))
+              for x in XI.T]
     weight = (np.sqrt(np.abs(LAM)) + norms) ** order_s
-    alphas = list(_multi_indices(sample.dim, max_alpha))
     records = []
-    for alpha, deriv in zip(alphas, _central_differences(symbol, XI, LAM, alphas, H)):
+    for alpha in itertools.product(range(max_alpha + 1), repeat=sample.dim):
+        if sum(alpha) > max_alpha:
+            continue
+        # the module docstring's chain rule, alpha_i! / (k_i! (alpha_i - 2 k_i)!) written as
+        # C(alpha_i, 2 k_i) (2 k_i)! / k_i!: real factors first, one complex product per g_m
+        factors = {}
+        for k in itertools.product(*(range(a // 2 + 1) for a in alpha)):
+            m = sum(alpha) - sum(k)
+            w = math.factorial(m) * math.prod(math.comb(a, 2 * i) * math.perm(2 * i, i)
+                                              for a, i in zip(alpha, k))
+            factors[m] = factors.get(m, 0.0) + math.prod(
+                (powers[d][a - 2 * i] for d, (a, i) in enumerate(zip(alpha, k))), start=float(w))
+        deriv = sum(jet[m] * f for m, f in factors.items())
         ratio = np.abs(deriv) * norms ** sum(alpha) / weight
         k = int(np.argmax(ratio))
-        records.append(
-            AlphaRecord(
-                alpha=alpha,
-                c_alpha=float(ratio[k]),
-                argmax_xi=tuple(float(x) for x in XI[k]),
-                argmax_lambda=complex(LAM[k]),
-            )
-        )
-    return MultiplierReport(
-        symbol_id=symbol_id,
-        order_s=order_s,
-        records=records,
-        sample_points=XI.shape[0],
-        max_alpha=max_alpha,
-        ceiling=DEFAULT_CEILING,
-    )
+        records.append(AlphaRecord(alpha, float(ratio[k]), tuple(float(x) for x in XI[k]),
+                                   complex(LAM[k])))
+    return MultiplierReport(symbol_id, order_s, records, XI.shape[0], max_alpha, DEFAULT_CEILING)
 
 
 # ---------------------------------------------------------------------------
 # built-in symbols
 
-def _squared_norms(xi) -> np.ndarray:
-    """|xi|^2 per row, the coordinates' squares added in order.
+def _radial(name: str, g):
+    """The scannable symbol `name` of g(x, lam), jet arithmetic in x = |xi|^2."""
 
-    Below 8 coordinates numpy's reduce adds in the same order, so this equals
-    np.sum(xi * xi, axis=-1) bit for bit, without that reduce's per-row cost
-    over a short last axis.
-    """
-    s = xi[..., 0] * xi[..., 0]
-    for k in range(1, xi.shape[-1]):
-        s = s + xi[..., k] * xi[..., k]
-    return s
+    def symbol(s, lam, order):
+        value = g(Jet.variable(s, order), lam)
+        out = np.zeros((order + 1, len(s)), dtype=complex)
+        for k, c in enumerate(value.c if isinstance(value, Jet) else [value]):
+            out[k] = c
+        return out
 
-
-def sym_lambda(xi, lam):
-    return np.asarray(lam, dtype=complex)
+    symbol.__name__ = name
+    return symbol
 
 
-def sym_xi_sq(xi, lam):
-    return _squared_norms(xi).astype(complex)
-
-
-def sym_xi_4(xi, lam):
-    s = _squared_norms(xi)
-    return (s * s).astype(complex)
-
-
-def sym_sqrt_lam_xi_sq(xi, lam):
-    return np.sqrt(lam + _squared_norms(xi))
-
-
-def sym_inv_sqrt_lam_xi_sq(xi, lam):
-    return 1.0 / np.sqrt(lam + _squared_norms(xi))
-
-
-def sym_xi_over_weight(xi, lam):
-    s = _squared_norms(xi)
-    return (np.sqrt(s) / np.sqrt(1.0 + s)).astype(complex)
-
-
-def sym_one(xi, lam):
-    return np.ones(xi.shape[0], dtype=complex)
+sym_lambda = _radial("sym_lambda", lambda x, lam: lam)
+sym_xi_sq = _radial("sym_xi_sq", lambda x, lam: x)
+sym_xi_4 = _radial("sym_xi_4", lambda x, lam: x * x)
+sym_sqrt_lam_xi_sq = _radial("sym_sqrt_lam_xi_sq", lambda x, lam: (lam + x) ** 0.5)
+sym_inv_sqrt_lam_xi_sq = _radial("sym_inv_sqrt_lam_xi_sq", lambda x, lam: (lam + x) ** -0.5)
+sym_xi_over_weight = _radial("sym_xi_over_weight", lambda x, lam: x ** 0.5 / (1.0 + x) ** 0.5)
+sym_one = _radial("sym_one", lambda x, lam: 1.0)
 
 
 def resolvent_entry_symbol(j: int, row: int, col: int):
     """Entry (row, col) of the scaled resolvent symbol M^{(j)} as a scannable symbol."""
 
-    def symbol(xi, lam):
-        return _scaled_resolvent_from_s(j, _squared_norms(xi), lam, row, col)
+    def symbol(s, lam, order):
+        return _scaled_resolvent_from_s(j, s, lam, row, col, order).reshape(order + 1, len(s))
 
     symbol.__name__ = f"m{j}_{row + 1}{col + 1}"
     return symbol
@@ -305,10 +248,7 @@ def example_suite(sample: SectorSample | None = None) -> list[MultiplierReport]:
     """Scan the stock example symbols; all pass on a shifted-sector sample."""
     if sample is None:
         sample = SectorSample()
-    return [
-        multiplier_order_scan(fn, s, sample, symbol_id=name)
-        for name, fn, s in EXAMPLE_CASES
-    ]
+    return [multiplier_order_scan(fn, s, sample, symbol_id=name) for name, fn, s in EXAMPLE_CASES]
 
 
 def scaled_resolvent_entry_scans(j: int, sample: SectorSample | None = None
@@ -322,9 +262,7 @@ def scaled_resolvent_entry_scans(j: int, sample: SectorSample | None = None
     for row in range(3):
         for col in range(3):
             fn = resolvent_entry_symbol(j, row, col)
-            out[(row, col)] = multiplier_order_scan(
-                fn, 0.0, sample, symbol_id=fn.__name__
-            )
+            out[(row, col)] = multiplier_order_scan(fn, 0.0, sample, symbol_id=fn.__name__)
     return out
 
 

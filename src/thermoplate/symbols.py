@@ -171,6 +171,59 @@ def determinant_pair(xi, lam: complex) -> tuple[complex, complex]:
     return d_gamma, d_recip
 
 
+class Jet:
+    """Taylor coefficients c_0..c_order in s = |xi|^2, one array (or scalar) each.
+
+    Arrays and scalars, lambda among them, are constants in s.  Products,
+    quotients by jets and real powers run the recurrences of Taylor
+    arithmetic (Griewank & Walther, Evaluating Derivatives, ch. 13)
+    elementwise; each c_0 comes from the very operation on values, so at
+    order 0 an expression gives bit for bit what it gives on arrays.
+    """
+
+    __array_ufunc__ = None  # numpy operands defer to the reflected methods
+
+    def __init__(self, coeffs):
+        self.c = list(coeffs)
+
+    @classmethod
+    def variable(cls, s, order: int) -> "Jet":
+        """The jet of s itself: s, 1, 0, ..., 0."""
+        return cls([s, 1.0, *[0.0] * (order - 1)][:order + 1])
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet([a + b for a, b in zip(self.c, other.c)])
+        return Jet([self.c[0] + other, *self.c[1:]])
+
+    def __neg__(self):
+        return Jet([-a for a in self.c])
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet([a * other for a in self.c])
+        a, b = self.c, other.c
+        return Jet([sum((a[i] * b[k - i] for i in range(1, k + 1)), a[0] * b[k])
+                    for k in range(len(a))])
+
+    def __truediv__(self, other):
+        b, q = other.c, []
+        for k, a in enumerate(self.c):
+            q.append(sum((-b[i] * q[k - i] for i in range(1, k + 1)), a) / b[0])
+        return Jet(q)
+
+    def __pow__(self, r: float):
+        # (a^r)' a = r a' a^r, coefficient by coefficient; a real power above
+        # order 0 divides by c_0, which must not vanish
+        a, p = self.c, [self.c[0] ** r]
+        for k in range(1, len(a)):
+            p.append(sum((r * i - (k - i)) * a[i] * p[k - i] for i in range(1, k + 1))
+                     / (k * a[0]))
+        return Jet(p)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
 #: adj(lambda - A(xi)) entry by entry as polynomials in (s, lambda);
 #: (lambda - A)^{-1} is this over det(lambda - A) = prod(lambda + gamma_j s)
 _ADJUGATE = (
@@ -183,12 +236,14 @@ _ADJUGATE = (
 BLOCK = tuple(np.indices((3, 3)))
 
 
-def _resolvent_entries(s, lam, rows, cols) -> np.ndarray:
+def _resolvent_entries(s, lam, rows, cols, order: int = 0, scaled=lambda e, r, c: e) -> np.ndarray:
     """Entries (rows, cols) of (lambda - A(xi))^{-1} over broadcast arrays of s and lambda.
 
     rows and cols are integers or index arrays; the result has shape
-    broadcast(s, lambda) + broadcast(rows, cols).  Only the requested entries
-    are formed, over one determinant and one singularity check.  Raises
+    broadcast(s, lambda) + broadcast(rows, cols), behind a leading axis of
+    the Taylor coefficients 0..order in s when order > 0.  Only the
+    requested entries are formed, as adjugate jets over one determinant jet,
+    and scaled(entry, row, col) maps each entry's jet.  Raises
     SingularParameterError naming the flat index into broadcast(s, lambda)
     where lambda hits the symbol spectrum (|det| below SINGULAR_DET_FLOOR
     times its scale, or lambda = s = 0), and ValueError naming the first
@@ -196,11 +251,13 @@ def _resolvent_entries(s, lam, rows, cols) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     lam = np.asarray(lam, dtype=complex)
+    x = Jet.variable(s, order)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        det = (lam + GAMMAS[0] * s) * (lam + GAMMAS[1] * s) * (lam + GAMMAS[2] * s)
+        det = (lam + GAMMAS[0] * x) * (lam + GAMMAS[1] * x) * (lam + GAMMAS[2] * x)
+        d0 = det.c[0]
         mod, g = np.abs(lam), np.abs(GAMMAS)
         scale = (mod + g[0] * s) * (mod + g[1] * s) * (mod + g[2] * s)
-        ratio = np.abs(det) / scale
+        ratio = np.abs(d0) / scale
         huge = np.isinf(scale)
         if np.any(huge):
             # factor by factor, each in [0, 1], where the scale overflows
@@ -209,23 +266,24 @@ def _resolvent_entries(s, lam, rows, cols) -> np.ndarray:
         origin = (mod == 0.0) & (s == 0.0)
         singular = origin | (ratio < SINGULAR_DET_FLOOR)
         tiny = scale < np.finfo(float).tiny
-    bad = singular | tiny | ~np.isfinite(det)
+    bad = singular | tiny | ~np.isfinite(d0)
     if np.any(bad):
         idx = int(np.argmax(bad))
-        s_at, lam_at = (np.broadcast_to(x, det.shape).flat[idx] for x in (s, lam))
+        s_at, lam_at = (np.broadcast_to(v, d0.shape).flat[idx] for v in (s, lam))
         if singular.flat[idx]:
-            raise SingularParameterError(
-                f"lambda={lam_at} singular at index {idx} (|xi|^2={s_at})"
-            )
+            raise SingularParameterError(f"lambda={lam_at} singular at index {idx} "
+                                         f"(|xi|^2={s_at})")
         what = ("underflows the scale prod(|lambda| + |gamma_j| |xi|^2) of"
                 if tiny.flat[idx] else "overflows")
         raise ValueError(f"lambda={lam_at} at index {idx} (|xi|^2={s_at}) "
                          f"{what} the determinant det(lambda - A(xi))")
     rows, cols = np.broadcast_arrays(rows, cols)
-    out = np.empty(det.shape + rows.shape, dtype=complex)
+    out = np.empty((order + 1,) + d0.shape + rows.shape, dtype=complex)
     for pos in np.ndindex(rows.shape):
-        out[(Ellipsis,) + pos] = _ADJUGATE[rows[pos]][cols[pos]](s, lam) / det
-    return out
+        entry = scaled(_ADJUGATE[rows[pos]][cols[pos]](x, lam) / det, rows[pos], cols[pos])
+        for k, c in enumerate(entry.c):
+            out[(k, Ellipsis) + pos] = c
+    return out if order else out[0]
 
 
 def resolvent_matrices(s, lam) -> np.ndarray:
@@ -233,7 +291,7 @@ def resolvent_matrices(s, lam) -> np.ndarray:
     return _resolvent_entries(s, lam, *BLOCK)
 
 
-def _scaled_resolvent_from_s(j: int, s, lam, rows, cols) -> np.ndarray:
+def _scaled_resolvent_from_s(j: int, s, lam, rows, cols, order: int = 0) -> np.ndarray:
     """Entries (rows, cols) of M^{(j)} over broadcast arrays of s and lambda.
 
     M^{(j)} = lambda^{j/2} S_{2-j}(xi) (lambda - A(xi))^{-1} S_0(xi)^{-1} with
@@ -241,19 +299,19 @@ def _scaled_resolvent_from_s(j: int, s, lam, rows, cols) -> np.ndarray:
     branch, continuous on every sector sampled here (|arg lambda| < pi).
     Conjugation by the diagonal scaling matrices only multiplies the first
     row by a = 1+s and divides the first column by a, so it is applied
-    entry by entry to the resolvent entries.
+    entry by entry to the resolvent entries' jets; the shape is that of
+    _resolvent_entries.
     """
     if j not in (0, 1, 2):
         raise ValueError(f"scaling index must be 0, 1 or 2, got {j}")
-    R = _resolvent_entries(s, lam, rows, cols)
-    a = 1.0 + np.asarray(s, dtype=float)
-    rows, cols = np.broadcast_arrays(rows, cols)
-    for pos in np.ndindex(rows.shape):
-        entry = R[(Ellipsis,) + pos]
-        if rows[pos] == 0 and cols[pos] != 0:
-            entry *= a
-        elif cols[pos] == 0 and rows[pos] != 0:
-            entry /= a
+    a = 1.0 + Jet.variable(np.asarray(s, dtype=float), order)
     pref = np.asarray(lam, dtype=complex) ** (j / 2) * a ** ((2 - j) / 2)
-    R *= pref[(Ellipsis,) + (None,) * rows.ndim]
-    return R
+
+    def scaled(entry, row, col):
+        if row == 0 and col != 0:
+            entry = entry * a
+        elif col == 0 and row != 0:
+            entry = entry / a
+        return entry * pref
+
+    return _resolvent_entries(s, lam, rows, cols, order, scaled)

@@ -390,8 +390,11 @@ class TestExitCodes:
         ("sweep --modes 4 --k-values 1e-100", cli.EXIT_USAGE),
         ("decay --domain rectangle --bc lt --grid 8 --samples 8 --horizon 1e-300",
          cli.EXIT_NUMERICAL),
+        # a fit window on the projector's rounding floor, past 8/margin = 3.8
+        ("decay --grid 50 --horizon 20", cli.EXIT_NUMERICAL),
+        ("decay --grid 50 --horizon 1e6", cli.EXIT_NUMERICAL),
     ], ids=["huge-b", "huge-horizon", "above-dense-limit", "negative-seed", "overflowing-det",
-            "tiny-horizon"])
+            "tiny-horizon", "long-horizon", "very-long-horizon"])
     def test_failure_is_one_line_and_its_exit_code(self, argv, code, tmp_path, monkeypatch,
                                                     capsys):
         with warnings.catch_warnings():

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from thermoplate import multipliers as mp, symbols
+from thermoplate import cli, multipliers as mp, symbols
 from thermoplate.symbols import ROOTS
 
 
@@ -142,8 +142,9 @@ class TestScanMechanics:
 
     def test_zeroth_constant_product_bound(self, default_sample):
         # |m1 m2| w^-(s1+s2) factorizes, so C_0 multiplies
-        def product(xi, lam):
-            return mp.sym_xi_sq(xi, lam) * mp.sym_inv_sqrt_lam_xi_sq(xi, lam)
+        def product(s, lam, order):
+            # the product of values is the product of the order-0 jets, all this scan asks for
+            return mp.sym_xi_sq(s, lam, order) * mp.sym_inv_sqrt_lam_xi_sq(s, lam, order)
 
         a = mp.multiplier_order_scan(mp.sym_xi_sq, 2.0, default_sample, max_alpha=0)
         b = mp.multiplier_order_scan(
@@ -154,9 +155,21 @@ class TestScanMechanics:
         assert c0 <= a.constant((0, 0)) * b.constant((0, 0)) * (1 + 1e-12)
         assert c.passed
 
-    def test_max_alpha_cap(self, default_sample):
-        with pytest.raises(ValueError):
-            mp.multiplier_order_scan(mp.sym_one, 0.0, default_sample, max_alpha=5)
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_default_order_scans_in_higher_dimensions(self, dim):
+        # dim + 1 is the default order; the closed-form derivatives of |xi|^2
+        # and |xi|^4 at every point give the constants
+        sample = mp.SectorSample(dim=dim)
+        xi, lam = _points(sample)
+        s = np.sum(xi * xi, axis=1)
+        for symbol, order_s, power in ((mp.sym_xi_sq, 2.0, 1), (mp.sym_xi_4, 4.0, 2)):
+            report = mp.multiplier_order_scan(symbol, order_s, sample)
+            assert report.max_alpha == dim + 1
+            assert len(report.records) == math.comb(2 * dim + 1, dim)
+            for rec in report.records:
+                want = _sup(_norm_power_derivative(xi, s, power, rec.alpha), rec.alpha,
+                            order_s, xi, lam)
+                assert rec.c_alpha == pytest.approx(want, rel=1e-12, abs=0.0), rec.alpha
 
     def test_negative_max_alpha_rejected(self, default_sample):
         # a scan over no multi-index would pass vacuously
@@ -164,20 +177,20 @@ class TestScanMechanics:
             mp.multiplier_order_scan(mp.sym_xi_4, 4.0, default_sample, max_alpha=-1)
 
     def test_non_finite_symbol_names_the_point(self, default_sample):
-        def nan_symbol(xi, lam):
-            return np.full(xi.shape[0], np.nan, dtype=complex)
+        def nan_symbol(s, lam, order):
+            return np.full((order + 1, len(s)), np.nan, dtype=complex)
 
         with pytest.raises(symbols.NumericalError, match=r"at xi=\[.*\], lambda=\("):
             mp.multiplier_order_scan(nan_symbol, 0.0, default_sample)
 
     @pytest.mark.parametrize("arg", [0, 1], ids=["xi", "lambda"])
     def test_symbol_must_not_write_its_arguments(self, arg, default_sample):
-        # lambda is the shared sample grid and xi the reused point buffer;
-        # both are read-only, so a writing symbol fails instead of
-        # corrupting the next scan
-        def writer(xi, lam):
-            (xi, lam)[arg][0] = 0.0
-            return mp.sym_one(xi, lam)
+        # s = |xi|^2 and lambda are the sample's shared distinct pairs; both
+        # are read-only, so a writing symbol fails instead of corrupting the
+        # next scan
+        def writer(s, lam, order):
+            (s, lam)[arg][0] = 0.0
+            return mp.sym_one(s, lam, order)
 
         with pytest.raises(ValueError, match="read-only"):
             mp.multiplier_order_scan(writer, 2.0, default_sample)
@@ -192,67 +205,165 @@ class TestScanMechanics:
         assert dataclasses.replace(report, ceiling=1.0).passed is False
 
     def test_derivatives_of_squared_norm(self, default_sample):
-        # first and second finite differences against the exact gradient/Hessian
-        xi = default_sample.xi_points()
-        keep = np.linalg.norm(xi, axis=1) >= 1e-2
-        xi = xi[keep]
-        lam = np.full(xi.shape[0], 2.0 + 0.5j)
-        h = mp.STEP_FACTOR * np.maximum(
-            np.abs(xi), np.linalg.norm(xi, axis=1, keepdims=True)
-        )
-        d1, d2, d11 = mp._central_differences(
-            mp.sym_xi_sq, xi, lam, [(1, 0), (2, 0), (1, 1)], h
-        )
-        rel1 = np.abs(d1 - 2 * xi[:, 0]) / np.maximum(np.abs(2 * xi[:, 0]), 1e-30)
-        assert rel1.max() <= 1e-6
-        assert np.abs(d2 - 2.0).max() <= 1e-6 * 2.0
-        # the cross derivative vanishes; the iterated difference leaves
-        # cancellation noise at the cube-root-of-eps level
-        scale = np.maximum(np.sum(xi * xi, axis=1), 1.0)
-        assert (np.abs(d11) / scale).max() <= 1e-5
+        # d_k |xi|^2 = 2 xi_k, d_k^2 = 2; every other derivative vanishes
+        # identically and reads exactly 0
+        report = mp.multiplier_order_scan(mp.sym_xi_sq, 2.0, default_sample)
+        xi, lam = _points(default_sample)
+        s = np.sum(xi * xi, axis=1)
+        for rec in report.records:
+            want = _sup(_norm_power_derivative(xi, s, 1, rec.alpha), rec.alpha, 2.0, xi, lam)
+            assert rec.c_alpha == pytest.approx(want, rel=1e-12, abs=0.0), rec.alpha
 
     def test_derivatives_of_root_weight(self, default_sample):
-        # d/dxi_k sqrt(lam + |xi|^2) = xi_k / sqrt(lam + |xi|^2); the finite
-        # difference is only trustworthy while |lam| does not dwarf |xi|^2
-        xi_all = default_sample.xi_points()
-        lam_all = default_sample.lambda_points()
-        XI = np.repeat(xi_all, lam_all.size, axis=0)
-        LAM = np.tile(lam_all, xi_all.shape[0])
-        s = np.sum(XI * XI, axis=1)
-        keep = np.abs(LAM) <= 1e4 * s
-        XI, LAM = XI[keep], LAM[keep]
-        h = mp.STEP_FACTOR * np.maximum(
-            np.abs(XI), np.linalg.norm(XI, axis=1, keepdims=True)
-        )
-        (d1,) = mp._central_differences(mp.sym_sqrt_lam_xi_sq, XI, LAM, [(1, 0)], h)
-        exact = XI[:, 0] / np.sqrt(LAM + np.sum(XI * XI, axis=1))
-        rel = np.abs(d1 - exact) / np.maximum(np.abs(exact), 1e-12)
-        assert rel.max() <= 1e-6
+        # (lambda + |xi|^2)^(+-1/2) against its hand-derived derivative tensors
+        xi, lam = _points(default_sample)
+        for symbol, power in ((mp.sym_sqrt_lam_xi_sq, 0.5), (mp.sym_inv_sqrt_lam_xi_sq, -0.5)):
+            report = mp.multiplier_order_scan(symbol, 2.0 * power, default_sample)
+            for rec in report.records:
+                want = _sup(_root_weight_derivative(xi, lam, power, rec.alpha), rec.alpha,
+                            2.0 * power, xi, lam)
+                assert rec.c_alpha == pytest.approx(want, rel=1e-12, abs=0.0), (power, rec.alpha)
+
+    def test_third_derivative_of_sobolev_quotient(self, default_sample):
+        # on an axis |xi| (1+|xi|^2)^(-1/2) is x (1+x^2)^(-1/2), whose third
+        # derivative is (12 x^2 - 3)(1+x^2)^(-7/2); its order-0 supremum over
+        # the default sample (mpmath, 40 digits) is 1.301869458963767
+        c = mp.multiplier_order_scan(mp.sym_xi_over_weight, 0.0, default_sample).constant((3, 0))
+        x = np.asarray(default_sample.xi_moduli)
+        on_axis = np.max(np.abs(12.0 * x * x - 3.0) * (1.0 + x * x) ** -3.5 * x ** 3)
+        assert on_axis == pytest.approx(1.301869458963767, rel=1e-14)
+        assert c == pytest.approx(1.301869458963767, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("symbol", [mp.sym_lambda, mp.sym_xi_sq, mp.sym_one],
+                             ids=lambda fn: fn.__name__)
+    def test_vanishing_derivatives_read_exactly_zero(self, symbol, default_sample):
+        # lambda and the constant are constant in xi; |xi|^2 has no third derivative
+        report = mp.multiplier_order_scan(symbol, 2.0, default_sample)
+        top = 2 if symbol is mp.sym_xi_sq else 0
+        for rec in report.records:
+            if sum(rec.alpha) > top or rec.alpha == (1, 1):
+                assert rec.c_alpha == 0.0, rec.alpha
+
+    @pytest.mark.parametrize("name, symbol, order_s", mp.EXAMPLE_CASES,
+                             ids=[c[0] for c in mp.EXAMPLE_CASES])
+    def test_examples_agree_with_central_differences(self, name, symbol, order_s,
+                                                     default_sample):
+        # first and second differences are trustworthy where the derivative
+        # does not vanish; at |alpha| = 3 they are rounding
+        report = mp.multiplier_order_scan(symbol, order_s, default_sample, max_alpha=2)
+        for rec in report.records:
+            if rec.c_alpha != 0.0:
+                fd = _fd_constant(symbol, rec.alpha, order_s, default_sample)
+                assert rec.c_alpha == pytest.approx(fd, rel=1e-5, abs=0.0), rec.alpha
+
+    @pytest.mark.parametrize("j, row, col", list(itertools.product(range(3), repeat=3)))
+    def test_entries_agree_with_central_differences(self, j, row, col, default_sample):
+        symbol = mp.resolvent_entry_symbol(j, row, col)
+        report = mp.multiplier_order_scan(symbol, 0.0, default_sample)
+        for rec in report.records:
+            fd = _fd_constant(symbol, rec.alpha, 0.0, default_sample)
+            assert rec.c_alpha == pytest.approx(fd, rel=1e-3, abs=0.0), rec.alpha
 
 
-def _reference_central_difference(symbol, xi, lam, alpha, h):
-    """The per-alpha iterated central difference: one symbol call per stencil leaf."""
+def _points(sample):
+    """Every sample point as (xi, lambda), independently of the scan's grid."""
+    xi, lams = sample.xi_points(), sample.lambda_points()
+    return np.repeat(xi, lams.size, axis=0), np.tile(lams, xi.shape[0])
+
+
+def _sup(deriv, alpha, order_s, xi, lam):
+    """The scan's constant: sup |d^alpha m| |xi|^|alpha| (|lambda|^(1/2) + |xi|)^-s."""
+    norms = np.linalg.norm(xi, axis=1)
+    return float(np.max(np.abs(deriv) * norms ** sum(alpha)
+                        / (np.sqrt(np.abs(lam)) + norms) ** order_s))
+
+
+def _indices(alpha):
+    """alpha as the list of coordinates differentiated, e.g. (2, 1) -> [0, 0, 1]."""
+    return [k for k, a in enumerate(alpha) for _ in range(a)]
+
+
+def _norm_power_derivative(xi, s, power, alpha):
+    """d^alpha |xi|^(2 power) for power 1 or 2, by hand."""
+    idx, n = _indices(alpha), sum(alpha)
+    d = lambda a, b: float(idx[a] == idx[b])  # noqa: E731
+    x = lambda a: xi[:, idx[a]]  # noqa: E731
+    zero = np.zeros(len(s))
+    if power == 1:
+        # |xi|^2: 2 x_i; 2 d_ij; then 0
+        return s if n == 0 else 2.0 * x(0) if n == 1 else zero + 2.0 * d(0, 1) if n == 2 else zero
+    # |xi|^4 = s^2: 4 s x_i; 4 s d_ij + 8 x_i x_j; 8 (d_ij x_k + d_ik x_j + d_jk x_i); ...
+    if n == 0:
+        return s * s
+    if n == 1:
+        return 4.0 * s * x(0)
+    if n == 2:
+        return 4.0 * s * d(0, 1) + 8.0 * x(0) * x(1)
+    if n == 3:
+        return 8.0 * (d(0, 1) * x(2) + d(0, 2) * x(1) + d(1, 2) * x(0))
+    if n == 4:
+        return zero + 8.0 * (d(0, 1) * d(2, 3) + d(0, 2) * d(1, 3) + d(0, 3) * d(1, 2))
+    return zero
+
+
+def _root_weight_derivative(xi, lam, p, alpha):
+    """d^alpha (lambda + |xi|^2)^p for |alpha| <= 3, by hand."""
+    u = lam + np.sum(xi * xi, axis=1)
+    idx, n = _indices(alpha), sum(alpha)
+    d = lambda a, b: float(idx[a] == idx[b])  # noqa: E731
+    x = lambda a: xi[:, idx[a]]  # noqa: E731
+    if n == 0:
+        return u ** p
+    if n == 1:
+        return 2 * p * x(0) * u ** (p - 1)
+    if n == 2:
+        return 2 * p * d(0, 1) * u ** (p - 1) + 4 * p * (p - 1) * x(0) * x(1) * u ** (p - 2)
+    return (4 * p * (p - 1) * (d(0, 1) * x(2) + d(0, 2) * x(1) + d(1, 2) * x(0)) * u ** (p - 2)
+            + 8 * p * (p - 1) * (p - 2) * x(0) * x(1) * x(2) * u ** (p - 3))
+
+
+def _central_difference(symbol, xi, lam, alpha):
+    """The per-alpha iterated central difference of m(xi) = symbol(|xi|^2, lam, 0)[0].
+
+    Steps h = eps^(1/3) max(|xi_k|, |xi|) per point and coordinate; one symbol
+    call per stencil leaf.
+    """
+    h = np.finfo(float).eps ** (1.0 / 3.0) * np.maximum(
+        np.abs(xi), np.linalg.norm(xi, axis=1, keepdims=True))
     acc = np.zeros(xi.shape[0], dtype=complex)
-    denom = np.ones(xi.shape[0])
-    leaf_iters = []
-    for k, m in enumerate(alpha):
-        if m:
-            denom = denom * (2.0 * h[:, k]) ** m
-        leaf_iters.append([(i, math.comb(m, i)) for i in range(m + 1)])
-    for combo in itertools.product(*leaf_iters):
-        weight = 1.0
-        shift = np.zeros_like(xi)
-        for k, (i, binom) in enumerate(combo):
-            m = alpha[k]
-            weight *= (-1.0) ** i * binom
-            if m:
-                shift[:, k] = (m - 2 * i) * h[:, k]
-        acc += weight * np.asarray(symbol(xi + shift, lam), dtype=complex)
-    return acc / denom
+    for leaf in itertools.product(*([(m - 2 * i, (-1.0) ** i * math.comb(m, i))
+                                     for i in range(m + 1)] for m in alpha)):
+        point = xi + np.array([o for o, _ in leaf]) * h
+        acc += math.prod(w for _, w in leaf) * symbol(np.sum(point * point, axis=1), lam, 0)[0]
+    return acc / np.prod((2.0 * h) ** np.array(alpha), axis=1)
 
 
-# (dim, max_alpha, symbol calls of one shared-stencil scan)
-STENCIL_CASES = [(2, 3, 25), (2, 4, 41), (2, 0, 1), (1, 2, 5), (1, 4, 9)]
+def _fd_constant(symbol, alpha, order_s, sample):
+    xi, lam = _points(sample)
+    return _sup(_central_difference(symbol, xi, lam, alpha), alpha, order_s, xi, lam)
+
+
+def _derivative_terms(alpha):
+    """d^alpha g(|xi|^2) as {(m, e): c}, the terms c xi^e g^(m), by repeated
+    product rules: d_i (xi^e g^(m)) = e_i xi^(e - 1_i) g^(m) + 2 xi^(e + 1_i) g^(m+1)."""
+    terms = {(0, (0,) * len(alpha)): 1}
+    for i in _indices(alpha):
+        out = {}
+        for (m, e), c in terms.items():
+            if e[i]:
+                key = (m, e[:i] + (e[i] - 1,) + e[i + 1:])
+                out[key] = out.get(key, 0) + c * e[i]
+            key = (m + 1, e[:i] + (e[i] + 1,) + e[i + 1:])
+            out[key] = out.get(key, 0) + 2 * c
+        terms = out
+    return terms
+
+
+def _reference_derivative(symbol, xi, lam, alpha):
+    """d^alpha at every point from one symbol call of its own, at the point's own |xi|^2."""
+    jet = symbol(np.sum(xi * xi, axis=1), lam, sum(alpha))
+    return sum(c * math.factorial(m) * jet[m] * np.prod(xi ** np.array(e), axis=1)
+               for (m, e), c in _derivative_terms(alpha).items())
 
 
 # every stock example symbol and one entry of each scaled resolvent symbol
@@ -261,49 +372,60 @@ REFERENCE_SYMBOLS = [case[1] for case in mp.EXAMPLE_CASES] + [
 
 
 class TestSharedStencil:
+    """One symbol call per scan serves every multi-index."""
+
     @pytest.mark.parametrize("symbol", REFERENCE_SYMBOLS, ids=lambda fn: fn.__name__)
-    @pytest.mark.parametrize("dim,max_alpha", [c[:2] for c in STENCIL_CASES])
-    def test_records_equal_per_alpha_reference(self, symbol, dim, max_alpha, monkeypatch):
-        # visiting the offsets in descending lexicographic order forms every
-        # sum in the per-alpha leaf order, and the shared buffers keep each
-        # operation's operand order, so the records agree bit for bit with a
-        # pass that allocates every leaf afresh
+    @pytest.mark.parametrize("dim,max_alpha", [(2, 3), (2, 4), (2, 0), (1, 2), (1, 4)])
+    def test_records_equal_per_alpha_reference(self, symbol, dim, max_alpha):
+        # the scan reads every multi-index off one jet at the distinct pairs;
+        # the reference calls the symbol once per multi-index at every point
+        # and applies the product rule term by term
         sample = mp.SectorSample(dim=dim)
-        got = mp.multiplier_order_scan(symbol, 0.0, sample, max_alpha=max_alpha).records
+        xi, lam = _points(sample)
+        records = mp.multiplier_order_scan(symbol, 0.0, sample, max_alpha=max_alpha).records
+        assert len(records) == math.comb(max_alpha + dim, dim)
+        for rec in records:
+            want = _sup(_reference_derivative(symbol, xi, lam, rec.alpha), rec.alpha, 0.0, xi, lam)
+            assert rec.c_alpha == pytest.approx(want, rel=1e-12, abs=0.0), rec.alpha
 
-        def per_alpha(symbol, xi, lam, alphas, h):
-            return [_reference_central_difference(symbol, xi, lam, a, h) for a in alphas]
 
-        monkeypatch.setattr(mp, "_central_differences", per_alpha)
-        want = mp.multiplier_order_scan(symbol, 0.0, sample, max_alpha=max_alpha).records
-        assert got == want
+class TestCallBudget:
+    @pytest.mark.parametrize("symbol", REFERENCE_SYMBOLS, ids=lambda fn: fn.__name__)
+    def test_one_symbol_call_per_scan(self, symbol, default_sample):
+        # the three directions share each modulus: 32 moduli x 160 lambdas
+        calls = []
 
-    @pytest.mark.parametrize("dim,max_alpha,calls", STENCIL_CASES)
-    def test_one_symbol_call_per_distinct_offset(self, dim, max_alpha, calls):
-        seen = []
+        def counting(s, lam, order):
+            calls.append((len(s), order))
+            return symbol(s, lam, order)
 
-        def counting(xi, lam):
-            seen.append(xi.copy())
-            return mp.sym_xi_sq(xi, lam)
+        mp.multiplier_order_scan(counting, 0.0, default_sample)
+        assert calls == [(5120, 3)]
 
-        sample = mp.SectorSample(dim=dim, lambda_moduli=(1.0,), xi_moduli=(0.5, 2.0))
-        mp.multiplier_order_scan(counting, 2.0, sample, max_alpha=max_alpha)
-        assert len(seen) == calls
-        assert len({x.tobytes() for x in seen}) == calls
+    def test_multscan_and_entries_budgets(self, tmp_path, monkeypatch):
+        # multscan: the 7 examples and the 2 origin-growth scans, one symbol
+        # call each; entries: 18 scans, one adjugate call each
+        symbol_calls, adjugate_calls = [], []
+        scan, adjugate = mp.multiplier_order_scan, mp._scaled_resolvent_from_s
 
-    @pytest.mark.parametrize("dim", range(1, 8))
-    def test_squared_norms_equal_numpy_sum(self, dim):
-        # the symbols' |xi|^2 must round exactly as np.sum(xi * xi, axis=-1),
-        # which the scan reports were computed with
-        rng = np.random.default_rng(dim)
-        xi = rng.standard_normal((500, dim)) * 10.0 ** rng.uniform(-3, 3, (500, dim))
-        assert np.array_equal(mp._squared_norms(xi), np.sum(xi * xi, axis=-1))
+        def counted_scan(symbol, *args, **kwargs):
+            def counted(*a):
+                symbol_calls.append(len(a[0]))
+                return symbol(*a)
+            return scan(counted, *args, **kwargs)
 
-    def test_stencil_table(self):
-        assert mp._stencil((2,)) == {(2,): 1.0, (0,): -2.0, (-2,): 1.0}
-        assert mp._stencil((1, 1)) == {(1, 1): 1.0, (1, -1): -1.0, (-1, 1): -1.0,
-                                       (-1, -1): 1.0}
-        assert mp._stencil((0, 0)) == {(0, 0): 1.0}
+        def counted_adjugate(*args):
+            adjugate_calls.append(len(args[1]))
+            return adjugate(*args)
+
+        monkeypatch.setattr(mp, "multiplier_order_scan", counted_scan)
+        monkeypatch.setattr(mp, "_scaled_resolvent_from_s", counted_adjugate)
+        assert cli.main(["multscan", "--out", str(tmp_path / "m")]) == 0
+        assert symbol_calls == [5120] * 9
+        symbol_calls.clear()
+        assert cli.main(["entries", "--out", str(tmp_path / "e")]) == 0
+        assert adjugate_calls == [5120] * 18
+        assert symbol_calls == [5120] * 18
 
 
 class TestSampleGrid:
@@ -344,7 +466,7 @@ class TestResolventEntryScans:
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_entry_symbol_matches_scaled_symbol(self, j):
-        # one mixed-lambda batch through each entry symbol, against the 3x3
+        # one mixed-lambda batch through each entry symbol at order 0, against the 3x3
         # symbol at every point; array and scalar arithmetic may round apart
         rng = np.random.default_rng(4)
         xi = 10.0 ** rng.uniform(-1.5, 1.5, size=(40, 2))
@@ -353,7 +475,7 @@ class TestResolventEntryScans:
                   for x, l in zip(xi, lam)]
         for row in range(3):
             for col in range(3):
-                got = mp.resolvent_entry_symbol(j, row, col)(xi, lam)
+                got = mp.resolvent_entry_symbol(j, row, col)(np.sum(xi * xi, axis=1), lam, 0)[0]
                 want = [m[row, col] for m in blocks]
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 

@@ -238,3 +238,48 @@ class TestScaledResolvent:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             scaled_resolvent(3, 1.0, 1.0)
+
+
+class TestJet:
+    S = np.array([1e-3, 0.5, 2.0, 1e3])
+    LAM = np.array([1.0 + 0.5j, 3.0, 0.2 - 2.0j, 1e2j])
+
+    @pytest.mark.parametrize("r", [0.5, -0.5, 3, -1.5])
+    def test_real_power_is_the_binomial_series(self, r):
+        # (lambda + s)^r has Taylor coefficients C(r, k) (lambda + s)^(r - k)
+        got = (self.LAM + symbols.Jet.variable(self.S, 4)) ** r
+        u = self.LAM + self.S
+        for k, c in enumerate(got.c):
+            binom = math.prod(r - i for i in range(k)) / math.factorial(k)
+            np.testing.assert_allclose(c, binom * u ** (r - k), rtol=1e-13, atol=0.0)
+
+    def test_quotient_and_product(self):
+        # s / (1 + s) = 1 - 1/(1 + s): coefficients -(-1)^k (1 + s)^(-1-k) above 0;
+        # s * s * s has 3 s^2, 3 s, 1
+        x = symbols.Jet.variable(self.S, 4)
+        q = (x / (1.0 + x)).c
+        np.testing.assert_allclose(q[0], self.S / (1.0 + self.S), rtol=1e-15)
+        for k in range(1, 5):
+            np.testing.assert_allclose(q[k], -(-1.0) ** k * (1.0 + self.S) ** (-1 - k),
+                                       rtol=1e-13, atol=0.0)
+        cube = (x * x * x).c
+        for c, want in zip(cube, (self.S ** 3, 3 * self.S ** 2, 3 * self.S, 1.0, 0.0)):
+            np.testing.assert_allclose(c, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_leading_coefficient_is_the_value_bit_for_bit(self, j):
+        # the torus sweep reads the order-0 path; a jet only adds coefficients
+        value = symbols._scaled_resolvent_from_s(j, self.S, self.LAM, *symbols.BLOCK)
+        jet = symbols._scaled_resolvent_from_s(j, self.S, self.LAM, *symbols.BLOCK, order=3)
+        assert jet.shape == (4,) + value.shape
+        assert jet[0].tobytes() == value.tobytes()
+
+    def test_entry_jet_matches_a_difference_in_s(self):
+        # first coefficient against a central difference in s, step 1e-6 s
+        s, h = self.S, 1e-6 * self.S
+        jet = symbols._scaled_resolvent_from_s(1, s, self.LAM, *symbols.BLOCK, order=1)
+        up, down = (symbols._scaled_resolvent_from_s(1, s + d, self.LAM, *symbols.BLOCK)
+                    for d in (h, -h))
+        fd = (up - down) / (2.0 * h[:, None, None])
+        scale = np.abs(jet[1]).max(axis=(1, 2), keepdims=True)
+        assert np.max(np.abs(jet[1] - fd) / scale) <= 1e-7
