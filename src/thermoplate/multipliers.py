@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import GAMMAS, ROOTS, Jet, NumericalError, _scaled_resolvent_from_s
+from .symbols import ROOTS, Jet, NumericalError, _scaled_resolvent_from_s
 
 DEFAULT_CEILING = 1e6
 
@@ -285,23 +285,23 @@ def constant_one_origin_growth() -> tuple[float, float]:
 
 
 def nonsectoriality_witness(k: float) -> float:
-    """|lambda (1+|xi|^2) |xi|^2 / prod(lambda + gamma_j |xi|^2)| at lambda = 1/k^2, |xi| = 1/k.
+    """|M^{(2)}_13| = |lambda (1+|xi|^2) |xi|^2 / det(lambda - A(xi))| at lambda = |xi|^2 = 1/k^2.
 
     Substituting lambda = |xi|^2 = 1/k^2 collapses the quotient to
     (k^2+1)/5, which grows without bound; no sector bound around the origin
-    can hold.  The value is computed through the symbol quotient, not the
-    closed form, so the identity is testable.
+    can hold.  The value is read from the shared adjugate kernel, through
+    its screen (a product of per-root factors in [0, 1]), not from the
+    closed form, so the identity is testable.  A k whose 1/k^2 overflows, or
+    at which the kernel rejects the determinant, raises ValueError naming k.
     """
     if not k > 0:
         raise ValueError(f"k must be positive, got {k}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = s = np.float64(k) ** -2.0
-        det = np.prod(lam + GAMMAS * s)
-    # a subnormal determinant overflows the reciprocal inside complex division
-    if not np.finfo(float).tiny <= abs(det) < math.inf:
-        raise ValueError(f"k={k:g} is outside the witness range: "
-                         f"the determinant at lambda = |xi|^2 = 1/k^2 is {det}")
-    return float(abs(lam * (1.0 + s) * s / det))
+    try:
+        s = float(k) ** -2.0
+        return float(abs(_scaled_resolvent_from_s(2, s, s, 0, 2)))
+    except (OverflowError, ValueError) as err:
+        reason = err if isinstance(err, ValueError) else "1/k^2 overflows a double"
+        raise ValueError(f"k={k:g} is outside the witness range: {reason}") from None
 
 
 def witness_closed_form(k: float) -> float:

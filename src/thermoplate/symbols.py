@@ -26,9 +26,9 @@ import numpy as np
 # characteristic cubic p(t) = t^3 + t^2 + 2 t + 1, highest degree first
 CHAR_POLY = (1.0, 1.0, 2.0, 1.0)
 
-#: |det| below this multiple of its scale prod_j(|lambda| + |gamma_j| s) is
-#: treated as exactly singular; double precision cannot represent a
-#: meaningful quotient past it.
+#: |det| below this multiple of its scale prod_j(|lambda| + |gamma_j| s),
+#: screened as the product of the per-root factors, is treated as exactly
+#: singular; double precision cannot represent a meaningful quotient past it.
 SINGULAR_DET_FLOOR = 1e-300
 
 ROOT_RESIDUAL_TOL = 1e-12
@@ -236,18 +236,21 @@ _ADJUGATE = (
 BLOCK = tuple(np.indices((3, 3)))
 
 
-def _resolvent_entries(s, lam, rows, cols, order: int = 0, scaled=lambda e, r, c: e) -> np.ndarray:
+def _resolvent_entries(s, lam, rows, cols, order: int = 0, j: int | None = None) -> np.ndarray:
     """Entries (rows, cols) of (lambda - A(xi))^{-1} over broadcast arrays of s and lambda.
 
     rows and cols are integers or index arrays; the result has shape
     broadcast(s, lambda) + broadcast(rows, cols), behind a leading axis of
     the Taylor coefficients 0..order in s when order > 0.  Only the
-    requested entries are formed, as adjugate jets over one determinant jet,
-    and scaled(entry, row, col) maps each entry's jet.  Raises
+    requested entries are formed, as adjugate jets over one determinant jet;
+    with j set they are the entries of M^{(j)} (_scaled_resolvent_from_s).
+    The screen is the product of the per-root factors
+    |lambda + gamma_j s| / (|lambda| + |gamma_j| s), each in [0, 1].  Raises
     SingularParameterError naming the flat index into broadcast(s, lambda)
-    where lambda hits the symbol spectrum (|det| below SINGULAR_DET_FLOOR
-    times its scale, or lambda = s = 0), and ValueError naming the first
-    index where the determinant overflows a double or its scale underflows.
+    where lambda hits the symbol spectrum (the product is below
+    SINGULAR_DET_FLOOR, or NaN at lambda = s = 0, and det is finite), and
+    ValueError naming the first index where the determinant overflows a
+    double or its scale prod_j(|lambda| + |gamma_j| s) underflows.
     """
     s = np.asarray(s, dtype=float)
     lam = np.asarray(lam, dtype=complex)
@@ -257,14 +260,10 @@ def _resolvent_entries(s, lam, rows, cols, order: int = 0, scaled=lambda e, r, c
         d0 = det.c[0]
         mod, g = np.abs(lam), np.abs(GAMMAS)
         scale = (mod + g[0] * s) * (mod + g[1] * s) * (mod + g[2] * s)
-        ratio = np.abs(d0) / scale
-        huge = np.isinf(scale)
-        if np.any(huge):
-            # factor by factor, each in [0, 1], where the scale overflows
-            factors = [np.abs(lam + gj * s) / (mod + abs(gj) * s) for gj in GAMMAS]
-            ratio = np.where(huge, factors[0] * factors[1] * factors[2], ratio)
-        origin = (mod == 0.0) & (s == 0.0)
-        singular = origin | (ratio < SINGULAR_DET_FLOOR)
+        factors = [np.abs(lam + gj * s) / (mod + gj_mod * s) for gj, gj_mod in zip(GAMMAS, g)]
+        ratio = factors[0] * factors[1] * factors[2]
+        # NaN at lambda = s = 0 is singular; at lambda = s = inf det overflows instead
+        singular = ~(ratio >= SINGULAR_DET_FLOOR) & np.isfinite(d0)
         tiny = scale < np.finfo(float).tiny
     bad = singular | tiny | ~np.isfinite(d0)
     if np.any(bad):
@@ -277,10 +276,20 @@ def _resolvent_entries(s, lam, rows, cols, order: int = 0, scaled=lambda e, r, c
                 if tiny.flat[idx] else "overflows")
         raise ValueError(f"lambda={lam_at} at index {idx} (|xi|^2={s_at}) "
                          f"{what} the determinant det(lambda - A(xi))")
+    if j is not None:
+        a = 1.0 + x
+        pref = lam ** (j / 2) * a ** ((2 - j) / 2)
     rows, cols = np.broadcast_arrays(rows, cols)
     out = np.empty((order + 1,) + d0.shape + rows.shape, dtype=complex)
     for pos in np.ndindex(rows.shape):
-        entry = scaled(_ADJUGATE[rows[pos]][cols[pos]](x, lam) / det, rows[pos], cols[pos])
+        row, col = rows[pos], cols[pos]
+        entry = _ADJUGATE[row][col](x, lam) / det
+        if j is not None:
+            if row == 0 and col != 0:
+                entry = entry * a
+            elif col == 0 and row != 0:
+                entry = entry / a
+            entry = entry * pref
         for k, c in enumerate(entry.c):
             out[(k, Ellipsis) + pos] = c
     return out if order else out[0]
@@ -298,20 +307,10 @@ def _scaled_resolvent_from_s(j: int, s, lam, rows, cols, order: int = 0) -> np.n
     S_j(xi) = (1+s)^{j/2} diag(1+s, 1, 1); lambda^{j/2} uses the principal
     branch, continuous on every sector sampled here (|arg lambda| < pi).
     Conjugation by the diagonal scaling matrices only multiplies the first
-    row by a = 1+s and divides the first column by a, so it is applied
-    entry by entry to the resolvent entries' jets; the shape is that of
-    _resolvent_entries.
+    row by a = 1+s and divides the first column by a; _resolvent_entries
+    applies it to each entry's jet, behind its one screen, and the shape is
+    that of _resolvent_entries.
     """
     if j not in (0, 1, 2):
         raise ValueError(f"scaling index must be 0, 1 or 2, got {j}")
-    a = 1.0 + Jet.variable(np.asarray(s, dtype=float), order)
-    pref = np.asarray(lam, dtype=complex) ** (j / 2) * a ** ((2 - j) / 2)
-
-    def scaled(entry, row, col):
-        if row == 0 and col != 0:
-            entry = entry * a
-        elif col == 0 and row != 0:
-            entry = entry / a
-        return entry * pref
-
-    return _resolvent_entries(s, lam, rows, cols, order, scaled)
+    return _resolvent_entries(s, lam, rows, cols, order, j)

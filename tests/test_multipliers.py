@@ -503,16 +503,24 @@ class TestOriginBehavior:
         with pytest.raises(ValueError):
             mp.nonsectoriality_witness(0.0)
 
-    @pytest.mark.parametrize("k", [5.4e-52, 1e-60, 1e-150, 1e-200, 2.5e51, 1e100, 1e160,
+    @pytest.mark.parametrize("k", [1.0, 10.0, 100.0, *np.logspace(-51, 51, 41)])
+    def test_witness_reads_the_shared_kernel(self, k):
+        # entry (1, 3) of M^(2) at lambda = |xi|^2 = 1/k^2, bit for bit
+        s = float(k) ** -2.0
+        expected = abs(symbols._scaled_resolvent_from_s(2, s, s, 0, 2))
+        assert mp.nonsectoriality_witness(k) == expected
+
+    @pytest.mark.parametrize("k", [5.4e-52, 1e-60, 1e-150, 1e-200, 2.7e51, 1e100, 1e160,
                                    math.inf, math.nan])
     def test_witness_rejects_k_out_of_range(self, k):
-        # the determinant overflows (small k) or goes subnormal or zero (large k)
+        # the determinant overflows (small k), its scale underflows (large k),
+        # 1/k^2 overflows (1e-200) or is zero (inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError):
                 mp.nonsectoriality_witness(k)
 
-    @pytest.mark.parametrize("k", [5.6e-52, 1e-30, 1e30, 2.4e51])
+    @pytest.mark.parametrize("k", [5.6e-52, 1e-30, 1e30, 2.4e51, 2.6e51])
     def test_witness_matches_closed_form_near_range_ends(self, k):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

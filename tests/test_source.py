@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import thermoplate
 
@@ -97,3 +98,14 @@ def test_every_function_has_a_caller():
                     and (file != where or not node.lineno <= line <= node.end_lineno)
                     for file, name, line in refs))
     assert uncalled == sorted(UNCALLED)
+
+
+def test_one_fourier_side_determinant():
+    # det(lambda - A(xi)) = prod(lambda + gamma_j |xi|^2) is formed and screened
+    # only in symbols._resolvent_entries; a module that names the roots could
+    # grow a second copy.  bounded is left out: the continuum determinants
+    # of the bounded domains will need the roots
+    found = [f"{name}:{n}" for name in ("multipliers.py", "torus.py")
+             for n, line in enumerate((PACKAGE / name).read_text().splitlines(), 1)
+             if re.search(r"\bGAMMAS\b", line)]
+    assert not found, f"GAMMAS named outside symbols: {found}"

@@ -181,13 +181,16 @@ class TestResolvent:
 
     def test_overflowing_determinant_names_index(self):
         # lambda^3 overflows a double at s = 0; a plain ValueError (bad input),
-        # not a singularity, and no RuntimeWarning on the way
-        lams = np.array([1.0, 2.0, 1e120])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match="index 2 ") as info:
-                symbols.resolvent_matrices(0.0, lams)
-        assert not isinstance(info.value, symbols.SingularParameterError)
+        # not a singularity, and no RuntimeWarning on the way.  At
+        # lambda = s = inf the screen factors are NaN: an overflow too
+        cases = ((0.0, np.array([1.0, 2.0, 1e120]), 2),
+                 (np.array([0.0, math.inf]), np.array([1.0, math.inf]), 1))
+        for s, lams, index in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError, match=f"index {index} ") as info:
+                    symbols.resolvent_matrices(s, lams)
+            assert not isinstance(info.value, symbols.SingularParameterError)
 
 
 def scaled_resolvent(j, s, lam):
