@@ -12,19 +12,19 @@ sample, not a proof; report metadata says so.
 A symbol must be radial, m = g(|xi|^2, lambda).  It is called once per scan
 as symbol(s, lam, order) on the sample's distinct pairs (s, lambda) =
 (|xi|^2, lambda), and returns the Taylor coefficients g_k = d^k g/ds^k / k!,
-k = 0..order, as an (order + 1, n) array; symbols.Jet computes them.  The
-chain rule then gives every derivative at every sample point, elementwise:
+k = 0..order, as an (order + 1, n) array; symbols.Jet computes them.  Every
+modulus r runs along the same unit directions u, so the chain rule reads
 
-    d^alpha g(|xi|^2) = sum_k prod_i alpha_i! / (k_i! (alpha_i - 2 k_i)!)
-                        (2 xi_i)^(alpha_i - 2 k_i) g^(|alpha| - |k|)(s)
+    d^alpha g(|xi|^2) |xi|^|alpha| = sum_k prod_i alpha_i! / (k_i! (alpha_i - 2 k_i)!)
+                  (2 u_i)^(alpha_i - 2 k_i) m! s^m g_m = sum_m F[alpha, u, m] s^m g_m
 
-over 0 <= 2 k_i <= alpha_i.  No difference quotient enters, so a
-derivative that vanishes identically reads exactly 0.
-
-Scans of one sample share its grid: the flattened points, their norms and
-the distinct pairs are built once per distinct SectorSample and kept
-read-only.  A symbol therefore receives read-only arguments; it must not
-write to them or keep them.
+at xi = r u, s = r^2, over 0 <= 2 k_i <= alpha_i with m = |alpha| - |k|.
+The scan forms the last sum on the (modulus, lambda) pairs for each u with
+a nonzero F row, elementwise, and keeps the first maximum in the sample's
+(modulus, direction, lambda) order; a derivative that vanishes identically
+reads exactly 0.  Scans of one sample share its read-only grid, which holds
+no array per point.  A symbol therefore receives read-only arguments; it
+must not write to them or keep them.
 """
 
 from __future__ import annotations
@@ -86,15 +86,6 @@ class SectorSample:
         f = np.asarray(self.arg_fractions, dtype=float)
         return (self.lambda0 + np.multiply.outer(r, np.exp(1j * self.theta * f))).ravel()
 
-    def xi_points(self) -> np.ndarray:
-        """(n, dim) frequency vectors: axes plus the normalized diagonal."""
-        dirs = list(np.eye(self.dim))
-        if self.dim > 1:
-            dirs.append(np.ones(self.dim) / math.sqrt(self.dim))
-        dirs = np.array(dirs)
-        r = np.asarray(self.xi_moduli, dtype=float)
-        return (r[:, None, None] * dirs[None, :, :]).reshape(-1, self.dim)
-
 
 @dataclass
 class AlphaRecord:
@@ -125,29 +116,47 @@ class MultiplierReport:
         raise KeyError(alpha)
 
 
+def _directions(dim: int) -> tuple:
+    """A sample's unit xi directions: the coordinate axes, then (dim > 1) the diagonal."""
+    axes = tuple(tuple(float(i == d) for i in range(dim)) for d in range(dim))
+    return axes + ((1.0 / math.sqrt(dim),) * dim,) * (dim > 1)
+
+
 @functools.lru_cache(maxsize=1)
 def _sample_grid(sample: SectorSample) -> tuple[np.ndarray, ...]:
-    """XI, LAM and |XI| per point of the flattened sample, the distinct pairs
-    S, LAMS of (|xi|^2, lambda) and each point's pair index PAIR, read-only.
-
-    xi_points runs over the moduli, each along unit directions, so |xi|^2 is
-    the squared modulus.  One entry suffices: the CLI scans one sample at a
-    time, many symbols each.
-    """
-    xi = sample.xi_points()
-    lams = sample.lambda_points()
-    XI = np.repeat(xi, len(lams), axis=0)
-    LAM = np.tile(lams, len(xi))
-    norms = np.linalg.norm(XI, axis=1)
+    """Unit directions U, moduli r, lambdas in sample order, the distinct pairs S, LAMS
+    of (|xi|^2, lambda) and each (modulus, lambda)'s pair index PAIRS, read-only.  One
+    entry suffices: the CLI scans one sample at a time, many symbols each."""
     r = np.asarray(sample.xi_moduli)
-    s, s_idx = np.unique(np.repeat(r * r, len(xi) // len(r)), return_inverse=True)
+    lams = sample.lambda_points()
+    s, s_idx = np.unique(r * r, return_inverse=True)
     lam, lam_idx = np.unique(lams, return_inverse=True)
-    S, LAMS = np.repeat(s, len(lam)), np.tile(lam, len(s))
-    PAIR = (s_idx[:, None] * len(lam) + lam_idx).ravel()
-    grid = (XI, LAM, norms, S, LAMS, PAIR)
+    grid = (np.array(_directions(sample.dim)), r, lams, np.repeat(s, len(lam)),
+            np.tile(lam, len(s)), s_idx[:, None] * len(lam) + lam_idx)
     for arr in grid:
         arr.flags.writeable = False
     return grid
+
+
+@functools.lru_cache
+def _chain_table(dim: int, max_alpha: int) -> tuple:
+    """(alpha, rows) for |alpha| <= max_alpha; row d holds the nonzero (m, F[alpha, u_d, m])
+    of the module docstring, each weight written as C(alpha_i, 2 k_i) (2 k_i)! / k_i!."""
+    table = []
+    for alpha in itertools.product(range(max_alpha + 1), repeat=dim):
+        if sum(alpha) > max_alpha:
+            continue
+        rows = []
+        for u in _directions(dim):
+            row = [0.0] * (sum(alpha) + 1)
+            for k in itertools.product(*(range(a // 2 + 1) for a in alpha)):
+                m = sum(alpha) - sum(k)
+                row[m] += math.factorial(m) * math.prod(math.comb(a, 2 * i) * math.perm(2 * i, i)
+                                                        * (2.0 * x) ** (a - 2 * i)
+                                                        for x, a, i in zip(u, alpha, k))
+            rows.append(tuple((m, f) for m, f in enumerate(row) if f))
+        table.append((alpha, tuple(rows)))
+    return tuple(table)
 
 
 def multiplier_order_scan(symbol, order_s: float, sample: SectorSample,
@@ -162,39 +171,35 @@ def multiplier_order_scan(symbol, order_s: float, sample: SectorSample,
         max_alpha = sample.dim + 1
     if max_alpha < 0:
         raise ValueError(f"max_alpha must be nonnegative, got {max_alpha}")
-    XI, LAM, norms, S, LAMS, PAIR = _sample_grid(sample)
+    U, r, lams, S, LAMS, PAIRS = _sample_grid(sample)
     jet = np.asarray(symbol(S, LAMS, max_alpha), dtype=complex)
     if jet.shape != (max_alpha + 1, len(S)):
         raise ValueError(f"{symbol_id} returned Taylor coefficients of shape {jet.shape}, "
                          f"expected {(max_alpha + 1, len(S))}")
     finite = np.isfinite(jet).all(axis=0)
     if not np.all(finite):
-        idx = int(np.argmax(PAIR == np.argmin(finite)))
-        raise NumericalError(f"non-finite Taylor coefficient at xi={XI[idx]}, lambda={LAM[idx]}")
-    jet = jet[:, PAIR]
-    # (2 xi_d)^p for p = 0..max_alpha, by repeated products
-    powers = [list(itertools.accumulate([2.0 * x] * max_alpha, np.multiply, initial=1.0))
-              for x in XI.T]
-    weight = (np.sqrt(np.abs(LAM)) + norms) ** order_s
+        i, j = np.argwhere(PAIRS == np.argmin(finite))[0]
+        raise NumericalError(f"non-finite Taylor coefficient at xi={r[i] * U[0]}, "
+                             f"lambda={lams[j]}")
+    h = (jet * S ** np.arange(max_alpha + 1.0)[:, None])[:, PAIRS]  # s^m g_m, (m, r, lambda)
+    weight = (np.sqrt(np.abs(lams)) + r[:, None]) ** order_s
+    n_d, n_l = len(U), len(lams)
     records = []
-    for alpha in itertools.product(range(max_alpha + 1), repeat=sample.dim):
-        if sum(alpha) > max_alpha:
-            continue
-        # the module docstring's chain rule, alpha_i! / (k_i! (alpha_i - 2 k_i)!) written as
-        # C(alpha_i, 2 k_i) (2 k_i)! / k_i!: real factors first, one complex product per g_m
-        factors = {}
-        for k in itertools.product(*(range(a // 2 + 1) for a in alpha)):
-            m = sum(alpha) - sum(k)
-            w = math.factorial(m) * math.prod(math.comb(a, 2 * i) * math.perm(2 * i, i)
-                                              for a, i in zip(alpha, k))
-            factors[m] = factors.get(m, 0.0) + math.prod(
-                (powers[d][a - 2 * i] for d, (a, i) in enumerate(zip(alpha, k))), start=float(w))
-        deriv = sum(jet[m] * f for m, f in factors.items())
-        ratio = np.abs(deriv) * norms ** sum(alpha) / weight
-        k = int(np.argmax(ratio))
-        records.append(AlphaRecord(alpha, float(ratio[k]), tuple(float(x) for x in XI[k]),
-                                   complex(LAM[k])))
-    return MultiplierReport(symbol_id, order_s, records, XI.shape[0], max_alpha, DEFAULT_CEILING)
+    for alpha, rows in _chain_table(sample.dim, max_alpha):
+        # each direction's first maximum, at its index in (modulus, direction, lambda)
+        # order; the first of the largest wins, as np.argmax over every point picks it
+        best = []
+        for d, row in enumerate(rows):
+            ratio = (np.abs(functools.reduce(np.add, (h[m] * f for m, f in row))) / weight
+                     if row else np.zeros((1, 1)))  # a zero row reads 0 everywhere
+            i, j = divmod(int(np.argmax(ratio)), n_l)
+            best.append(((i * n_d + d) * n_l + j, ratio[i, j], i, d, j))
+        best.sort()
+        _, c, i, d, j = best[int(np.argmax([b[1] for b in best]))]
+        records.append(AlphaRecord(alpha, float(c), tuple(float(x) for x in r[i] * U[d]),
+                                   complex(lams[j])))
+    return MultiplierReport(symbol_id, order_s, records, len(r) * n_d * n_l, max_alpha,
+                            DEFAULT_CEILING)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,12 @@ class TorusGrid:
     @cached_property
     def distinct_s(self) -> tuple:
         """(distinct s ascending, each mode's index into them), read-only, built once."""
-        s, inverse = np.unique(self.s_array().ravel(), return_inverse=True)
+        # s is even in each xi_d and fftfreq's -k is exactly -(k): np.unique runs over the
+        # modes of index <= M/2 per axis, and mode i reads index min(i, M - i)
+        quarter = sum(np.ix_(*(a[: m // 2 + 1] ** 2 for a, m in zip(self.xi_axes(), self.modes))))
+        s, inverse = np.unique(quarter.ravel(), return_inverse=True)
+        fold = np.ix_(*(np.minimum(np.arange(m), m - np.arange(m)) for m in self.modes))
+        inverse = inverse.reshape(quarter.shape)[fold].ravel()
         s.flags.writeable = inverse.flags.writeable = False
         return s, inverse
 

@@ -37,10 +37,12 @@ class TestSectorSample:
         assert np.all(np.abs(args) <= default_sample.theta + 1e-12)
 
     def test_xi_points_shape(self, default_sample):
-        pts = default_sample.xi_points()
-        assert pts.shape[1] == 2
-        # axes plus one diagonal direction per modulus
-        assert pts.shape[0] == 32 * 3
+        # axes plus one diagonal direction per modulus, each with every lambda
+        directions = mp._sample_grid(default_sample)[0]
+        assert directions.shape == (3, 2)
+        assert np.array_equal(directions, [[1.0, 0.0], [0.0, 1.0], [1 / math.sqrt(2)] * 2])
+        report = mp.multiplier_order_scan(mp.sym_one, 2.0, default_sample, max_alpha=0)
+        assert report.sample_points == 32 * 3 * 160 == len(_points(default_sample)[0])
 
     def test_rejects_nonpositive_shift_angle(self):
         with pytest.raises(ValueError):
@@ -266,16 +268,28 @@ class TestScanMechanics:
 
 
 def _points(sample):
-    """Every sample point as (xi, lambda), independently of the scan's grid."""
-    xi, lams = sample.xi_points(), sample.lambda_points()
+    """Every sample point as (xi, lambda) in (modulus, direction, lambda) order,
+    independently of the scan's grid: each modulus along the coordinate axes,
+    then (dim > 1) along the normalized diagonal."""
+    dirs = np.eye(sample.dim)
+    if sample.dim > 1:
+        dirs = np.vstack([dirs, np.ones(sample.dim) / math.sqrt(sample.dim)])
+    xi = (np.asarray(sample.xi_moduli)[:, None, None] * dirs[None, :, :]).reshape(-1, sample.dim)
+    lams = sample.lambda_points()
     return np.repeat(xi, lams.size, axis=0), np.tile(lams, xi.shape[0])
 
 
+def _ratios(deriv, alpha, order_s, xi, lam, norms=None):
+    """|d^alpha m| |xi|^|alpha| (|lambda|^(1/2) + |xi|)^-s at every point, |xi| the
+    norm of xi unless given."""
+    if norms is None:
+        norms = np.linalg.norm(xi, axis=1)
+    return np.abs(deriv) * norms ** sum(alpha) / (np.sqrt(np.abs(lam)) + norms) ** order_s
+
+
 def _sup(deriv, alpha, order_s, xi, lam):
-    """The scan's constant: sup |d^alpha m| |xi|^|alpha| (|lambda|^(1/2) + |xi|)^-s."""
-    norms = np.linalg.norm(xi, axis=1)
-    return float(np.max(np.abs(deriv) * norms ** sum(alpha)
-                        / (np.sqrt(np.abs(lam)) + norms) ** order_s))
+    """The scan's constant: the largest of _ratios."""
+    return float(np.max(_ratios(deriv, alpha, order_s, xi, lam)))
 
 
 def _indices(alpha):
@@ -359,9 +373,10 @@ def _derivative_terms(alpha):
     return terms
 
 
-def _reference_derivative(symbol, xi, lam, alpha):
-    """d^alpha at every point from one symbol call of its own, at the point's own |xi|^2."""
-    jet = symbol(np.sum(xi * xi, axis=1), lam, sum(alpha))
+def _reference_derivative(symbol, xi, lam, alpha, s=None):
+    """d^alpha at every point from one symbol call of its own, at the point's own
+    |xi|^2 unless s is given."""
+    jet = symbol(np.sum(xi * xi, axis=1) if s is None else s, lam, sum(alpha))
     return sum(c * math.factorial(m) * jet[m] * np.prod(xi ** np.array(e), axis=1)
                for (m, e), c in _derivative_terms(alpha).items())
 
@@ -387,6 +402,74 @@ class TestSharedStencil:
         for rec in records:
             want = _sup(_reference_derivative(symbol, xi, lam, rec.alpha), rec.alpha, 0.0, xi, lam)
             assert rec.c_alpha == pytest.approx(want, rel=1e-12, abs=0.0), rec.alpha
+
+
+def _cli_scans():
+    """(symbol, report) of every scan behind multscan's examples and entries' 18 entry scans."""
+    sample = mp.SectorSample()
+    scans = list(zip([fn for _, fn, _ in mp.EXAMPLE_CASES], mp.example_suite(sample)))
+    for j in (0, 2):
+        scans += [(mp.resolvent_entry_symbol(j, row, col), report)
+                  for (row, col), report in mp.scaled_resolvent_entry_scans(j, sample).items()]
+    return scans
+
+
+class TestArgmax:
+    """Each record reports the first sample point that attains its constant."""
+
+    @pytest.fixture(scope="class")
+    def scans(self):
+        return _cli_scans()
+
+    def test_argmax_is_the_first_point_of_the_maximum(self, scans):
+        # the per-point reference ratio at the reported point equals c_alpha,
+        # and no earlier point in (modulus, direction, lambda) order exceeds it,
+        # each to 4 ulp.  The reference sums xi^e g^(m) term by term, at the
+        # sample point r u: |xi| = r, s = r^2.  At the rounded diagonal point's
+        # own |xi|^2, an ulp or two from r^2, the entry jets move by up to 40 ulp
+        sample = mp.SectorSample()
+        xi, lam = _points(sample)
+        r = np.repeat(sample.xi_moduli, len(xi) // len(sample.xi_moduli))
+        assert len(scans) == 7 + 18
+        for symbol, report in scans:
+            for rec in report.records:
+                ratio = _ratios(_reference_derivative(symbol, xi, lam, rec.alpha, r * r),
+                                rec.alpha, report.order_s, xi, lam, r)
+                at = np.flatnonzero(np.all(xi == rec.argmax_xi, axis=1)
+                                    & (lam == rec.argmax_lambda))[0]
+                ulps = 4.0 * np.spacing(rec.c_alpha)
+                assert abs(ratio[at] - rec.c_alpha) <= ulps, (report.symbol_id, rec.alpha)
+                assert np.all(ratio[:at] <= rec.c_alpha + ulps), (report.symbol_id, rec.alpha)
+
+    def test_tie_across_directions_keeps_the_earliest_point(self):
+        # d_1^2 g |xi|^2 = 2 s g_1 + 8 u_1^2 s^2 g_2 (the u_1^2 term vanishes on the
+        # second axis): at |xi| = 1 the axes read 0 and 2, the diagonal 1; at |xi| = 2
+        # every direction reads 2.  The first axis peaks at the later modulus, the
+        # second axis ties it earlier, and wins as np.argmax over every point picks it
+        def symbol(s, lam, order):
+            out = np.zeros((order + 1, len(s)), dtype=complex)
+            out[1] = 1.0 / s
+            out[2] = np.where(s == 1.0, -0.25, 0.0)
+            return out
+
+        sample = mp.SectorSample(lambda_moduli=(1.0,), arg_fractions=(0.0,), xi_moduli=(1.0, 2.0))
+        xi, lam = _points(sample)
+        rec = dict((r.alpha, r) for r in mp.multiplier_order_scan(symbol, 0.0, sample, 2).records)
+        s = np.repeat([1.0, 4.0], 3)
+        ratio = _ratios(_reference_derivative(symbol, xi, lam, (2, 0), s), (2, 0), 0.0, xi, lam,
+                        np.sqrt(s))
+        np.testing.assert_allclose(ratio, [0.0, 2.0, 1.0, 2.0, 2.0, 2.0], rtol=1e-15)
+        assert np.argmax(ratio) == 1 and ratio[1] == ratio[3] == 2.0
+        assert (rec[(2, 0)].c_alpha, rec[(2, 0)].argmax_xi) == (2.0, (0.0, 1.0))
+
+    def test_identically_zero_derivatives_report_the_first_point(self, scans):
+        first = tuple(float(x) for x in _points(mp.SectorSample())[0][0])
+        lam0 = complex(mp.SectorSample().lambda_points()[0])
+        zeros = [(report.symbol_id, rec) for _, report in scans for rec in report.records
+                 if rec.c_alpha == 0.0]
+        assert zeros
+        for name, rec in zeros:
+            assert (rec.argmax_xi, rec.argmax_lambda) == (first, lam0), (name, rec.alpha)
 
 
 class TestCallBudget:
@@ -433,15 +516,25 @@ class TestSampleGrid:
         for arr in mp._sample_grid(default_sample):
             assert not arr.flags.writeable
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_grid_holds_no_per_point_array(self, dim):
+        # |xi|^2 depends on the modulus only, so the grid is at most as large
+        # as the distinct (|xi|^2, lambda) pairs, not the sample points
+        grid = mp._sample_grid(mp.SectorSample(dim=dim))
+        S = grid[3]
+        assert len(S) == 32 * 160
+        assert max(arr.size for arr in grid) <= len(S)
+
     def test_entry_scans_build_the_grid_once(self, monkeypatch):
+        # the grid is the one caller of lambda_points
         calls = []
-        xi_points = mp.SectorSample.xi_points
+        lambda_points = mp.SectorSample.lambda_points
 
         def counting(sample):
             calls.append(sample)
-            return xi_points(sample)
+            return lambda_points(sample)
 
-        monkeypatch.setattr(mp.SectorSample, "xi_points", counting)
+        monkeypatch.setattr(mp.SectorSample, "lambda_points", counting)
         mp._sample_grid.cache_clear()
         sample = mp.SectorSample(lambda_moduli=(0.5, 2.0), xi_moduli=(0.1, 1.0, 10.0))
         assert len(mp.scaled_resolvent_entry_scans(1, sample)) == 9

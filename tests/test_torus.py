@@ -157,6 +157,20 @@ class TestGrid:
         assert grid.distinct_s is grid.distinct_s
         assert not s.flags.writeable and not inverse.flags.writeable
 
+    @pytest.mark.parametrize("lengths", [(TWO_PI, TWO_PI), (1.0, 3.0), (200.0 * math.pi, 0.37),
+                                         (1e-3, 7.0)])
+    @pytest.mark.parametrize("modes", [(4,), (64,), (16384,), (4, 4), (8, 32), (64, 16),
+                                       (512, 512)])
+    def test_distinct_s_from_the_reflection_quarter_is_bitwise_unique(self, modes, lengths):
+        # the table is built from the modes of index at most M/2 per axis; it and
+        # each mode's index equal np.unique over every mode, bit for bit
+        grid = torus.TorusGrid(modes, lengths[:len(modes)])
+        s, inverse = grid.distinct_s
+        want_s, want_inverse = np.unique(grid.s_array().ravel(), return_inverse=True)
+        assert s.tobytes() == want_s.tobytes()
+        assert inverse.dtype == want_inverse.dtype and inverse.shape == want_inverse.shape
+        assert np.array_equal(inverse, want_inverse)
+
 
 class TestEnergyNorm:
     def test_single_cosine_oracle(self, grid128):
