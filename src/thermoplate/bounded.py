@@ -54,13 +54,13 @@ dihedral, is one bincount of the entries over its class map, and the ghost
 system is solved and conditioned per parity class through the same maps.
 Each symmetry S (a reflection, or the swap) is checked on the entries as
 max|A[S][:, S] - A| / max|A| <= SYMMETRY_TOL before any block is formed.
-Every eigensolve, SVD, Schur form, exponential and zero-cluster projector runs
-on these blocks (B_E's eigenvalues and singular values counted twice, one
-exponential carrying both E states); the SVDs, and the projector's one Schur
-form and one Sylvester solve per block, on the exactly balanced S_c B_c S_c^-1
-(a power of two sigma on the u coordinates).  One eigvals per block and
-generator (block_spectrum) fixes the zero cluster for every command; decay
-projects it off exactly when it is nonempty, which the free variants are.
+Every eigensolve, SVD, Schur form, exponential and zero-cluster projection
+runs on these blocks (B_E's eigenvalues and singular values counted twice, one
+exponential carrying both E states); the SVDs, and the one Schur form and one
+Sylvester solve of each block holding cluster eigenvalues, on the exactly
+balanced S_c B_c S_c^-1 (a power of two sigma on the u coordinates).  One eigvals
+per block (block_eigenvalues) fixes the zero cluster for every command; decay
+projects it off the start and the step of every variant, as factors V_c W_c.
 
 scipy.linalg is imported inside kernel_and_projection and
 decay_rate_experiment, its only users: loading it takes about a quarter
@@ -198,8 +198,16 @@ class DiscreteGenerator:
         return _reflection_blocks(self.entries, self.cells, square)
 
     @functools.cached_property
+    def block_eigenvalues(self) -> tuple:
+        """One eigvals per block, in ReflectionBlocks order (E's once)."""
+        try:
+            return tuple(np.linalg.eigvals(B) for B in self.reflection_blocks.blocks)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+
+    @functools.cached_property
     def block_spectrum(self) -> tuple:
-        """(eigenvalues, zero_tol, decay margin) from one eigvals per block, E's twice.
+        """(eigenvalues, zero_tol, decay margin) from block_eigenvalues, E's twice.
 
         Report order: descending real part rounded to a multiple of ORDER_QUANTUM
         max|lambda| (roundoff-level gaps do not reorder rows), then descending
@@ -208,12 +216,8 @@ class DiscreteGenerator:
         zero_tol grows like h^-2, the physical modes do not: a cluster not
         CLUSTER_GAP times below every other modulus raises NumericalError.
         """
-        blocks = self.reflection_blocks
-        try:
-            ev = np.concatenate([np.tile(np.linalg.eigvals(B), k)
-                                 for B, k in zip(blocks.blocks, blocks.counts)])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+        ev = np.concatenate([np.tile(e, k) for e, k in
+                             zip(self.block_eigenvalues, self.reflection_blocks.counts)])
         top = float(np.abs(ev).max())
         ev = ev[np.lexsort((-ev.imag, -np.round(ev.real / (ORDER_QUANTUM * top))))]
         zero_tol = ZERO_TOL_FACTOR * top
@@ -506,11 +510,10 @@ def _reflection_blocks(entries: tuple, cells: tuple, square: bool) -> Reflection
                             residual, swap_residual, maps)
 
 
-def _balanced_blocks(gen: DiscreteGenerator):
-    """Yield (S_c B_c S_c^-1, diag S_c) per block; coordinates are field-major, a third each."""
-    for B in gen.reflection_blocks.blocks:
-        s = np.repeat([gen.sigma, 1.0, 1.0], len(B) // 3)
-        yield B * s[:, None] / s, s
+def _balanced(gen: DiscreteGenerator, B: np.ndarray) -> tuple:
+    """(S_c B_c S_c^-1, diag S_c) of a block; coordinates are field-major, a third each."""
+    s = np.repeat([gen.sigma, 1.0, 1.0], len(B) // 3)
+    return B * s[:, None] / s, s
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +546,8 @@ def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
     ev, zero_tol, margin = gen.block_spectrum
     blocks = gen.reflection_blocks
     try:
-        sv = np.concatenate([np.tile(np.linalg.svd(B, compute_uv=False), k)
-                             for (B, _), k in zip(_balanced_blocks(gen), blocks.counts)])
+        sv = np.concatenate([np.tile(np.linalg.svd(_balanced(gen, B)[0], compute_uv=False), k)
+                             for B, k in zip(blocks.blocks, blocks.counts)])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     sv = np.sort(sv)[::-1]
@@ -568,15 +571,15 @@ def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
 
 @dataclass
 class KernelProjection:
-    """The zero-cluster projection as one n_c x n_c block P_c per block.
+    """The zero-cluster projection P_c = V_c W_c per block as factors (V_c, W_c).
 
-    P_c acts on the class coordinates of ReflectionBlocks.restrict, P_E on
-    both columns of the E pair; the state projector, the sum of
-    C_c P_c C_c^T over the classes, is never formed.
+    V_c is n_c x d_c, W_c d_c x n_c (d_c = 0 off the cluster); they act on the
+    class coordinates of ReflectionBlocks.restrict, W_E on both E columns.  P_c is
+    formed only to read max|P_c|, and the state projector sum C_c P_c C_c^T never.
     """
 
     algebraic_dimension: int
-    projectors: tuple
+    factors: tuple
     pairing_condition: float
     idempotency_residual: float
 
@@ -584,22 +587,26 @@ class KernelProjection:
 def kernel_and_projection(gen: DiscreteGenerator) -> KernelProjection:
     """The oblique projection onto the zero cluster, block by block.
 
-    Each block is balanced, S_c B_c S_c^-1 = Z T Z^T in one real Schur form sorted
-    with |lambda| <= zero_tol first, and T11 Y - Y T22 = -T12 is solved once (a
-    failed or rescaled solve means an unseparated cluster: NumericalError); the
-    real Riesz projection P_c = S_c^-1 Z1 (Z1^T - Y Z2^T) S_c is zero where the
-    class holds no part of the cluster, the E pair's dimension counting twice.
-    pairing_condition is max_c sqrt(1 + |Y|_2^2), the balanced projectors' norm,
-    idempotency_residual max_c max|P_c^2 - P_c| / max(max_c max|P_c|, 1).  P_c is idempotent
-    for every Y (Z1^T Z1 = I, Z2^T Z1 = 0), so the residual sees rounding and Z, never Y;
-    Y rests on dtrsyl's info and scale checks.
+    A block with no eigenvalue |lambda| <= zero_tol (every damped one) gets empty
+    factors and no more work.  Any other is balanced, S_c B_c S_c^-1 = Z T Z^T in one
+    real Schur form sorted with |lambda| <= zero_tol first, and T11 Y - Y T22 = -T12
+    is solved once (a failed or rescaled solve means an unseparated cluster:
+    NumericalError): V_c = S_c^-1 Z1, W_c = (Z1^T - Y Z2^T) S_c, the E pair's
+    dimension counting twice.  pairing_condition is max_c sqrt(1 + |Y|_2^2) (1 with no
+    cluster), idempotency_residual max_c max|P_c^2 - P_c| / max(max_c max|P_c|, 1), from
+    P_c^2 - P_c = V_c (W_c V_c - I) W_c.  P_c is idempotent for every Y, so the residual
+    sees rounding and Z, never Y; Y rests on dtrsyl's info and scale checks.
     """
     import scipy.linalg as sla
 
-    zero_tol = gen.block_spectrum[1]
+    blocks, zero_tol = gen.reflection_blocks, gen.block_spectrum[1]
     keep = lambda x, y: np.hypot(x, y) <= zero_tol
-    P, cond, d = [], 1.0, 0
-    for c, ((B, s), k) in enumerate(zip(_balanced_blocks(gen), gen.reflection_blocks.counts)):
+    factors, cond, d, defect, top = [], 1.0, 0, 0.0, 0.0
+    for c, (B, ev, k) in enumerate(zip(blocks.blocks, gen.block_eigenvalues, blocks.counts)):
+        if not np.any(np.abs(ev) <= zero_tol):
+            factors.append((np.zeros((len(B), 0)), np.zeros((0, len(B)))))
+            continue
+        B, s = _balanced(gen, B)
         try:
             T, Z, dc = sla.schur(B, output="real", sort=keep)
         except sla.LinAlgError as exc:
@@ -608,15 +615,17 @@ def kernel_and_projection(gen: DiscreteGenerator) -> KernelProjection:
                           if 0 < dc < len(B) else (np.zeros((dc, len(B) - dc)), 1.0, 0))
         if info != 0 or scale != 1.0 or not np.all(np.isfinite(Y)):
             raise NumericalError(f"zero cluster not separated in block {c} (dtrsyl info {info})")
-        P.append(Z[:, :dc] @ (Z[:, :dc].T - Y @ Z[:, dc:].T) / s[:, None] * s)
+        V, W = Z[:, :dc] / s[:, None], (Z[:, :dc].T - Y @ Z[:, dc:].T) * s
+        defect = max(defect, float(np.abs(V @ ((W @ V - np.eye(dc)) @ W)).max()))
+        top = max(top, float(np.abs(V @ W).max()))
+        factors.append((V, W))
         cond, d = max(cond, float(np.hypot(1.0, np.linalg.norm(Y, 2)))), d + k * dc
     if not cond <= PAIRING_CONDITION_LIMIT:
         raise NumericalError(f"ill-conditioned subspace pairing (cond {cond:.3e})")
-    residual = (max(float(np.abs(Pc @ Pc - Pc).max()) for Pc in P)
-                / max(max(float(np.abs(Pc).max()) for Pc in P), 1.0))
+    residual = defect / max(top, 1.0)
     if not residual <= IDEMPOTENCY_TOL:
         raise NumericalError(f"projection is not idempotent (residual {residual:.3e})")
-    return KernelProjection(d, tuple(P), cond, residual)
+    return KernelProjection(d, tuple(factors), cond, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +641,10 @@ class DecayFit:
     window_start: float
     decaying: bool
     seed: int
-    # projector diagnostics, None when the zero cluster is empty (nothing projected)
-    projector_dimension: int | None = None
-    pairing_condition: float | None = None
-    idempotency_residual: float | None = None
+    # the zero-cluster projection's diagnostics (0, 1.0, 0.0 with no cluster)
+    projector_dimension: int
+    pairing_condition: float
+    idempotency_residual: float
 
 
 def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
@@ -644,11 +653,12 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
 
     The fit window is the second half of the horizon, where the slowest
     surviving mode dominates; the spectral abscissa off the zero cluster is
-    the reference value.  The initial state is restricted to the blocks once
-    and, when the zero cluster is nonempty (the free variants), projected
-    there (y_c - P_c y_c); each block gets its own propagator,
-    which carries both E states as one two-column product, and the stacked
-    2-norm of the block states is the state norm.
+    the reference value.  The initial state is restricted to the blocks once;
+    each block's step E_c = expm(B_c dt) carries both E states as one two-column
+    product, and the stacked 2-norm of the block states is the state norm.  The
+    zero cluster (kernel_and_projection; empty when damped) is projected off the
+    start, y_c - V_c W_c y_c, and off the step, E_c - V_c W_c E_c: rounding in a
+    step cannot rebuild it.
     """
     import scipy.linalg as sla
 
@@ -656,24 +666,19 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
         raise ValueError("need at least 8 samples for a stable fit")
     if horizon is not None and not 0.0 < horizon < np.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    ev, zero_tol, eps_spec = gen.block_spectrum
+    eps_spec = gen.block_spectrum[2]
     if not np.isfinite(eps_spec) or eps_spec <= 0:
         raise NumericalError(f"no positive spectral decay margin (got {eps_spec})")
     if horizon is None:
         horizon = 8.0 / eps_spec
-    blocks = gen.reflection_blocks
-    states = blocks.restrict(np.random.default_rng(seed).standard_normal(gen.state_size))
-    diagnostics = {}
-    if np.any(np.abs(ev) <= zero_tol):
-        proj = kernel_and_projection(gen)
-        states = [y - P @ y for P, y in zip(proj.projectors, states)]
-        diagnostics = dict(projector_dimension=proj.algebraic_dimension,
-                           pairing_condition=proj.pairing_condition,
-                           idempotency_residual=proj.idempotency_residual)
+    blocks, proj = gen.reflection_blocks, kernel_and_projection(gen)
+    states = [y - V @ (W @ y) for (V, W), y in zip(proj.factors, blocks.restrict(
+        np.random.default_rng(seed).standard_normal(gen.state_size)))]
     dt = horizon / (samples - 1)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            steps = [sla.expm(B * dt) for B in blocks.blocks]
+            steps = [E - V @ (W @ E) for (V, W), E in
+                     zip(proj.factors, (sla.expm(B * dt) for B in blocks.blocks))]
     except (ValueError, FloatingPointError, sla.LinAlgError) as exc:
         raise NumericalError(f"propagator over one sample step of the horizon {horizon:g} "
                              f"failed: {exc}") from exc
@@ -696,8 +701,8 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
     fitted = float(-slope)
     if fitted <= 0.0:
         raise NumericalError(f"fitted decay rate {fitted:.3g} is not positive against the margin "
-                             f"{eps_spec:.6g}: the fit window of the horizon {horizon:g} (default "
-                             f"8/margin = {8.0 / eps_spec:.3g}) sees the rounding floor, not decay")
+                             f"{eps_spec:.6g}: the norm does not fall over the fit window of the "
+                             f"horizon {horizon:g} (default 8/margin = {8.0 / eps_spec:.3g})")
     gap = abs(fitted - eps_spec) / eps_spec
     return DecayFit(
         fitted_rate=fitted,
@@ -708,7 +713,9 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
         window_start=float(0.5 * horizon),
         decaying=fitted > 0.1 * eps_spec,
         seed=seed,
-        **diagnostics,
+        projector_dimension=proj.algebraic_dimension,
+        pairing_condition=proj.pairing_condition,
+        idempotency_residual=proj.idempotency_residual,
     )
 
 

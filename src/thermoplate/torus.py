@@ -108,11 +108,9 @@ class TorusGrid:
         ]
 
     def s_array(self) -> np.ndarray:
-        """|xi|^2 per mode, in grid shape."""
-        axes = self.xi_axes()
-        if self.dim == 1:
-            return axes[0] ** 2
-        return axes[0][:, None] ** 2 + axes[1][None, :] ** 2
+        """|xi|^2 per mode, in grid shape, read from distinct_s."""
+        s, inverse = self.distinct_s
+        return s[inverse].reshape(self.shape)
 
     @cached_property
     def distinct_s(self) -> tuple:

@@ -179,6 +179,11 @@ class TestInterval:
         assert np.abs(t).max() <= 1e-6
 
 
+def _projectors(proj):
+    """P_c = V_c W_c per block, formed from the projection's factors."""
+    return [v @ w for v, w in proj.factors]
+
+
 def _assert_commutes(gen, projectors, tol):
     """P_c B_c = B_c P_c in every parity block, entrywise to tol."""
     for p, b in zip(projectors, gen.reflection_blocks.blocks, strict=True):
@@ -194,10 +199,10 @@ class TestProjection:
 
     def test_commutes_with_generator(self, gen1d):
         proj = bounded.kernel_and_projection(gen1d)
-        _assert_commutes(gen1d, proj.projectors, 1e-6 * np.abs(gen1d.matrix).max())
+        _assert_commutes(gen1d, _projectors(proj), 1e-6 * np.abs(gen1d.matrix).max())
 
     def test_rank_matches_trace(self, gen1d):
-        projectors = bounded.kernel_and_projection(gen1d).projectors
+        projectors = _projectors(bounded.kernel_and_projection(gen1d))
         assert sum(np.trace(p) for p in projectors) == pytest.approx(5.0, abs=1e-6)
 
     def test_real_projector_on_fine_grid(self):
@@ -207,11 +212,12 @@ class TestProjection:
             bounded.interval(0.0, 1.0), 200, bounded.free()
         )
         proj = bounded.kernel_and_projection(gen)
-        assert all(p.dtype == np.float64 for p in proj.projectors)
+        projectors = _projectors(proj)
+        assert all(p.dtype == np.float64 for p in projectors)
         assert proj.algebraic_dimension == 5
-        assert sum(np.trace(p) for p in proj.projectors) == pytest.approx(5.0, abs=1e-6)
+        assert sum(np.trace(p) for p in projectors) == pytest.approx(5.0, abs=1e-6)
         assert proj.idempotency_residual <= bounded.IDEMPOTENCY_TOL
-        _assert_commutes(gen, proj.projectors, 1e-6 * np.abs(gen.matrix).max())
+        _assert_commutes(gen, projectors, 1e-6 * np.abs(gen.matrix).max())
 
     def test_matches_contour_integral_projector(self):
         # the trapezoid rule for (2 pi i)^-1 of the resolvent on |z| = 1/2, 64 nodes:
@@ -222,7 +228,7 @@ class TestProjection:
         gen = bounded.assemble_generator(*PARITY_CASES["interval25"])
         proj = bounded.kernel_and_projection(gen)
         z = 0.5 * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
-        for p, b in zip(proj.projectors, gen.reflection_blocks.blocks, strict=True):
+        for p, b in zip(_projectors(proj), gen.reflection_blocks.blocks, strict=True):
             eye = np.eye(len(b))
             contour = sum(zk * np.linalg.inv(zk * eye - b) for zk in z) / len(z)
             assert np.abs(contour.imag).max() <= 1e-12
@@ -251,7 +257,10 @@ class TestProjection:
         )
         proj = bounded.kernel_and_projection(gen)
         assert proj.algebraic_dimension == 0
-        assert all(np.abs(p).max() == 0.0 for p in proj.projectors)
+        assert [(proj.pairing_condition, proj.idempotency_residual)] == [(1.0, 0.0)]
+        sizes = gen.reflection_blocks.sizes
+        assert [(v.shape, w.shape) for v, w in proj.factors] == [((m, 0), (0, m)) for m in sizes]
+        assert all(np.abs(p).max() == 0.0 for p in _projectors(proj))
 
 
 class TestZeroCluster:
@@ -288,7 +297,7 @@ class TestDecayRate:
 
     def test_projection_follows_the_zero_cluster(self, gen1d, monkeypatch):
         # the free fit projects its cluster off; the damped cluster is empty,
-        # so that fit carries no diagnostics and takes no Schur form
+        # so that fit takes no Schur form and reports the empty projection
         fit = bounded.decay_rate_experiment(gen1d)
         assert fit.projector_dimension == 5
         assert fit.pairing_condition < bounded.PAIRING_CONDITION_LIMIT
@@ -298,7 +307,7 @@ class TestDecayRate:
         bare = bounded.decay_rate_experiment(damped)
         assert bounded.spectrum(damped).zero_cluster_count == 0
         assert [bare.projector_dimension, bare.pairing_condition,
-                bare.idempotency_residual] == [None, None, None]
+                bare.idempotency_residual] == [0, 1.0, 0.0]
 
     def test_deterministic_given_seed(self, gen1d):
         a = bounded.decay_rate_experiment(gen1d, seed=4)
@@ -550,7 +559,7 @@ class TestReflectionBlocks:
         assert rep.zero_cluster_count == int((np.abs(dense_ev) <= rep.zero_tol).sum())
 
     def test_projectors_have_block_shapes(self, parity_gen):
-        projectors = bounded.kernel_and_projection(parity_gen).projectors
+        projectors = _projectors(bounded.kernel_and_projection(parity_gen))
         sizes = parity_gen.reflection_blocks.sizes
         assert [p.shape for p in projectors] == [(m, m) for m in sizes]
 
@@ -566,13 +575,13 @@ class TestReflectionBlocks:
         # at 5.0e-13 and 1.7e-13
         dense, restricted = _restricted_dense_projector(gen, _balancing(gen))
         scale = max(np.linalg.norm(dense, 2), 1.0)
-        diff = restricted - sla.block_diag(*_per_class(gen.reflection_blocks, proj.projectors))
+        diff = restricted - sla.block_diag(*_per_class(gen.reflection_blocks, _projectors(proj)))
         assert np.linalg.norm(diff, 2) <= 1e-8 * scale
 
     def test_fine_grid_projector_is_a_spectral_projector(self):
         gen = bounded.assemble_generator(*PARITY_CASES["interval200"])
         a = gen.matrix
-        projectors = bounded.kernel_and_projection(gen).projectors
+        projectors = _projectors(bounded.kernel_and_projection(gen))
         # balanced, the dense oracle agrees with the blocks to 2.6e-9 |P|
         dense, restricted = _restricted_dense_projector(gen, _balancing(gen))
         norm = np.linalg.norm
@@ -674,12 +683,15 @@ class TestReflectionBlocks:
 
 
 class TestFactorizationBudget:
-    @pytest.mark.parametrize("case", [(bounded.interval(), 100, bounded.free()),
-                                      PARITY_CASES["free12"]], ids=["interval100", "free12"])
-    def test_decay_factors_each_block_once(self, case, monkeypatch):
+    @pytest.mark.parametrize("case, holding", [
+        ((bounded.interval(), 100, bounded.free()), [0, 1]),
+        (PARITY_CASES["free12"], [0, 4]),
+        (PARITY_CASES["damped16"], []),
+    ], ids=["interval100", "free12", "damped16"])
+    def test_decay_factors_each_block_once(self, case, holding, monkeypatch):
         gen = bounded.assemble_generator(*case)
         blocks = gen.reflection_blocks
-        calls = {}
+        calls = {"schur": []}
         for owner, name in ((np.linalg, "eigvals"), (sla, "schur"), (sla, "expm")):
             def wrapper(a, *args, _fn=getattr(owner, name), _name=name, **kwargs):
                 calls.setdefault(_name, []).append(np.array(a))
@@ -688,21 +700,29 @@ class TestFactorizationBudget:
             monkeypatch.setattr(owner, name, wrapper)
         fit = bounded.decay_rate_experiment(gen)
         dt = fit.times[1] - fit.times[0]
-        # eigvals on the blocks, one Schur form of each balanced block (never of
-        # a transpose: no block is symmetric) and one exponential of B_c dt
+        # the blocks that hold a cluster eigenvalue: both interval parities; on the
+        # free square the swap-even (+,+) half (the constants and the theta pair)
+        # and B_E (the linear fields x and y); no damped block
+        zero_tol = gen.block_spectrum[1]
+        assert [c for c, ev in enumerate(gen.block_eigenvalues)
+                if np.abs(ev).min() <= zero_tol] == holding
+        # eigvals on every block, one Schur form of each balanced block that holds
+        # the cluster (never of a transpose: no block is symmetric) and one
+        # exponential of every B_c dt
+        balanced = _balanced_blocks(gen)
         for name, expected in (
                 ("eigvals", blocks.blocks),
-                ("schur", _balanced_blocks(gen)),
+                ("schur", [balanced[c] for c in holding]),
                 ("expm", [b * dt for b in blocks.blocks])):
             assert len(calls[name]) == len(expected), name
             for a, b in zip(calls[name], expected):
                 assert np.array_equal(a, b), name
         # spectrum and the projector read the same eigenvalues: one eigvals per
-        # block over all three calls, and one more Schur form per block
+        # block over all three calls, and one more Schur form per holding block
         bounded.spectrum(gen)
         bounded.kernel_and_projection(gen)
         assert len(calls["eigvals"]) == len(blocks.blocks)
-        assert len(calls["schur"]) == 2 * len(blocks.blocks)
+        assert len(calls["schur"]) == 2 * len(holding)
 
 
 class TestExport:

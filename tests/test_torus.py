@@ -37,11 +37,16 @@ def bump_state(grid):
     return torus.StateField(grid, u, np.zeros_like(u), np.zeros_like(u))
 
 
+def _every_s(grid):
+    """|xi|^2 of every mode from the axes, in grid shape (no table)."""
+    return sum(np.ix_(*(xi ** 2 for xi in grid.xi_axes())))
+
+
 def evolve_reference(state, t):
     """One time at a time: a gathered (n, 3, 3) propagator, einsum, one ifftn per row."""
     g = state.grid
     U = np.stack([np.fft.fftn(f, norm="ortho") for f in state.fields()]).reshape(3, -1)
-    s, inverse = np.unique(g.s_array().ravel(), return_inverse=True)
+    s, inverse = np.unique(_every_s(g).ravel(), return_inverse=True)
     gathered = torus._distinct_propagators(s, np.array([t]))[0, inverse]
     out = np.einsum("nij,jn->in", gathered, U)
     fields = [np.fft.ifftn(row.reshape(g.shape), norm="ortho") for row in out]
@@ -66,7 +71,7 @@ def laplace_reference(state, lam, steps):
 
 def sweep_reference(j, lams, grid):
     """The SVD of every distinct mode, then the max: the sweep without its screen."""
-    s = np.unique(grid.s_array().ravel())
+    s = np.unique(_every_s(grid).ravel())
     return np.array([
         np.linalg.svd(_scaled_resolvent_from_s(j, s, complex(lam), *BLOCK),
                       compute_uv=False).max()
@@ -94,12 +99,12 @@ def oracle_grid(modes):
 def sobolev_reference(grid, field, order):
     """The Parseval sum over the full complex fftn spectrum."""
     coeff = np.fft.fftn(field, norm="ortho")
-    return float(np.sqrt(np.sum((1.0 + grid.s_array()) ** order * np.abs(coeff) ** 2)))
+    return float(np.sqrt(np.sum((1.0 + _every_s(grid)) ** order * np.abs(coeff) ** 2)))
 
 
 def random_state_reference(grid, rng):
     """Complex transforms both ways, the imaginary part dropped."""
-    damp = (1.0 + grid.s_array()) ** -2.0
+    damp = (1.0 + _every_s(grid)) ** -2.0
     return [np.fft.ifftn(np.fft.fftn(rng.standard_normal(grid.shape), norm="ortho") * damp,
                          norm="ortho").real for _ in range(3)]
 
@@ -152,7 +157,7 @@ class TestGrid:
     def test_distinct_s_is_cached_and_read_only(self, modes):
         grid = oracle_grid(modes)
         s, inverse = grid.distinct_s
-        want_s, want_inverse = np.unique(grid.s_array().ravel(), return_inverse=True)
+        want_s, want_inverse = np.unique(_every_s(grid).ravel(), return_inverse=True)
         assert np.array_equal(s, want_s) and np.array_equal(inverse, want_inverse)
         assert grid.distinct_s is grid.distinct_s
         assert not s.flags.writeable and not inverse.flags.writeable
@@ -163,10 +168,13 @@ class TestGrid:
                                        (512, 512)])
     def test_distinct_s_from_the_reflection_quarter_is_bitwise_unique(self, modes, lengths):
         # the table is built from the modes of index at most M/2 per axis; it and
-        # each mode's index equal np.unique over every mode, bit for bit
+        # each mode's index equal np.unique over every mode, bit for bit, and
+        # s_array, which reads the table, is |xi|^2 mode by mode, bit for bit
         grid = torus.TorusGrid(modes, lengths[:len(modes)])
         s, inverse = grid.distinct_s
-        want_s, want_inverse = np.unique(grid.s_array().ravel(), return_inverse=True)
+        every = _every_s(grid)
+        assert grid.s_array().tobytes() == every.tobytes()
+        want_s, want_inverse = np.unique(every.ravel(), return_inverse=True)
         assert s.tobytes() == want_s.tobytes()
         assert inverse.dtype == want_inverse.dtype and inverse.shape == want_inverse.shape
         assert np.array_equal(inverse, want_inverse)
@@ -409,7 +417,7 @@ class TestResolvent:
         r = torus.apply_resolvent(st, lam)
         # apply (lam - A) in coefficient space and compare with the data
         coeffs = [np.fft.fftn(f, norm="ortho") for f in r]
-        s = grid128.s_array()
+        s = _every_s(grid128)
         back_u = lam * coeffs[0] - coeffs[1]
         back_v = lam * coeffs[1] + s**2 * coeffs[0] - s * coeffs[2]
         back_t = lam * coeffs[2] + s * coeffs[1] + s * coeffs[2]
