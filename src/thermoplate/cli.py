@@ -17,7 +17,7 @@ numpy/scipy/BLAS build with one BLAS thread count; only the wall time inside
 the manifest varies.  The manifest's environment block records that build
 and the BLAS thread variables, since another thread count can move the
 bounded-domain eigenvalues in their last digits and the `decay` fits and
-norm histories somewhat further (6.5e-11 and 3.7e-9 relative on the damped
+norm histories somewhat further (4.6e-10 and 5.3e-8 relative on the damped
 16^2 square).
 
 Config files are flat UTF-8 `key = value` lines with `#` comments; unknown

@@ -297,14 +297,17 @@ class TestDecayRate:
 
     def test_projection_follows_the_zero_cluster(self, gen1d, monkeypatch):
         # the free fit projects its cluster off; the damped cluster is empty,
-        # so that fit takes no Schur form and reports the empty projection
+        # so that fit splits off only slow modes and reports the empty projection
         fit = bounded.decay_rate_experiment(gen1d)
         assert fit.projector_dimension == 5
         assert fit.pairing_condition < bounded.PAIRING_CONDITION_LIMIT
         assert fit.idempotency_residual <= bounded.IDEMPOTENCY_TOL
         damped = bounded.assemble_generator(bounded.rectangle(), 12, bounded.lt_variant())
-        monkeypatch.setattr(sla, "schur", lambda *a, **k: pytest.fail("schur on a damped fit"))
+        split, splits = bounded._split, []
+        monkeypatch.setattr(bounded, "_split",
+                            lambda *args, **kw: splits.append(args[3]) or split(*args, **kw))
         bare = bounded.decay_rate_experiment(damped)
+        assert splits and all(what.startswith("slow modes") for what in splits)
         assert bounded.spectrum(damped).zero_cluster_count == 0
         assert [bare.projector_dimension, bare.pairing_condition,
                 bare.idempotency_residual] == [0, 1.0, 0.0]
@@ -322,7 +325,7 @@ class TestDecayRate:
 
     @pytest.mark.parametrize("horizon", [1e308, 1e20])
     def test_overflowing_step_names_the_horizon(self, gen1d, horizon):
-        # B dt overflows at 1e308; at 1e20 the squarings inside expm do
+        # every mode off the cluster underflows within one sample step
         with pytest.raises(bounded.NumericalError, match=re.escape(f"horizon {horizon:g}")):
             bounded.decay_rate_experiment(gen1d, horizon=horizon)
 
@@ -332,6 +335,24 @@ class TestDecayRate:
         gen = bounded.assemble_generator(*PARITY_CASES["interval200"])
         fit = bounded.decay_rate_experiment(gen, seed=3)
         assert fit.relative_gap <= 0.01
+
+    def test_fit_window_is_picked_by_index(self):
+        # t[80] of the second horizon rounds below H / 2: a window of the times
+        # >= H / 2 dropped it there and fitted 6.9298e-4 against 6.9727e-4
+        gen = bounded.assemble_generator(*PARITY_CASES["damped16"])
+        fits = [bounded.decay_rate_experiment(gen, seed=1, horizon=horizon)
+                for horizon in (11402.690983430875, 11402.690988201617)]
+        assert fits[1].times[80] < 0.5 * 11402.690988201617
+        assert [f.window_start for f in fits] == [f.times[80] for f in fits]
+        assert fits[0].fitted_rate == pytest.approx(fits[1].fitted_rate, rel=0, abs=1e-9)
+
+    def test_norms_do_not_depend_on_the_sample_chunk(self, monkeypatch):
+        # chunks of 7 split 40 samples unevenly; every sample's norm must be the same
+        gen = bounded.assemble_generator(bounded.interval(), 50, bounded.free())
+        whole = bounded.decay_rate_experiment(gen, samples=40, seed=2)
+        monkeypatch.setattr(bounded, "NORM_CHUNK", 7)
+        chunked = bounded.decay_rate_experiment(gen, samples=40, seed=2)
+        assert np.array_equal(whole.norms, chunked.norms)
 
     def test_csv_rows(self, gen1d):
         fit = bounded.decay_rate_experiment(gen1d)
@@ -514,6 +535,39 @@ def _restricted_dense_projector(gen, d=None):
     return dense, _restrict_columns(blocks, _restrict_columns(blocks, dense).T).T
 
 
+def expm_decay_norms(gen, horizon, samples=161, seed=0):
+    """decay's norm history by dense exponentials: one expm(B_c dt) per block,
+    the zero cluster projected off the start and the step by _dense_projector of
+    the balanced block, and the stacked 2-norm of the block states."""
+    blocks, zero_tol = gen.reflection_blocks, gen.block_spectrum[1]
+    dt = horizon / (samples - 1)
+    states, steps = [], []
+    for b, ev, y in zip(blocks.blocks, gen.block_eigenvalues, blocks.restrict(
+            np.random.default_rng(seed).standard_normal(gen.state_size))):
+        step = sla.expm(b * dt)
+        if np.abs(ev).min() <= zero_tol:
+            p = _dense_projector(b, zero_tol, np.repeat([gen.sigma, 1.0, 1.0], len(b) // 3))
+            y, step = y - p @ y, step - p @ step
+        states.append(y)
+        steps.append(step)
+    norms = []
+    for _ in range(samples):
+        norms.append(np.linalg.norm(np.concatenate([y.ravel() for y in states])))
+        states = [step @ y for step, y in zip(steps, states)]
+    return np.array(norms)
+
+
+DECAY_ORACLE_CASES = {
+    "damped8": (bounded.rectangle(), 8, bounded.lt_variant(0.3, 1.0)),
+    "damped12": (bounded.rectangle(), 12, bounded.lt_variant(0.3, 1.0)),
+    "damped16": PARITY_CASES["damped16"],
+    "damped24": (bounded.rectangle(), 24, bounded.lt_variant(0.3, 1.0)),
+    "interval50": (bounded.interval(), 50, bounded.free()),
+    "interval100": (bounded.interval(), 100, bounded.free()),
+    "free12": PARITY_CASES["free12"],
+}
+
+
 class TestReflectionBlocks:
     """The block path against dense LAPACK on the whole matrix."""
 
@@ -606,6 +660,18 @@ class TestReflectionBlocks:
         # the swap-even and swap-odd halves of (+,+) and (-,-), then the E pair
         assert gen.reflection_blocks.sizes == (108, 84, 108, 84, 192)
 
+    @pytest.mark.parametrize("case", list(DECAY_ORACLE_CASES))
+    def test_slow_subspace_decay_matches_the_expm_oracle(self, case):
+        # the modes decay drops after t = 0 have underflowed one step in; the
+        # dense exponentials keep them, so this pins that nothing else was dropped
+        gen = bounded.assemble_generator(*DECAY_ORACLE_CASES[case])
+        horizon = 8.0 / gen.block_spectrum[2]
+        fit = bounded.decay_rate_experiment(gen, horizon=horizon, seed=1)
+        oracle = expm_decay_norms(gen, horizon, seed=1)
+        assert (np.abs(fit.norms - oracle) / oracle).max() <= 1e-6
+        # the margin read off the Schur forms against spectrum's eigvals
+        assert fit.spectral_rate == pytest.approx(bounded.spectrum(gen).decay_margin, rel=1e-8)
+
     def test_structure_is_built_once(self, monkeypatch):
         gen = bounded.assemble_generator(*PARITY_CASES["interval25"])
         calls = []
@@ -689,40 +755,49 @@ class TestFactorizationBudget:
         (PARITY_CASES["damped16"], []),
     ], ids=["interval100", "free12", "damped16"])
     def test_decay_factors_each_block_once(self, case, holding, monkeypatch):
-        gen = bounded.assemble_generator(*case)
-        blocks = gen.reflection_blocks
-        calls = {"schur": []}
-        for owner, name in ((np.linalg, "eigvals"), (sla, "schur"), (sla, "expm")):
-            def wrapper(a, *args, _fn=getattr(owner, name), _name=name, **kwargs):
-                calls.setdefault(_name, []).append(np.array(a))
-                return _fn(a, *args, **kwargs)
+        gen, twin = bounded.assemble_generator(*case), bounded.assemble_generator(*case)
+        blocks, (_, zero_tol, _), forms = gen.reflection_blocks, twin.schur_spectrum, [
+            T for T, *_ in twin.block_schur]
+        calls = {"eigvals": [], "schur": [], "expm": [], "dtrsen": []}
+        for owner, name in ((np.linalg, "eigvals"), (sla, "schur"), (sla, "expm"),
+                            (sla.lapack, "dtrsen")):
+            def wrapper(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls[_name].append(np.array(args[1 if _name == "dtrsen" else 0]))
+                return _fn(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapper)
         fit = bounded.decay_rate_experiment(gen)
         dt = fit.times[1] - fit.times[0]
-        # the blocks that hold a cluster eigenvalue: both interval parities; on the
-        # free square the swap-even (+,+) half (the constants and the theta pair)
-        # and B_E (the linear fields x and y); no damped block
-        zero_tol = gen.block_spectrum[1]
-        assert [c for c, ev in enumerate(gen.block_eigenvalues)
+        # twin holds the forms decay took, unsorted; the blocks that hold a cluster
+        # eigenvalue: both interval parities; on the free square the swap-even (+,+)
+        # half (the constants and the theta pair) and B_E (the linear fields x and y);
+        # no damped block
+        assert [c for c, (*_, ev) in enumerate(twin.block_schur)
                 if np.abs(ev).min() <= zero_tol] == holding
-        # eigvals on every block, one Schur form of each balanced block that holds
-        # the cluster (never of a transpose: no block is symmetric) and one
-        # exponential of every B_c dt
+        slow = [np.count_nonzero((np.abs(ev) > zero_tol) & (dt * ev.real >= bounded.LOG_TINY))
+                for *_, ev in twin.block_schur]
+        # one Schur form of every balanced block, the largest first, and no eigvals;
+        # dtrsen reorders the forms of the holding blocks cluster first, then those
+        # with a slow mode slow first, and expm sees only the quasi-triangular k x k
+        # slow factors
+        assert calls["eigvals"] == []
         balanced = _balanced_blocks(gen)
-        for name, expected in (
-                ("eigvals", blocks.blocks),
-                ("schur", [balanced[c] for c in holding]),
-                ("expm", [b * dt for b in blocks.blocks])):
-            assert len(calls[name]) == len(expected), name
-            for a, b in zip(calls[name], expected):
-                assert np.array_equal(a, b), name
-        # spectrum and the projector read the same eigenvalues: one eigvals per
-        # block over all three calls, and one more Schur form per holding block
-        bounded.spectrum(gen)
+        assert len(calls["schur"]) == len(balanced)
+        for a, b in zip(calls["schur"], sorted(balanced, key=lambda b: -len(b))):
+            assert np.array_equal(a, b)
+        reordered = [forms[c] for c in holding] + [T for T, k in zip(forms, slow) if k]
+        assert len(calls["dtrsen"]) == len(reordered)
+        for a, b in zip(calls["dtrsen"], reordered):
+            assert np.array_equal(a, b)
+        assert [len(a) for a in calls["expm"]] == [k for k in slow if k]
+        for a in calls["expm"]:
+            assert np.array_equal(np.tril(a, -2), np.zeros_like(a))
+        # the projection is kept; spectrum adds one eigvals per block
         bounded.kernel_and_projection(gen)
-        assert len(calls["eigvals"]) == len(blocks.blocks)
-        assert len(calls["schur"]) == 2 * len(holding)
+        assert len(calls["schur"]) == len(blocks.sizes) and calls["eigvals"] == []
+        bounded.spectrum(gen)
+        assert len(calls["eigvals"]) == len(blocks.sizes)
+        assert len(calls["schur"]) == len(blocks.sizes)
 
 
 class TestExport:
