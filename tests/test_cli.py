@@ -722,8 +722,9 @@ class TestReproducibility:
         # the free interval is byte-identical; on the damped square the
         # eigensolves round differently, so the eigenvalue rows agree per entry
         # to 1e-13 max|lambda| and the JSON reals alike.  decay on the damped
-        # square moves its fit by about 6.5e-11 relative and its norms by
-        # about 3.7e-9, so 1e-8 and 1e-7 leave a hundredfold margin
+        # square moves its fit by about 6.5e-11 relative, a hundredfold margin
+        # under 1e-8, and its norms on the Schur path by about 5.3e-8, under
+        # 1e-7 by a margin of only 1.9x
         src = os.path.dirname(os.path.dirname(cli.__file__))
         square = ["--domain", "rectangle", "--bc", "lt", "--grid", "16"]
         runs = {"interval": ["spectrum", "--grid", "50"],

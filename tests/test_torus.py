@@ -42,10 +42,22 @@ def _every_s(grid):
     return sum(np.ix_(*(xi ** 2 for xi in grid.xi_axes())))
 
 
+def hermitian_reference(half, shape):
+    """The full spectrum of a real field from its rfftn half, by index arithmetic:
+    modes past M/2 on the last axis read conj(X[(-k) mod M])."""
+    k = np.indices(shape)
+    keep = k[-1] <= shape[-1] // 2
+    full = half[tuple(np.where(keep, kd, -kd % m) for kd, m in zip(k, shape))]
+    full[~keep] = np.conj(full[~keep])
+    return full
+
+
 def evolve_reference(state, t):
-    """One time at a time: a gathered (n, 3, 3) propagator, einsum, one ifftn per row."""
+    """One time at a time: the rfftn half spectrum completed by index arithmetic, a
+    gathered (n, 3, 3) propagator, einsum, one ifftn per row."""
     g = state.grid
-    U = np.stack([np.fft.fftn(f, norm="ortho") for f in state.fields()]).reshape(3, -1)
+    U = np.stack([hermitian_reference(np.fft.rfftn(f, norm="ortho"), g.shape)
+                  for f in state.fields()]).reshape(3, -1)
     s, inverse = np.unique(_every_s(g).ravel(), return_inverse=True)
     gathered = torus._distinct_propagators(s, np.array([t]))[0, inverse]
     out = np.einsum("nij,jn->in", gathered, U)
@@ -161,6 +173,13 @@ class TestGrid:
         assert np.array_equal(s, want_s) and np.array_equal(inverse, want_inverse)
         assert grid.distinct_s is grid.distinct_s
         assert not s.flags.writeable and not inverse.flags.writeable
+        # the half-spectrum tables read it on modes 0..M/2 of the last axis
+        half = (Ellipsis, slice(0, modes[-1] // 2 + 1))
+        assert np.array_equal(grid.half_inverse, want_inverse.reshape(modes)[half].ravel())
+        assert grid.half_s.shape == grid.half_shape == _every_s(grid)[half].shape
+        assert grid.half_s.tobytes() == _every_s(grid)[half].tobytes()
+        assert grid.half_inverse is grid.half_inverse and grid.half_s is grid.half_s
+        assert not grid.half_inverse.flags.writeable and not grid.half_s.flags.writeable
 
     @pytest.mark.parametrize("lengths", [(TWO_PI, TWO_PI), (1.0, 3.0), (200.0 * math.pi, 0.37),
                                          (1e-3, 7.0)])
@@ -219,6 +238,21 @@ class TestEnergyNorm:
         for field in (real, complex_):
             want = sobolev_reference(grid, field, order)
             assert abs(torus.sobolev_norm(grid, field, order) - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("modes", ORACLE_GRIDS)
+    def test_sobolev_weights_are_cached_and_read_only(self, modes):
+        # one table per order, reused by every norm: e_norm reads orders 2 and 0
+        grid = oracle_grid(modes)
+        st = torus.random_state(grid, np.random.default_rng(8))
+        first = st.e_norm()
+        weights = {order: grid.sobolev_weights(order) for order in (2, 0)}
+        assert st.e_norm() == first
+        for order, w in weights.items():
+            assert grid.sobolev_weights(order) is w and not w.flags.writeable
+            want = (1.0 + grid.s_array()[..., :modes[-1] // 2 + 1]) ** order
+            want[..., 1:-1] *= 2.0
+            assert w.tobytes() == want.tobytes()
+        assert sorted(grid._sobolev_weights) == [0, 2]
 
     @pytest.mark.parametrize("modes", ORACLE_GRIDS)
     def test_random_state_matches_the_complex_path(self, modes):
@@ -281,6 +315,22 @@ class TestEvolution:
         assert sum(sizes) == nodes
         for out, _ in torus.evolve_many(st, ts):
             assert all(f.flags.c_contiguous for f in out.fields())
+
+    @pytest.mark.parametrize("modes", [(8,), (8, 16), (512, 512)])
+    def test_hermitian_completion_matches_the_complex_transform(self, modes):
+        # every completed mode is exactly the conjugate of its mirror -k mod M;
+        # the self-conjugate columns 0 and M/2 are rfftn's, Hermitian to rounding
+        f = np.random.default_rng(9).standard_normal(modes)
+        h = modes[-1] // 2
+        full = np.empty((1,) + modes, dtype=complex)
+        full[..., :h + 1] = np.fft.rfftn(f, norm="ortho")
+        X = torus._complete_hermitian(full)[0]
+        k = np.indices(modes)
+        mirror = X[tuple(-kd % m for kd, m in zip(k, modes))]
+        completed = k[-1] > h
+        assert np.array_equal(X[completed], np.conj(mirror[completed]))
+        want = np.fft.fftn(f, norm="ortho")
+        assert np.abs(X - want).max() <= 4.0 * np.finfo(float).eps * np.abs(want).max()
 
     def test_residue_check_on_the_batched_path(self, grid128, monkeypatch):
         monkeypatch.setattr(torus, "IMAG_RESIDUE_TOL", -1.0)
@@ -653,17 +703,17 @@ class TestTransformBudget:
     @pytest.mark.parametrize("modes, batches", [(64, 1), (128, 2)])
     def test_evolve_command_transforms(self, modes, batches, tmp_path, monkeypatch):
         # random_state: 3 rfftn and 3 irfftn; evolve_many over (t, t/2) and the
-        # second half step: 3 fftn each, 3 ifftn per batch; the three e_norm
+        # second half step: 3 rfftn each, 3 ifftn per batch; the three e_norm
         # calls: 9 rfftn.  128^2 modes fill a batch with one time.
-        calls = {}
+        calls = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn", "unique"), 0)
         for owner, name in ((np.fft, "fftn"), (np.fft, "ifftn"), (np.fft, "rfftn"),
                             (np.fft, "irfftn"), (np, "unique")):
             def wrapper(*args, _fn=getattr(owner, name), _name=name, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
+                calls[_name] += 1
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapper)
         argv = ["evolve", "--dim", "2", "--modes", str(modes), "--out", str(tmp_path)]
         assert cli.main(argv) == cli.EXIT_OK
-        assert calls == {"fftn": 6, "ifftn": 3 + 3 * batches, "rfftn": 12, "irfftn": 3,
+        assert calls == {"fftn": 0, "ifftn": 3 + 3 * batches, "rfftn": 18, "irfftn": 3,
                          "unique": 1}
