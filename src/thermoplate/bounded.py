@@ -56,20 +56,23 @@ Each symmetry S (a reflection, or the swap) is checked on the entries as
 max|A[S][:, S] - A| / max|A| <= SYMMETRY_TOL before any block is formed.
 Every eigensolve, SVD, Schur form, exponential and zero-cluster projection
 runs on these blocks (B_E's eigenvalues and singular values counted twice, one
-trajectory carrying both E states); the SVDs and Schur forms on the exactly
-balanced S_c B_c S_c^-1 (a power of two sigma on the u coordinates).  Two
-eigenvalue sources feed one piece of bookkeeping (_bookkept: zero_tol, the
-cluster-gap refusal, the margin, the report order): one eigvals per block
-(block_eigenvalues) for spectrum and converge, which need every eigenvalue,
-and one real Schur form per block (block_schur) for decay and the zero-cluster
-projection.  decay reorders that form twice, by dtrsen with one dtrsyl each:
-cluster first, on a copy, for the projection's factors V_c W_c and its
-diagnostics (kept as cluster_projection), slow first, in place, for the
+trajectory carrying both E states), each on the exactly balanced
+S_c B_c S_c^-1 (a power of two sigma on the u coordinates) that
+DiscreteGenerator.balanced_block folds from the entries anew for every
+factorization.  No block is kept: a command holds one block at a time, beside
+the factors.  dgeev balances a block itself and reaches the same scaling from
+S_c B_c S_c^-1 as from B_c, so eigvals reads the balanced block at no cost in
+digits.  Two eigenvalue sources feed one piece of bookkeeping (_bookkept:
+zero_tol, the cluster-gap refusal, the margin, the report order): one eigvals
+per block (block_eigenvalues) for spectrum and converge, which need every
+eigenvalue, and one real Schur form per block (block_schur) for decay and the
+zero-cluster projection.  decay reorders that form twice, by dtrsen with one
+dtrsyl each: cluster first, on a copy, for the projection's factors V_c W_c and
+its diagnostics (kept as cluster_projection), slow first, in place, for the
 trajectory, which lives on the slow invariant subspace (the modes that survive
 one sample step) and is stepped by one small exponential per block; no other
-O(n^3) factorization runs on the decay path.  The blocks themselves are formed
-on first use (spectrum, converge), so decay holds only the Schur factors: at
-64^2 that is 302 MB, against 151 MB more for the blocks.
+O(n^3) factorization runs on the decay path, and it holds only the Schur
+factors: at 64^2 that is 302 MB.
 
 scipy.linalg is imported inside block_schur, _split and decay_rate_experiment,
 its only users: loading it takes about a quarter second that every other
@@ -211,11 +214,28 @@ class DiscreteGenerator:
                   and len({b - a for a, b in self.domain.bounds}) == 1)
         return _reflection_blocks(self.entries, self.cells, square)
 
+    def balanced_block(self, c: int) -> np.ndarray:
+        """S_c B_c S_c^-1 of class c, formed anew on every call; the caller owns it
+        and may overwrite it.
+
+        The transposed entries fold by one bincount over the class map into B_c^T
+        row-major, which is B_c column-major, as LAPACK takes it, and S_c scales it
+        in place, exactly: sigma is a power of two.
+        """
+        rows, cols, values = self.entries
+        B = _class_block((cols, rows, values), self.reflection_blocks.maps[c]).T
+        s = _scaling(self, len(B))
+        B *= s[:, None]
+        B /= s
+        return B
+
     @functools.cached_property
     def block_eigenvalues(self) -> tuple:
-        """One eigvals per block, in ReflectionBlocks order (E's once)."""
+        """One eigvals per balanced block, in ReflectionBlocks order (E's once); one
+        block is held at a time."""
         try:
-            return tuple(np.linalg.eigvals(B) for B in self.reflection_blocks.blocks)
+            return tuple(np.linalg.eigvals(self.balanced_block(c))
+                         for c in range(len(self.reflection_blocks.maps)))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensolver did not converge: {exc}") from exc
 
@@ -230,22 +250,16 @@ class DiscreteGenerator:
         real Schur form S_c B_c S_c^-1 = Z T Z^T of the balanced block, unsorted, and
         the eigenvalues read off T's diagonal.
 
-        Each block is folded from the entries as its transpose, row-major, which is
-        B_c column-major: balanced in place, LAPACK overwrites it with T, and no
-        copy of a block, nor the blocks of ReflectionBlocks, is ever held.  The
-        largest block goes first, while the others hold no factors yet.
+        LAPACK overwrites each balanced_block with T, so no copy of a block is ever
+        held.  The largest block goes first, while the others hold no factors yet.
         """
         import scipy.linalg as sla
 
-        (rows, cols, values), maps = self.entries, self.reflection_blocks.maps
-        sizes, out = self.reflection_blocks.sizes, [None] * len(maps)
-        for c in sorted(range(len(maps)), key=lambda c: -sizes[c]):
-            B = _class_block((cols, rows, values), maps[c]).T
-            s = _scaling(self, len(B))
-            B *= s[:, None]
-            B /= s
+        sizes = self.reflection_blocks.sizes
+        out = [None] * len(sizes)
+        for c in sorted(range(len(sizes)), key=lambda c: -sizes[c]):
             try:
-                T, Z = sla.schur(B, output="real", overwrite_a=True)
+                T, Z = sla.schur(self.balanced_block(c), output="real", overwrite_a=True)
             except sla.LinAlgError as exc:
                 raise NumericalError(f"Schur decomposition failed: {exc}") from exc
             out[c] = (T, Z, _schur_eigenvalues(T))
@@ -258,9 +272,40 @@ class DiscreteGenerator:
 
     @functools.cached_property
     def cluster_projection(self) -> KernelProjection:
-        """The zero-cluster projection (_cluster_projection), formed once: it
-        outlives block_schur, which decay reorders in place and drops."""
-        return _cluster_projection(self)
+        """The oblique projection onto the zero cluster, block by block, formed
+        once: it outlives block_schur, which decay reorders in place and drops.
+
+        The cluster is |lambda| <= zero_tol of schur_spectrum.  A block with no
+        eigenvalue in it (every damped one) gets empty factors and no more work.  Any
+        other has its Schur form S_c B_c S_c^-1 = Z T Z^T (block_schur, shared with
+        decay) reordered cluster first by _split, with its one dtrsyl for
+        T11 Y - Y T22 = -T12 (a failed or rescaled solve means an unseparated cluster:
+        NumericalError): V_c = S_c^-1 Z1, W_c = (Z1^T - Y Z2^T) S_c, the E pair's
+        dimension counting twice.  pairing_condition is max_c sqrt(1 + |Y|_2^2) (1 with no
+        cluster), idempotency_residual max_c max|P_c^2 - P_c| / max(max_c max|P_c|, 1), from
+        P_c^2 - P_c = V_c (W_c V_c - I) W_c.  P_c is idempotent for every Y, so the residual
+        sees rounding and Z, never Y; Y rests on dtrsyl's info and scale checks.
+        """
+        zero_tol = self.schur_spectrum[1]
+        factors, cond, d, defect, top = [], 1.0, 0, 0.0, 0.0
+        for c, ((T, Z, ev), k) in enumerate(zip(self.block_schur, self.reflection_blocks.counts)):
+            cluster = np.abs(ev) <= zero_tol
+            if not cluster.any():
+                factors.append((np.zeros((len(T), 0)), np.zeros((0, len(T)))))
+                continue
+            s = _scaling(self, len(T))
+            _, Z1, W, Y = _split(T, Z, cluster, f"zero cluster in block {c}")
+            V, W = Z1 / s[:, None], W * s
+            defect = max(defect, float(np.abs(V @ ((W @ V - np.eye(len(W))) @ W)).max()))
+            top = max(top, float(np.abs(V @ W).max()))
+            factors.append((V, W))
+            cond, d = max(cond, float(np.hypot(1.0, np.linalg.norm(Y, 2)))), d + k * len(W)
+        if not cond <= PAIRING_CONDITION_LIMIT:
+            raise NumericalError(f"ill-conditioned subspace pairing (cond {cond:.3e})")
+        residual = defect / max(top, 1.0)
+        if not residual <= IDEMPOTENCY_TOL:
+            raise NumericalError(f"projection is not idempotent (residual {residual:.3e})")
+        return KernelProjection(d, tuple(factors), cond, residual)
 
 
 def _bookkept(block_eigenvalues, counts) -> tuple:
@@ -503,23 +548,18 @@ class ReflectionBlocks:
     """The generator in the orthonormal symmetry basis of the box.
 
     C_c maps class coordinates (field, half-grid cells row-major) to the state,
-    blocks[c] = C_c^T A C_c and maps[c] is the state's _class_map.  The classes
+    and maps[c] is the state's _class_map: the block B_c = C_c^T A C_c is one
+    bincount of the entries over it, which DiscreteGenerator.balanced_block forms,
+    balanced, when a factorization needs it; no block is kept here.  The classes
     are the reflection parities, one sign per axis and +1 first; on a square box
     and grid (swap_residual not None) they are the D4 classes instead: (+,+) and
     (-,-) each swap-even then swap-odd, and last B_E of (+,-), which serves (-,+) too.
     """
 
-    entries: tuple
     counts: tuple
     residual: float
     swap_residual: float | None
     maps: tuple
-
-    @functools.cached_property
-    def blocks(self) -> tuple:
-        """The blocks, each one bincount of the entries over its map, formed on
-        first use: decay folds each straight into its Schur form instead."""
-        return tuple(_class_block(self.entries, m) for m in self.maps)
 
     @property
     def sizes(self) -> tuple:
@@ -539,7 +579,7 @@ class ReflectionBlocks:
 
 def _reflection_blocks(entries: tuple, cells: tuple, square: bool) -> ReflectionBlocks:
     """Check that A (its summed triplets) commutes with every axis reflection J,
-    and on a square box and grid with the diagonal swap P, then form the blocks.
+    and on a square box and grid with the diagonal swap P, then map the classes.
 
     Each defect is max|A[S][:, S] - A| / max|A| over the entries; one above
     SYMMETRY_TOL raises NumericalError, since the blocks drop every coupling
@@ -567,19 +607,13 @@ def _reflection_blocks(entries: tuple, cells: tuple, square: bool) -> Reflection
     fields = np.repeat(np.arange(3), n // 3)
     points = np.tile(np.indices(cells).reshape(len(cells), -1), 3)
     maps = tuple(_class_map(fields, points, cells, s, w)[0] for s, w in classes)
-    return ReflectionBlocks(entries, (1, 1, 1, 1, 2) if square else (1,) * len(maps),
+    return ReflectionBlocks((1, 1, 1, 1, 2) if square else (1,) * len(maps),
                             residual, swap_residual, maps)
 
 
 def _scaling(gen: DiscreteGenerator, n: int) -> np.ndarray:
     """diag S_c of a block of order n; coordinates are field-major, a third each."""
     return np.repeat([gen.sigma, 1.0, 1.0], n // 3)
-
-
-def _balanced(gen: DiscreteGenerator, B: np.ndarray) -> np.ndarray:
-    """S_c B_c S_c^-1, exact: sigma is a power of two."""
-    s = _scaling(gen, len(B))
-    return B * s[:, None] / s
 
 
 def _schur_eigenvalues(T: np.ndarray) -> np.ndarray:
@@ -643,10 +677,9 @@ def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
     floor, is about h^2 times A's, while the physical values hardly move.
     """
     ev, zero_tol, margin = gen.block_spectrum
-    blocks = gen.reflection_blocks
     try:
-        sv = np.concatenate([np.tile(np.linalg.svd(_balanced(gen, B), compute_uv=False), k)
-                             for B, k in zip(blocks.blocks, blocks.counts)])
+        sv = np.concatenate([np.tile(np.linalg.svd(gen.balanced_block(c), compute_uv=False), k)
+                             for c, k in enumerate(gen.reflection_blocks.counts)])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     sv = np.sort(sv)[::-1]
@@ -685,44 +718,8 @@ class KernelProjection:
 
 def kernel_and_projection(gen: DiscreteGenerator) -> KernelProjection:
     """The oblique projection onto the zero cluster, formed once per generator
-    (gen.cluster_projection by _cluster_projection)."""
+    (gen.cluster_projection)."""
     return gen.cluster_projection
-
-
-def _cluster_projection(gen: DiscreteGenerator) -> KernelProjection:
-    """The oblique projection onto the zero cluster, block by block.
-
-    The cluster is |lambda| <= zero_tol of gen.schur_spectrum.  A block with no
-    eigenvalue in it (every damped one) gets empty factors and no more work.  Any
-    other has its Schur form S_c B_c S_c^-1 = Z T Z^T (gen.block_schur, shared with
-    decay) reordered cluster first by _split, with its one dtrsyl for
-    T11 Y - Y T22 = -T12 (a failed or rescaled solve means an unseparated cluster:
-    NumericalError): V_c = S_c^-1 Z1, W_c = (Z1^T - Y Z2^T) S_c, the E pair's
-    dimension counting twice.  pairing_condition is max_c sqrt(1 + |Y|_2^2) (1 with no
-    cluster), idempotency_residual max_c max|P_c^2 - P_c| / max(max_c max|P_c|, 1), from
-    P_c^2 - P_c = V_c (W_c V_c - I) W_c.  P_c is idempotent for every Y, so the residual
-    sees rounding and Z, never Y; Y rests on dtrsyl's info and scale checks.
-    """
-    zero_tol = gen.schur_spectrum[1]
-    factors, cond, d, defect, top = [], 1.0, 0, 0.0, 0.0
-    for c, ((T, Z, ev), k) in enumerate(zip(gen.block_schur, gen.reflection_blocks.counts)):
-        cluster = np.abs(ev) <= zero_tol
-        if not cluster.any():
-            factors.append((np.zeros((len(T), 0)), np.zeros((0, len(T)))))
-            continue
-        s = _scaling(gen, len(T))
-        _, Z1, W, Y = _split(T, Z, cluster, f"zero cluster in block {c}")
-        V, W = Z1 / s[:, None], W * s
-        defect = max(defect, float(np.abs(V @ ((W @ V - np.eye(len(W))) @ W)).max()))
-        top = max(top, float(np.abs(V @ W).max()))
-        factors.append((V, W))
-        cond, d = max(cond, float(np.hypot(1.0, np.linalg.norm(Y, 2)))), d + k * len(W)
-    if not cond <= PAIRING_CONDITION_LIMIT:
-        raise NumericalError(f"ill-conditioned subspace pairing (cond {cond:.3e})")
-    residual = defect / max(top, 1.0)
-    if not residual <= IDEMPOTENCY_TOL:
-        raise NumericalError(f"projection is not idempotent (residual {residual:.3e})")
-    return KernelProjection(d, tuple(factors), cond, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -113,11 +113,6 @@ class TorusGrid:
             for m, length in zip(self.modes, self.lengths)
         ]
 
-    def s_array(self) -> np.ndarray:
-        """|xi|^2 per mode, in grid shape, read from distinct_s."""
-        s, inverse = self.distinct_s
-        return s[inverse].reshape(self.shape)
-
     @property
     def half_shape(self) -> tuple:
         """Shape of the rfftn half spectrum: the last axis keeps modes 0..M/2."""
@@ -356,12 +351,14 @@ def evolve(state: StateField, t: float) -> tuple:
 def apply_resolvent(state: StateField, lam: complex) -> tuple:
     """(lambda - A)^{-1} state, mode by mode, as three complex fields (u, v, theta).
 
+    The resolvent is formed once per distinct |xi|^2 and gathered to the modes.
     Raises SingularParameterError when lambda hits an eigenvalue of some
-    grid mode (the message names the offending mode).
+    grid mode (the message names the offending |xi|^2).
     """
     g = state.grid
     U = _coefficients(state).reshape(3, -1)
-    R = resolvent_matrices(g.s_array().ravel(), lam)
+    s, inverse = g.distinct_s
+    R = resolvent_matrices(s, lam)[inverse]
     out = np.einsum("nij,jn->in", R, U)
     return tuple(np.fft.ifftn(row.reshape(g.shape), norm="ortho") for row in out)
 

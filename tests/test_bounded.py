@@ -184,9 +184,24 @@ def _projectors(proj):
     return [v @ w for v, w in proj.factors]
 
 
+def _class_blocks(entries, blocks):
+    """C_c^T A C_c per class of blocks, by np.add.at of the entries over each class
+    map in entry order: an oracle for DiscreteGenerator.balanced_block that sums
+    the same products in the same order, so that balanced it agrees bit for bit."""
+    rows, cols, values = entries
+    out = []
+    for index, sign, pairs in blocks.maps:
+        b = np.zeros((index.max() + 1,) * 2)
+        np.add.at(b, (index[rows], index[cols]),
+                  sign[rows] * sign[cols] * 0.5 ** ((pairs[rows] + pairs[cols]) / 2) * values)
+        out.append(b)
+    return out
+
+
 def _assert_commutes(gen, projectors, tol):
     """P_c B_c = B_c P_c in every parity block, entrywise to tol."""
-    for p, b in zip(projectors, gen.reflection_blocks.blocks, strict=True):
+    for p, b in zip(projectors, _class_blocks(gen.entries, gen.reflection_blocks),
+                    strict=True):
         assert np.abs(p @ b - b @ p).max() <= tol
 
 
@@ -228,7 +243,8 @@ class TestProjection:
         gen = bounded.assemble_generator(*PARITY_CASES["interval25"])
         proj = bounded.kernel_and_projection(gen)
         z = 0.5 * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
-        for p, b in zip(_projectors(proj), gen.reflection_blocks.blocks, strict=True):
+        for p, b in zip(_projectors(proj), _class_blocks(gen.entries, gen.reflection_blocks),
+                        strict=True):
             eye = np.eye(len(b))
             contour = sum(zk * np.linalg.inv(zk * eye - b) for zk in z) / len(z)
             assert np.abs(contour.imag).max() <= 1e-12
@@ -495,7 +511,7 @@ def _balanced_matrix(gen):
 
 def _balanced_blocks(gen):
     """S_c B_c S_c^-1 per block; its coordinates run field by field, a third each."""
-    return [b * s[:, None] / s for b in gen.reflection_blocks.blocks
+    return [b * s[:, None] / s for b in _class_blocks(gen.entries, gen.reflection_blocks)
             for s in [np.repeat([gen.sigma, 1.0, 1.0], len(b) // 3)]]
 
 
@@ -542,8 +558,9 @@ def expm_decay_norms(gen, horizon, samples=161, seed=0):
     blocks, zero_tol = gen.reflection_blocks, gen.block_spectrum[1]
     dt = horizon / (samples - 1)
     states, steps = [], []
-    for b, ev, y in zip(blocks.blocks, gen.block_eigenvalues, blocks.restrict(
-            np.random.default_rng(seed).standard_normal(gen.state_size))):
+    start = np.random.default_rng(seed).standard_normal(gen.state_size)
+    for b, ev, y in zip(_class_blocks(gen.entries, blocks), gen.block_eigenvalues,
+                        blocks.restrict(start)):
         step = sla.expm(b * dt)
         if np.abs(ev).min() <= zero_tol:
             p = _dense_projector(b, zero_tol, np.repeat([gen.sigma, 1.0, 1.0], len(b) // 3))
@@ -640,7 +657,8 @@ class TestReflectionBlocks:
         dense, restricted = _restricted_dense_projector(gen, _balancing(gen))
         norm = np.linalg.norm
         scale = 1e-12 * norm(a, 2) * max(norm(p, 2) for p in projectors)
-        for p, b in zip(projectors, gen.reflection_blocks.blocks, strict=True):
+        for p, b in zip(projectors, _class_blocks(gen.entries, gen.reflection_blocks),
+                        strict=True):
             assert norm(b @ p - p @ b, 2) <= scale
         assert norm(a @ dense - dense @ a, 2) <= 1e-12 * norm(a, 2) * norm(dense, 2)
         diff = restricted - sla.block_diag(*projectors)
@@ -758,9 +776,9 @@ class TestFactorizationBudget:
         gen, twin = bounded.assemble_generator(*case), bounded.assemble_generator(*case)
         blocks, (_, zero_tol, _), forms = gen.reflection_blocks, twin.schur_spectrum, [
             T for T, *_ in twin.block_schur]
-        calls = {"eigvals": [], "schur": [], "expm": [], "dtrsen": []}
-        for owner, name in ((np.linalg, "eigvals"), (sla, "schur"), (sla, "expm"),
-                            (sla.lapack, "dtrsen")):
+        calls = {"eigvals": [], "svd": [], "schur": [], "expm": [], "dtrsen": []}
+        for owner, name in ((np.linalg, "eigvals"), (np.linalg, "svd"), (sla, "schur"),
+                            (sla, "expm"), (sla.lapack, "dtrsen")):
             def wrapper(*args, _fn=getattr(owner, name), _name=name, **kwargs):
                 calls[_name].append(np.array(args[1 if _name == "dtrsen" else 0]))
                 return _fn(*args, **kwargs)
@@ -792,12 +810,18 @@ class TestFactorizationBudget:
         assert [len(a) for a in calls["expm"]] == [k for k in slow if k]
         for a in calls["expm"]:
             assert np.array_equal(np.tril(a, -2), np.zeros_like(a))
-        # the projection is kept; spectrum adds one eigvals per block
+        # the projection is kept; spectrum adds one eigvals and one SVD per block,
+        # each of the block balanced_block builds (B_E once)
         bounded.kernel_and_projection(gen)
-        assert len(calls["schur"]) == len(blocks.sizes) and calls["eigvals"] == []
-        bounded.spectrum(gen)
-        assert len(calls["eigvals"]) == len(blocks.sizes)
         assert len(calls["schur"]) == len(blocks.sizes)
+        assert calls["eigvals"] == calls["svd"] == []
+        bounded.spectrum(gen)
+        assert len(calls["schur"]) == len(blocks.sizes)
+        built = [gen.balanced_block(c) for c in range(len(blocks.sizes))]
+        for name in ("eigvals", "svd"):
+            assert len(calls[name]) == len(built)
+            for a, b in zip(calls[name], built):
+                assert np.array_equal(a, b)
 
 
 class TestExport:
@@ -836,7 +860,8 @@ class TestDihedralBlocks:
         assert parity.counts == (1, 1, 1, 1) and parity.swap_residual is None
         # the dense oracle runs on the balanced generator, an exact similarity
         for oracle in (np.linalg.eigvals(_balanced_matrix(gen)),
-                       np.concatenate([np.linalg.eigvals(b) for b in parity.blocks])):
+                       np.concatenate([np.linalg.eigvals(b)
+                                       for b in _class_blocks(gen.entries, parity)])):
             oracle = _report_order(oracle)
             off = np.abs(oracle) > zero_tol
             assert np.array_equal(off, np.abs(ev) > zero_tol)
@@ -849,9 +874,9 @@ class TestDihedralBlocks:
         parity = bounded._reflection_blocks(gen.entries, gen.cells, False)
         assert blocks.sizes == (45, 30, 30, 18, 60)
         assert blocks.swap_residual <= bounded.SYMMETRY_TOL
-        pm, mp = parity.blocks[1], parity.blocks[2]
+        _, pm, mp, _ = _class_blocks(gen.entries, parity)
         perm = np.arange(60).reshape(3, 5, 4).transpose(0, 2, 1).ravel()
-        assert np.array_equal(blocks.blocks[-1], pm)
+        assert np.array_equal(_class_blocks(gen.entries, blocks)[-1], pm)
         assert np.abs(pm[np.ix_(perm, perm)] - mp).max() <= (
             blocks.swap_residual * np.abs(gen.matrix).max())
 
@@ -861,7 +886,8 @@ class TestDihedralBlocks:
         blocks = gen.reflection_blocks
         parity = bounded._reflection_blocks(gen.entries, gen.cells, False)
         assert blocks.swap_residual is None and blocks.counts == (1, 1, 1, 1)
-        for a, b in zip(blocks.blocks, parity.blocks, strict=True):
+        for a, b in zip(_class_blocks(gen.entries, blocks), _class_blocks(gen.entries, parity),
+                        strict=True):
             assert np.array_equal(a, b)
         assert "swap_residual" not in json.loads(cli._bounded_json(gen, bounded.spectrum(gen)))
 
@@ -958,8 +984,13 @@ class TestClassMaps:
             bases = [parity[s] @ _swap_basis((gen.cells[0] + (s[0] > 0)) // 2, swap)
                      for s in ((1, 1), (-1, -1)) for swap in (1, -1)] + [parity[1, -1]]
         a = gen.matrix
-        for b, c in zip(blocks.blocks, bases, strict=True):
+        for k, (b, c, balanced) in enumerate(zip(_class_blocks(gen.entries, blocks), bases,
+                                                 _balanced_blocks(gen), strict=True)):
             assert np.abs(b - c.T @ a @ c).max() <= 1e-14 * np.abs(values).max()
+            # the builder every factorization reads: S_c B_c S_c^-1, column-major
+            built = gen.balanced_block(k)
+            assert np.array_equal(built, balanced) and built.flags.f_contiguous
+            assert not np.shares_memory(built, gen.balanced_block(k))
         x = np.random.default_rng(7).standard_normal(gen.state_size)
         for y, c in zip(blocks.restrict(x), bases, strict=True):
             expected = c.T @ x

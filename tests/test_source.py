@@ -109,3 +109,23 @@ def test_one_fourier_side_determinant():
              for n, line in enumerate((PACKAGE / name).read_text().splitlines(), 1)
              if re.search(r"\bGAMMAS\b", line)]
     assert not found, f"GAMMAS named outside symbols: {found}"
+
+
+def test_one_block_builder():
+    # every eigvals, SVD and Schur form factors the block that
+    # DiscreteGenerator.balanced_block folds anew for it: _class_block is named
+    # only there, and no code reads an attribute named blocks, so that a second
+    # block builder or a block cache cannot return unseen
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        builder = [node for qual, node in _definitions(tree)
+                   if qual == "DiscreteGenerator.balanced_block"]
+        inside = lambda line: any(b.lineno <= line <= b.end_lineno for b in builder)
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "_class_block" and not inside(node.lineno):
+                found.append(f"{path.name}:{node.lineno} names _class_block")
+            if isinstance(node, ast.Attribute) and node.attr == "blocks":
+                found.append(f"{path.name}:{node.lineno} reads .blocks")
+    assert not found, found

@@ -136,7 +136,7 @@ class TestGrid:
         xi = grid128.xi_axes()[0]
         assert xi[0] == 0.0
         assert xi[1] == pytest.approx(1.0)
-        s = grid128.s_array()
+        s = _every_s(grid128)
         assert s.shape == (128,)
         assert s[1] == pytest.approx(1.0)
 
@@ -187,12 +187,12 @@ class TestGrid:
                                        (512, 512)])
     def test_distinct_s_from_the_reflection_quarter_is_bitwise_unique(self, modes, lengths):
         # the table is built from the modes of index at most M/2 per axis; it and
-        # each mode's index equal np.unique over every mode, bit for bit, and
-        # s_array, which reads the table, is |xi|^2 mode by mode, bit for bit
+        # each mode's index equal np.unique over every mode, bit for bit, and the
+        # table gathered by the indices is |xi|^2 mode by mode, bit for bit
         grid = torus.TorusGrid(modes, lengths[:len(modes)])
         s, inverse = grid.distinct_s
         every = _every_s(grid)
-        assert grid.s_array().tobytes() == every.tobytes()
+        assert s[inverse].tobytes() == every.ravel().tobytes()
         want_s, want_inverse = np.unique(every.ravel(), return_inverse=True)
         assert s.tobytes() == want_s.tobytes()
         assert inverse.dtype == want_inverse.dtype and inverse.shape == want_inverse.shape
@@ -249,7 +249,7 @@ class TestEnergyNorm:
         assert st.e_norm() == first
         for order, w in weights.items():
             assert grid.sobolev_weights(order) is w and not w.flags.writeable
-            want = (1.0 + grid.s_array()[..., :modes[-1] // 2 + 1]) ** order
+            want = (1.0 + _every_s(grid)[..., :modes[-1] // 2 + 1]) ** order
             want[..., 1:-1] *= 2.0
             assert w.tobytes() == want.tobytes()
         assert sorted(grid._sobolev_weights) == [0, 2]
@@ -452,7 +452,7 @@ class TestPropagator:
 
     def test_grid_gather_matches_single_modes(self):
         # t = 0.1 puts s = 0, Taylor (s = 1, 2) and projector modes on one grid
-        s = torus.TorusGrid((64, 64), (TWO_PI, TWO_PI)).s_array().ravel()
+        s = _every_s(torus.TorusGrid((64, 64), (TWO_PI, TWO_PI))).ravel()
         distinct, inverse = np.unique(s, return_inverse=True)
         full = torus._distinct_propagators(distinct, np.array([0.1]))[0, inverse]
         assert full.shape == (s.size, 3, 3) and full.dtype == np.float64
