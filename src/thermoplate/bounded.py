@@ -250,16 +250,19 @@ class DiscreteGenerator:
         real Schur form S_c B_c S_c^-1 = Z T Z^T of the balanced block, unsorted, and
         the eigenvalues read off T's diagonal.
 
-        LAPACK overwrites each balanced_block with T, so no copy of a block is ever
-        held.  The largest block goes first, while the others hold no factors yet.
+        LAPACK overwrites each balanced_block with T, and the workspace query, which
+        sla.schur would run on a copy, reads the block itself: no copy of a block is
+        ever held.  The largest block goes first, while the others hold no factors yet.
         """
         import scipy.linalg as sla
 
         sizes = self.reflection_blocks.sizes
         out = [None] * len(sizes)
         for c in sorted(range(len(sizes)), key=lambda c: -sizes[c]):
+            B = self.balanced_block(c)
+            lwork = int(sla.lapack.dgees(lambda *a: None, B, lwork=-1, overwrite_a=True)[-2][0])
             try:
-                T, Z = sla.schur(self.balanced_block(c), output="real", overwrite_a=True)
+                T, Z = sla.schur(B, output="real", overwrite_a=True, lwork=lwork)
             except sla.LinAlgError as exc:
                 raise NumericalError(f"Schur decomposition failed: {exc}") from exc
             out[c] = (T, Z, _schur_eigenvalues(T))

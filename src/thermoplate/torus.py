@@ -16,20 +16,20 @@ complex pair, exp(tau A1) = e^{-gamma1 tau} R_r + Re(e^{w tau}) P
 - Im(e^{w tau}) Q with w = -gamma2.  Below tau = 0.25, where that sum would
 cancel, a Horner-evaluated Taylor series of exp(tau A1) takes over, so every
 entry keeps its relative accuracy as s t -> 0.  The nilpotent mode s = 0 is
-exactly I + t A(0).  evolve_many transforms each field once with rfftn: the
-fields are real, so the half spectrum (modes 0..M/2 of the last axis)
-determines every coefficient.  It evaluates each distinct s (the grid's
-cached table) for a batch of times at once and applies it to every
-half-spectrum mode sharing it, each propagator entry gathered from one
-contiguous (batch, distinct s) block.  Exact Hermitian completion,
-X[-k] = conj(X[k]), fills the other half, and each batch is
-inverse-transformed in place by a complex ifftn, C-contiguous for its
-residue maxima and per-node copies.  The imaginary residue thus measures the
-rounding of the inverse transform and of the self-conjugate columns 0 and
-M/2, which rfftn makes Hermitian only to rounding; an irfftn would discard it
-unseen.  The Laplace oracle reads those batches directly, with no per-node
-state.  The norms and random_state read the half spectrum too, their weights
-cached per grid and order.
+exactly I + t A(0).  The fields are real, so every forward transform is an
+rfftn onto the half spectrum (modes 0..M/2 of the last axis), and the grid's
+one mode table, distinct_s, gives each of its modes a distinct s.
+evolve_many transforms each field once and applies each distinct s, for a
+batch of times at once, to every half-spectrum mode sharing it, each
+propagator entry gathered from one contiguous (batch, distinct s) block.
+Exact Hermitian completion, X[-k] = conj(X[k]), fills the other half, and
+each batch is inverse-transformed in place by a complex ifftn, C-contiguous
+for its residue maxima and per-node copies.  The imaginary residue thus
+measures the rounding of the inverse transform and of the self-conjugate
+columns 0 and M/2, which rfftn makes Hermitian only to rounding; an irfftn
+would discard it unseen.  The Laplace oracle reads those batches directly,
+with no per-node state.  The resolvent, the norms and random_state read the
+half spectrum too, the weights cached per grid and order.
 
 resolvent_bound_sweep sends to LAPACK's SVD only the 3x3 matrices whose
 largest |entry| reaches a third of the stack's largest, since
@@ -119,16 +119,9 @@ class TorusGrid:
         return self.shape[:-1] + (self.modes[-1] // 2 + 1,)
 
     @cached_property
-    def half_inverse(self) -> np.ndarray:
-        """Each half-spectrum mode's index into distinct_s, flat, read-only, built once."""
-        inverse = self.distinct_s[1].reshape(self.shape)[..., :self.half_shape[-1]].ravel()
-        inverse.flags.writeable = False
-        return inverse
-
-    @cached_property
     def half_s(self) -> np.ndarray:
         """|xi|^2 on the half spectrum, in half_shape, read-only, built once."""
-        s = self.distinct_s[0][self.half_inverse].reshape(self.half_shape)
+        s = self.distinct_s[0][self.distinct_s[1]].reshape(self.half_shape)
         s.flags.writeable = False
         return s
 
@@ -149,12 +142,13 @@ class TorusGrid:
 
     @cached_property
     def distinct_s(self) -> tuple:
-        """(distinct s ascending, each mode's index into them), read-only, built once."""
+        """(distinct s ascending, each half-spectrum mode's index into them), read-only."""
         # s is even in each xi_d and fftfreq's -k is exactly -(k): np.unique runs over the
-        # modes of index <= M/2 per axis, and mode i reads index min(i, M - i)
+        # modes of index <= M/2 per axis, the last axis's half; mode i of a first axis
+        # reads index min(i, M - i)
         quarter = sum(np.ix_(*(a[: m // 2 + 1] ** 2 for a, m in zip(self.xi_axes(), self.modes))))
         s, inverse = np.unique(quarter.ravel(), return_inverse=True)
-        fold = np.ix_(*(np.minimum(np.arange(m), m - np.arange(m)) for m in self.modes))
+        fold = tuple(np.minimum(np.arange(m), m - np.arange(m)) for m in self.modes[:-1])
         inverse = inverse.reshape(quarter.shape)[fold].ravel()
         s.flags.writeable = inverse.flags.writeable = False
         return s, inverse
@@ -247,10 +241,11 @@ def _distinct_propagators(s: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coefficients(state: StateField) -> np.ndarray:
-    out = np.empty((3,) + state.grid.shape, dtype=complex)
+def _half_spectrum(state: StateField) -> np.ndarray:
+    """The unitary rfftn half spectra of the three fields, shape (3,) + half_shape."""
+    out = np.empty((3,) + state.grid.half_shape, dtype=complex)
     for row, f in zip(out, state.fields()):
-        np.fft.fftn(f, norm="ortho", out=row)
+        np.fft.rfftn(f, norm="ortho", out=row)
     return out
 
 
@@ -282,14 +277,11 @@ def _evolve_batches(state: StateField, ts):
     """
     ts = np.asarray(ts, dtype=float).ravel()
     g = state.grid
-    s, inverse = g.distinct_s[0], g.half_inverse
+    s, inverse = g.distinct_s
     bad = [t for t in ts.tolist() if not (t >= 0.0 and t * float(s[-1]) < math.inf)]
     if bad:
         raise ValueError(f"time must be >= 0 with t max|xi|^2 finite, got {bad[0]!r}")
-    # the fields are real, so their spectra are Hermitian: only the half spectrum is propagated
-    U = np.empty((3,) + g.half_shape, dtype=complex)
-    for row, f in zip(U, state.fields()):
-        np.fft.rfftn(f, norm="ortho", out=row)
+    U = _half_spectrum(state)
     step = max(1, _BATCH_MODE_TIMES // math.prod(g.shape))
     axes = tuple(range(1, g.dim + 1))
     shape = (min(step, ts.size),) + g.half_shape
@@ -351,16 +343,17 @@ def evolve(state: StateField, t: float) -> tuple:
 def apply_resolvent(state: StateField, lam: complex) -> tuple:
     """(lambda - A)^{-1} state, mode by mode, as three complex fields (u, v, theta).
 
-    The resolvent is formed once per distinct |xi|^2 and gathered to the modes.
-    Raises SingularParameterError when lambda hits an eigenvalue of some
-    grid mode (the message names the offending |xi|^2).
+    R, formed per distinct |xi|^2 and gathered to the half spectrum U, is even in
+    xi, so Re R U and Im R U are Hermitian: one batched irfftn inverts the six.
+    Raises SingularParameterError when lambda hits an eigenvalue of some grid
+    mode (the message names the offending |xi|^2).
     """
     g = state.grid
-    U = _coefficients(state).reshape(3, -1)
-    s, inverse = g.distinct_s
-    R = resolvent_matrices(s, lam)[inverse]
-    out = np.einsum("nij,jn->in", R, U)
-    return tuple(np.fft.ifftn(row.reshape(g.shape), norm="ortho") for row in out)
+    R = resolvent_matrices(g.distinct_s[0], lam)
+    RU = np.einsum("nkij,jn->kin", np.stack((R.real, R.imag), axis=1)[g.distinct_s[1]],
+                   _half_spectrum(state).reshape(3, -1)).reshape((6,) + g.half_shape)
+    out = np.fft.irfftn(RU, s=g.shape, axes=tuple(range(1, g.dim + 1)), norm="ortho")
+    return tuple(out[:3] + 1j * out[3:])
 
 
 def sobolev_norm(grid: TorusGrid, field, order: float) -> float:
@@ -467,8 +460,11 @@ def modal_decay_fit(grid: TorusGrid, k) -> dict:
     w, V = np.linalg.eig(symbol_matrix(xi0))
     ts = np.linspace(1.0, 5.0, 12) / s0
     logs = np.empty((ts.size, 3))
+    # the half spectrum holds k, or else -k: a cosine mode's coefficients are even
+    at = np.mod(k, grid.modes)
+    at = tuple(at if at[-1] <= grid.modes[-1] // 2 else np.mod(-at, grid.modes))
     for i, (st, _) in enumerate(evolve_many(state, ts)):
-        triple = _coefficients(st)[(slice(None),) + k]
+        triple = _half_spectrum(st)[(slice(None),) + at]
         c = np.linalg.solve(V, triple)
         logs[i] = np.log(np.abs(c))
     slopes = np.polyfit(ts, logs, 1)[0]

@@ -111,6 +111,20 @@ def test_one_fourier_side_determinant():
     assert not found, f"GAMMAS named outside symbols: {found}"
 
 
+def test_one_mode_table():
+    # the torus transforms forward by rfftn only, onto the half spectrum that
+    # TorusGrid.distinct_s indexes: a full-grid fftn, its coefficient helper or
+    # a full-grid index cut back to the half would be a second mode table.
+    # bounded._coefficients, the class-map coefficient products, is another object
+    torus_lines = enumerate((PACKAGE / "torus.py").read_text().splitlines(), 1)
+    found = [f"torus.py:{n}" for n, line in torus_lines
+             if re.search(r"\bfftn\b|\b_coefficients\b", line)]
+    found += [f"{path.name}:{n}" for path in sorted(PACKAGE.glob("*.py"))
+              for n, line in enumerate(path.read_text().splitlines(), 1)
+              if re.search(r"\bhalf_inverse\b", line)]
+    assert not found, f"a second torus mode table: {found}"
+
+
 def test_one_block_builder():
     # every eigvals, SVD and Schur form factors the block that
     # DiscreteGenerator.balanced_block folds anew for it: _class_block is named

@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 from thermoplate import bounded, cli, torus
 from thermoplate.symbols import (BLOCK, GAMMAS, ROOTS, NumericalError, SingularParameterError,
-                                 _scaled_resolvent_from_s, symbol_matrix)
+                                 _scaled_resolvent_from_s, resolvent_matrices, symbol_matrix)
 
 
 TWO_PI = 2.0 * math.pi
@@ -89,6 +89,15 @@ def sweep_reference(j, lams, grid):
                       compute_uv=False).max()
         for lam in lams
     ])
+
+
+def resolvent_reference(state, lam):
+    """The resolvent on the full complex spectrum: one fftn per field, R per mode from
+    the axes, einsum and one ifftn per row."""
+    g = state.grid
+    U = np.stack([np.fft.fftn(f, norm="ortho") for f in state.fields()]).reshape(3, -1)
+    out = np.einsum("nij,jn->in", resolvent_matrices(_every_s(g).ravel(), lam), U)
+    return [np.fft.ifftn(row.reshape(g.shape), norm="ortho") for row in out]
 
 
 def random_unitaries(rng, n):
@@ -169,31 +178,30 @@ class TestGrid:
     def test_distinct_s_is_cached_and_read_only(self, modes):
         grid = oracle_grid(modes)
         s, inverse = grid.distinct_s
-        want_s, want_inverse = np.unique(_every_s(grid).ravel(), return_inverse=True)
-        assert np.array_equal(s, want_s) and np.array_equal(inverse, want_inverse)
         assert grid.distinct_s is grid.distinct_s
         assert not s.flags.writeable and not inverse.flags.writeable
-        # the half-spectrum tables read it on modes 0..M/2 of the last axis
+        # half_s reads the table on modes 0..M/2 of the last axis
         half = (Ellipsis, slice(0, modes[-1] // 2 + 1))
-        assert np.array_equal(grid.half_inverse, want_inverse.reshape(modes)[half].ravel())
         assert grid.half_s.shape == grid.half_shape == _every_s(grid)[half].shape
         assert grid.half_s.tobytes() == _every_s(grid)[half].tobytes()
-        assert grid.half_inverse is grid.half_inverse and grid.half_s is grid.half_s
-        assert not grid.half_inverse.flags.writeable and not grid.half_s.flags.writeable
+        assert grid.half_s is grid.half_s and not grid.half_s.flags.writeable
 
     @pytest.mark.parametrize("lengths", [(TWO_PI, TWO_PI), (1.0, 3.0), (200.0 * math.pi, 0.37),
                                          (1e-3, 7.0)])
     @pytest.mark.parametrize("modes", [(4,), (64,), (16384,), (4, 4), (8, 32), (64, 16),
                                        (512, 512)])
     def test_distinct_s_from_the_reflection_quarter_is_bitwise_unique(self, modes, lengths):
-        # the table is built from the modes of index at most M/2 per axis; it and
-        # each mode's index equal np.unique over every mode, bit for bit, and the
-        # table gathered by the indices is |xi|^2 mode by mode, bit for bit
+        # the table is built from the modes of index at most M/2 per axis; it equals
+        # np.unique over every mode, bit for bit, each half-spectrum mode's index is
+        # np.unique's on modes 0..M/2 of the last axis, and the table gathered by the
+        # indices is |xi|^2 on the half spectrum, bit for bit
         grid = torus.TorusGrid(modes, lengths[:len(modes)])
         s, inverse = grid.distinct_s
         every = _every_s(grid)
-        assert s[inverse].tobytes() == every.ravel().tobytes()
+        half = (Ellipsis, slice(0, modes[-1] // 2 + 1))
+        assert s[inverse].tobytes() == every[half].ravel().tobytes()
         want_s, want_inverse = np.unique(every.ravel(), return_inverse=True)
+        want_inverse = want_inverse.reshape(modes)[half].ravel()
         assert s.tobytes() == want_s.tobytes()
         assert inverse.dtype == want_inverse.dtype and inverse.shape == want_inverse.shape
         assert np.array_equal(inverse, want_inverse)
@@ -412,6 +420,17 @@ class TestEvolution:
             -ROOTS.gamma2.real * s0, rel=1e-6
         )
 
+    @pytest.mark.parametrize("modes, k", [((128,), (127,)), ((128,), (100,)), ((16, 16), (1, 15)),
+                                          ((16, 16), (15, 15)), ((16, 16), (3, 9))])
+    def test_modal_decay_fit_past_the_half_matches_its_mirror(self, modes, k):
+        # a mode whose last index passes M/2 is read from the half spectrum at -k,
+        # which holds the same coefficients for an even cosine mode
+        grid = torus.TorusGrid(modes, (TWO_PI,) * len(modes))
+        mirror = tuple(-kd % m for kd, m in zip(k, modes))
+        got, want = torus.modal_decay_fit(grid, k), torus.modal_decay_fit(grid, mirror)
+        assert got["s0"] == want["s0"]
+        assert np.abs(got["rates"] - want["rates"]).max() <= 1e-12 * np.abs(want["rates"]).max()
+
 
 def mode_matrix(s):
     """A(xi) built from s = |xi|^2 itself, with no square root in between."""
@@ -475,6 +494,19 @@ class TestResolvent:
         scale = max(np.abs(o).max() for o in orig)
         for got, want in zip((back_u, back_v, back_t), orig):
             assert np.abs(got - want).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("lam", [2.0, 1.0 + 3.0j, 0.5 - 2.0j])
+    @pytest.mark.parametrize("modes", [(16, 16), (128,), (8, 32), (512, 512), (16384,)])
+    def test_apply_resolvent_matches_the_full_spectrum_oracle(self, modes, lam):
+        # the half spectrum with Re R and Im R inverted apart is the full-spectrum
+        # path; white noise loads every mode, the Nyquist columns included
+        grid = torus.TorusGrid(modes, (TWO_PI,) * len(modes))
+        st = torus.StateField(grid, *np.random.default_rng(7).standard_normal((3,) + modes))
+        got, want = torus.apply_resolvent(st, lam), resolvent_reference(st, lam)
+        scale = max(np.abs(w).max() for w in want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.iscomplexobj(g)
+            assert np.abs(g - w).max() <= 1e-14 * scale
 
     def test_resolvent_identity(self, grid128):
         rng = np.random.default_rng(11)
