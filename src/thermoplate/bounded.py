@@ -37,7 +37,7 @@ is ghost g.  These (row, column, value) triplets come from index arithmetic
 over all cells at once and are summed by one bincount in emission order, only
 exact zeros dropped; no n x n matrix is formed (DiscreteGenerator.matrix is a
 dense oracle built on first use).  Given T the entries are bit for bit
-reproducible; up to 24^2 T is bit-identical under 1 and 2 OpenBLAS threads.
+reproducible; up to 32^2 T is bit-identical under 1 and 2 OpenBLAS threads.
 
 Every generator commutes with the reflection x -> a + b - x along each axis,
 ghost equations included once (ii) is oriented by the outward normal.  In the
@@ -54,31 +54,24 @@ dihedral, is one bincount of the entries over its class map, and the ghost
 system is solved and conditioned per parity class through the same maps.
 Each symmetry S (a reflection, or the swap) is checked on the entries as
 max|A[S][:, S] - A| / max|A| <= SYMMETRY_TOL before any block is formed.
-Every eigensolve, SVD, Schur form, exponential and zero-cluster projection
-runs on these blocks (B_E's eigenvalues and singular values counted twice, one
-trajectory carrying both E states), each on the exactly balanced
-S_c B_c S_c^-1 (a power of two sigma on the u coordinates) that
-DiscreteGenerator.balanced_block folds from the entries anew for every
-factorization.  No block is kept: a command holds one block at a time, beside
-the factors.  dgeev balances a block itself and reaches the same scaling from
-S_c B_c S_c^-1 as from B_c, so eigvals reads the balanced block at no cost in
-digits.  Two eigenvalue sources feed one piece of bookkeeping (_bookkept:
-zero_tol, the cluster-gap refusal, the margin, the report order): one eigvals
-per block (block_eigenvalues) for spectrum and converge, which need every
-eigenvalue, and one real Schur form per block (block_schur) for decay and the
-zero-cluster projection.  decay reorders that form twice, by dtrsen with one
-dtrsyl each: cluster first, on a copy, for the projection's factors V_c W_c and
-its diagnostics (kept as cluster_projection), slow first, in place, for the
-trajectory, which lives on the slow invariant subspace (the modes that survive
-one sample step) and is stepped by one small exponential per block; no other
-O(n^3) factorization runs on the decay path, and it holds only the Schur
-factors: at 64^2 that is 302 MB.
+Every Schur form, exponential and zero-cluster projection runs on these blocks
+(B_E's eigenvalues counted twice, one trajectory carrying both E states), each
+on the exactly balanced S_c B_c S_c^-1 (a power of two sigma on the u
+coordinates) that DiscreteGenerator.balanced_block folds from the entries anew
+for every factorization; no block is kept.  One real Schur form per block
+(_schur_forms) is the only eigenvalue source, read off T by one bookkeeping
+(_bookkept: zero_tol, the cluster-gap refusal, the margin, the report order).
+spectrum and converge ask for T alone: converge keeps the eigenvalues
+(block_spectrum), spectrum (spectral_record) also the singular values of
+each zero-cluster block T11, on which it counts the kernel.  decay and the
+projection take T and Z (block_schur), which _split reorders cluster first on
+a copy (cluster_projection), then slow first in place (decay_rate_experiment);
+decay holds only the Schur factors: at 64^2 that is 302 MB.
 
-scipy.linalg is imported inside block_schur, _split and decay_rate_experiment,
-its only users: loading it takes about a quarter second that every other
-command would pay at start-up, and calling sla.schur, sla.lapack.dtrsen,
-sla.lapack.dtrsyl and sla.expm through the module objects keeps wrappers
-patched onto those attributes (tracers, tests) in effect.
+scipy.linalg is imported inside its only users: loading it takes about a
+quarter second that roots, multscan, sweep and evolve would pay at start-up,
+and calling sla.lapack.dgees, dtrsen, dtrsyl and sla.expm through the module
+objects keeps wrappers patched onto those attributes (tracers, tests) in effect.
 """
 
 from __future__ import annotations
@@ -92,12 +85,11 @@ import numpy as np
 
 from .symbols import NumericalError
 
-MACHINE_EPS = np.finfo(float).eps
 ZERO_TOL_FACTOR = 1e-6
 #: every modulus off a nonempty zero cluster is at least this multiple of every one in it
 CLUSTER_GAP = 10.0
-#: singular values at most this multiple of sigma_max count as kernel
-KERNEL_SV_FACTOR = 10.0
+#: T11 singular values at most this multiple of |T_c|_F count as kernel (_cluster_values)
+KERNEL_FLOOR = math.sqrt(np.finfo(float).eps)
 PAIRING_CONDITION_LIMIT = 1e10
 IDEMPOTENCY_TOL = 1e-8
 #: largest dense symmetry block, 3 ceil(Mx/2) ceil(My/2) unknowns (88^2 on a rectangle)
@@ -230,43 +222,29 @@ class DiscreteGenerator:
         return B
 
     @functools.cached_property
-    def block_eigenvalues(self) -> tuple:
-        """One eigvals per balanced block, in ReflectionBlocks order (E's once); one
-        block is held at a time."""
-        try:
-            return tuple(np.linalg.eigvals(self.balanced_block(c))
-                         for c in range(len(self.reflection_blocks.maps)))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+    def spectral_record(self) -> tuple:
+        """(eigenvalues, zero_tol, decay margin, cluster singular values) of one T-only
+        Schur form per block.  No |lambda| exceeds S A S^-1's largest row sum, so
+        zero_tol is below near, and a T with no eigenvalue under near goes at once."""
+        (rows, cols, a), s = self.entries, _scaling(self, self.state_size)
+        near = 2.0 * ZERO_TOL_FACTOR * float(np.bincount(rows, np.abs(a * s[rows] / s[cols])).max())
+        forms = _schur_forms(self, vectors=False, near=near)
+        ev, zero_tol, margin = _bookkept([e for *_, e in forms], self.reflection_blocks.counts)
+        values = [np.tile(_cluster_values(T, np.abs(e) <= zero_tol, c), k)
+                  for c, ((T, _, e), k) in enumerate(zip(forms, self.reflection_blocks.counts))]
+        return ev, zero_tol, margin, np.sort(np.concatenate(values))[::-1]
 
     @functools.cached_property
     def block_spectrum(self) -> tuple:
-        """(eigenvalues, zero_tol, decay margin) of block_eigenvalues (_bookkept)."""
-        return _bookkept(self.block_eigenvalues, self.reflection_blocks.counts)
+        """(eigenvalues, zero_tol, decay margin): spectral_record without the kernel
+        count, so every T goes as soon as its eigenvalues are read (converge)."""
+        return _bookkept([e for *_, e in _schur_forms(self, vectors=False, near=-math.inf)],
+                         self.reflection_blocks.counts)
 
     @functools.cached_property
     def block_schur(self) -> tuple:
-        """(T, Z, eigenvalues) per block, in ReflectionBlocks order (E's once): one
-        real Schur form S_c B_c S_c^-1 = Z T Z^T of the balanced block, unsorted, and
-        the eigenvalues read off T's diagonal.
-
-        LAPACK overwrites each balanced_block with T, and the workspace query, which
-        sla.schur would run on a copy, reads the block itself: no copy of a block is
-        ever held.  The largest block goes first, while the others hold no factors yet.
-        """
-        import scipy.linalg as sla
-
-        sizes = self.reflection_blocks.sizes
-        out = [None] * len(sizes)
-        for c in sorted(range(len(sizes)), key=lambda c: -sizes[c]):
-            B = self.balanced_block(c)
-            lwork = int(sla.lapack.dgees(lambda *a: None, B, lwork=-1, overwrite_a=True)[-2][0])
-            try:
-                T, Z = sla.schur(B, output="real", overwrite_a=True, lwork=lwork)
-            except sla.LinAlgError as exc:
-                raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-            out[c] = (T, Z, _schur_eigenvalues(T))
-        return tuple(out)
+        """(T, Z, eigenvalues) per block: _schur_forms with Z, for decay and the projection."""
+        return tuple(_schur_forms(self, vectors=True))
 
     @functools.cached_property
     def schur_spectrum(self) -> tuple:
@@ -311,7 +289,7 @@ class DiscreteGenerator:
         return KernelProjection(d, tuple(factors), cond, residual)
 
 
-def _bookkept(block_eigenvalues, counts) -> tuple:
+def _bookkept(eigenvalues, counts) -> tuple:
     """(eigenvalues, zero_tol, decay margin) of the blocks' eigenvalues, E's twice.
 
     Report order: descending real part rounded to a multiple of ORDER_QUANTUM
@@ -321,7 +299,7 @@ def _bookkept(block_eigenvalues, counts) -> tuple:
     zero_tol grows like h^-2, the physical modes do not: a cluster not
     CLUSTER_GAP times below every other modulus raises NumericalError.
     """
-    ev = np.concatenate([np.tile(e, k) for e, k in zip(block_eigenvalues, counts)])
+    ev = np.concatenate([np.tile(e, k) for e, k in zip(eigenvalues, counts)])
     top = float(np.abs(ev).max())
     ev = ev[np.lexsort((-ev.imag, -np.round(ev.real / (ORDER_QUANTUM * top))))]
     zero_tol = ZERO_TOL_FACTOR * top
@@ -619,14 +597,48 @@ def _scaling(gen: DiscreteGenerator, n: int) -> np.ndarray:
     return np.repeat([gen.sigma, 1.0, 1.0], n // 3)
 
 
-def _schur_eigenvalues(T: np.ndarray) -> np.ndarray:
-    """The eigenvalues of a real Schur form in diagonal order, as dgees gives them:
-    a standardized 2 x 2 block [[a, b], [c, a]] holds a +- i sqrt|b| sqrt|c|."""
-    ev = np.diag(T).astype(complex)
-    pair = np.flatnonzero(np.diag(T, -1))
-    ev[pair] += 1j * np.sqrt(np.abs(T[pair, pair + 1])) * np.sqrt(np.abs(T[pair + 1, pair]))
-    ev[pair + 1] = ev[pair].conj()
-    return ev
+def _schur_forms(gen: DiscreteGenerator, vectors: bool, near: float = math.inf) -> list:
+    """[(T, Z, eigenvalues)] per block (E's once): one dgees, sla.schur's call, of the
+    balanced block in place (its workspace query too), S_c B_c S_c^-1 = Z T Z^T
+    unsorted, Z None without vectors, T None if no |lambda| is at most near.  The
+    eigenvalues are dgees's, read off T's diagonal blocks in order.  The largest
+    block goes first; a dropped T goes before the next block is folded."""
+    import scipy.linalg as sla
+
+    sizes = gen.reflection_blocks.sizes
+    out = [None] * len(sizes)
+    for c in sorted(range(len(sizes)), key=lambda c: -sizes[c]):
+        gees = functools.partial(sla.lapack.dgees, lambda *a: None, gen.balanced_block(c),
+                                 compute_v=int(vectors), overwrite_a=True)
+        T, _, wr, wi, Z, _, info = gees(lwork=int(gees(lwork=-1)[-2][0]))
+        if info != 0:
+            raise NumericalError(f"Schur decomposition of block {c} failed (dgees info {info})")
+        ev = wr + 1j * wi
+        out[c] = (T if np.abs(ev).min() <= near else None, Z if vectors else None, ev)
+        del gees, T, Z
+    return out
+
+
+def _cluster_values(T: np.ndarray, cluster: np.ndarray, c: int) -> np.ndarray:
+    """T11's singular values over |T|_F, T reordered cluster first in place by one
+    dtrsen (job N; Q an untouched np.empty).  T22 is nonsingular (CLUSTER_GAP), so
+    block c's nullity is T11's (d_c <= 3).  KERNEL_FLOOR = sqrt(eps) = 2^26 eps:
+    dgees and dtrsen are backward stable, so a kernel direction keeps a value of
+    p(n) eps, at most 7.8e-15 (35 eps) up to 800 cells and 32^2 on the free plates
+    under 1 or 2 BLAS threads; the others, the rigid motions' Jordan couplings
+    (u' = v), are at least 2.4e-3 there, falling like h^(1/2).  sqrt(eps) = 1.5e-8
+    sits 1.9e6 above the first, 1.6e5 below the second and 3.5 from the gap's
+    log-midpoint 4.3e-9."""
+    if not cluster.any():
+        return np.zeros(0)
+    import scipy.linalg as sla
+
+    norm = float(np.linalg.norm(T))
+    T, _, _, _, m, _, _, info = sla.lapack.dtrsen(cluster, T, np.empty_like(T), job="N",
+                                                  wantq=0, overwrite_t=True, overwrite_q=True)
+    if info != 0:
+        raise NumericalError(f"zero cluster in block {c} not separated (dtrsen info {info})")
+    return np.linalg.svdvals(T[:m, :m]) / norm
 
 
 def _split(T: np.ndarray, Z: np.ndarray, select: np.ndarray, what: str,
@@ -665,39 +677,26 @@ class SpectrumReport:
     decay_margin: float
     max_real_part: float
     largest_modulus: float
-    kernel_tolerance: float
-    smallest_singular_values: np.ndarray
+    kernel_floor: float
+    cluster_singular_values: np.ndarray
 
 
 def spectrum(gen: DiscreteGenerator) -> SpectrumReport:
-    """Block eigensolves with zero-cluster bookkeeping.
-
-    kernel_dimension counts singular values at the rounding floor (a fixed
-    multiple of machine epsilon times sigma_max), which matches the analytic
-    kernel; zero_cluster_count counts eigenvalues with |lambda| <= zero_tol and
-    so includes generalized (Jordan) directions.  The singular values are S A S^-1's,
-    the balanced blocks' (E's twice) in descending order: its sigma_max, so the
-    floor, is about h^2 times A's, while the physical values hardly move.
-    """
-    ev, zero_tol, margin = gen.block_spectrum
-    try:
-        sv = np.concatenate([np.tile(np.linalg.svd(gen.balanced_block(c), compute_uv=False), k)
-                             for c, k in enumerate(gen.reflection_blocks.counts)])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
-    sv = np.sort(sv)[::-1]
-    kernel_tol = KERNEL_SV_FACTOR * MACHINE_EPS * float(sv[0])
+    """gen.spectral_record as a report: zero_cluster_count counts |lambda| <= zero_tol
+    (Jordan directions too), kernel_dimension the cluster_singular_values (T11's over
+    |T_c|_F, E's twice, descending) at most kernel_floor: rigid motions, theta field."""
+    ev, zero_tol, margin, values = gen.spectral_record
     return SpectrumReport(
         eigenvalues=ev,
         grid=gen.cells,
         zero_tol=zero_tol,
-        kernel_dimension=int((sv <= kernel_tol).sum()),
+        kernel_dimension=int((values <= KERNEL_FLOOR).sum()),
         zero_cluster_count=int((np.abs(ev) <= zero_tol).sum()),
         decay_margin=margin,
         max_real_part=float(ev.real.max()),
         largest_modulus=float(np.abs(ev).max()),
-        kernel_tolerance=kernel_tol,
-        smallest_singular_values=sv[-8:][::-1].copy(),
+        kernel_floor=KERNEL_FLOOR,
+        cluster_singular_values=values,
     )
 
 
@@ -789,11 +788,13 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
     starts = [y - V @ (W @ y) for (V, W), y in zip(proj.factors, blocks.restrict(
         np.random.default_rng(seed).standard_normal(gen.state_size)))]
     dt = horizon / (samples - 1)
+    forms = gen.block_schur
+    del gen.block_schur  # the slow splits reorder the forms in place: decay takes them
     with np.errstate(over="ignore"):
-        slow = [(np.abs(ev) > zero_tol) & (dt * ev.real >= LOG_TINY) for *_, ev in gen.block_schur]
+        slow = [(np.abs(ev) > zero_tol) & (dt * ev.real >= LOG_TINY) for *_, ev in forms]
     parts = []
     try:
-        for c, ((T, Z, _), sel, y) in enumerate(zip(gen.block_schur, slow, starts)):
+        for c, ((T, Z, _), sel, y) in enumerate(zip(forms, slow, starts)):
             part = np.zeros(samples)
             part[0] = _scaled_norms(y.reshape(1, -1))[0]
             if sel.any():
@@ -813,9 +814,6 @@ def decay_rate_experiment(gen: DiscreteGenerator, samples: int = 161,
     except (FloatingPointError, sla.LinAlgError) as exc:
         raise NumericalError(f"slow propagator over one sample step of the horizon "
                              f"{horizon:g} failed: {exc}") from exc
-    finally:
-        # the slow splits reordered the forms in place; a later user forms them anew
-        del gen.block_schur
     norms = _scaled_norms(np.column_stack(parts))
     if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
         raise NumericalError(f"norm history is not finite or reached zero within the horizon "

@@ -1,5 +1,6 @@
 """Discrete generators on intervals and rectangles: spectra, kernels, decay."""
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -126,18 +127,44 @@ class TestInterval:
     def test_zero_cluster_and_kernel(self, spec1d):
         assert spec1d.zero_cluster_count == 5
         assert spec1d.kernel_dimension == 3
-        assert len(spec1d.smallest_singular_values) == 8
-        sv = np.asarray(spec1d.smallest_singular_values)
-        assert np.all(np.diff(sv) >= 0)
+        # one T11 singular value per cluster eigenvalue, descending, relative to |T_c|_F
+        sv = np.asarray(spec1d.cluster_singular_values)
+        assert len(sv) == 5 and np.all(np.diff(sv) <= 0)
+        assert spec1d.kernel_floor == math.sqrt(np.finfo(float).eps)
+        assert int((sv <= spec1d.kernel_floor).sum()) == 3
 
     def test_kernel_count_on_fine_grid(self):
-        # on the unbalanced blocks the fourth-smallest singular value (7.8e-5)
-        # fell under the floor (9.1e-4) here; balanced, the third is 1.1e-10,
-        # the floor 7.1e-9 and the fourth 4.6e-3
-        gen = bounded.assemble_generator(bounded.interval(), 400, bounded.free())
+        # T11's count against a whole-block SVD counted under 10 eps sigma_max, which
+        # needs the balancing here: on the unbalanced blocks its fourth-smallest value
+        # (7.8e-5) fell under its floor (9.1e-4) at 400 cells.  T11's kernel values
+        # are at most 3.5e-15 |T_c|_F there, the floor 1.5e-8, the others 5.2e-3
+        for case, kernel, cluster in (((bounded.interval(), 400, bounded.free()), 3, 5),
+                                      ((bounded.rectangle(), 24, bounded.free()), 4, 7)):
+            gen = bounded.assemble_generator(*case)
+            rep = bounded.spectrum(gen)
+            sv = np.concatenate([np.tile(np.linalg.svd(b, compute_uv=False), k) for b, k in
+                                 zip(_balanced_blocks(gen), gen.reflection_blocks.counts)])
+            assert rep.kernel_dimension == _svd_kernel_count(sv) == kernel
+            assert rep.zero_cluster_count == cluster
+            _assert_cluster_gap(rep)
+
+    def test_lifted_theta_field_leaves_the_kernel(self):
+        # -delta on every theta-theta diagonal entry keeps both reflections and
+        # moves the theta kernel field to -delta / 2 (to first order), set at the
+        # geometric mean of T11's floor and zero_tol: still in the zero cluster,
+        # out of the kernel; the rigid motions stay
+        gen = bounded.assemble_generator(bounded.interval(), 50, bounded.free())
         rep = bounded.spectrum(gen)
-        assert rep.kernel_dimension == 3
-        assert rep.zero_cluster_count == 5
+        _assert_cluster_gap(rep)
+        floor = rep.kernel_floor * np.linalg.norm(_balanced_blocks(gen)[0])
+        delta = 2.0 * math.sqrt(floor * rep.zero_tol)
+        theta = np.arange(2 * gen.n_cells, gen.state_size)
+        lifted = dataclasses.replace(gen, entries=bounded._summed(
+            *_appended(gen.entries, theta, theta, np.full(len(theta), -delta)), gen.state_size))
+        lifted_rep = bounded.spectrum(lifted)
+        assert lifted_rep.zero_cluster_count == 5
+        assert lifted_rep.kernel_dimension == 2
+        assert np.abs(lifted_rep.eigenvalues + delta / 2).min() <= 1e-6 * delta
 
     def test_slowest_oscillatory_pair(self, spec1d):
         # physical oracle for the unit interval: about -2.09 +/- 30.11i
@@ -559,10 +586,9 @@ def expm_decay_norms(gen, horizon, samples=161, seed=0):
     dt = horizon / (samples - 1)
     states, steps = [], []
     start = np.random.default_rng(seed).standard_normal(gen.state_size)
-    for b, ev, y in zip(_class_blocks(gen.entries, blocks), gen.block_eigenvalues,
-                        blocks.restrict(start)):
+    for b, y in zip(_class_blocks(gen.entries, blocks), blocks.restrict(start)):
         step = sla.expm(b * dt)
-        if np.abs(ev).min() <= zero_tol:
+        if np.abs(np.linalg.eigvals(b)).min() <= zero_tol:
             p = _dense_projector(b, zero_tol, np.repeat([gen.sigma, 1.0, 1.0], len(b) // 3))
             y, step = y - p @ y, step - p @ step
         states.append(y)
@@ -572,6 +598,18 @@ def expm_decay_norms(gen, horizon, samples=161, seed=0):
         norms.append(np.linalg.norm(np.concatenate([y.ravel() for y in states])))
         states = [step @ y for step, y in zip(steps, states)]
     return np.array(norms)
+
+
+def _svd_kernel_count(sv):
+    """The kernel count of a whole-block SVD: values at most 10 eps sigma_max."""
+    return int((sv <= 10.0 * np.finfo(float).eps * sv.max()).sum())
+
+
+def _assert_cluster_gap(rep):
+    """One T11 value per cluster eigenvalue, each 1e3 times off the floor on its side."""
+    values, floor = rep.cluster_singular_values, rep.kernel_floor
+    assert len(values) == rep.zero_cluster_count
+    assert np.all((values <= 1e-3 * floor) | (values >= 1e3 * floor))
 
 
 DECAY_ORACLE_CASES = {
@@ -615,7 +653,8 @@ class TestReflectionBlocks:
         assert np.abs(ev - dense)[off].max() <= 1e-10 * top
 
     def test_singular_values_and_counts_match_dense(self, parity_gen):
-        # the singular values are the balanced generator's, S A S^-1
+        # the oracle: the full SVD of the balanced generator S A S^-1, equal to its
+        # blocks' (E's twice), counted under 10 eps sigma_max, against T11's count
         rep = bounded.spectrum(parity_gen)
         sv = np.linalg.svd(_balanced_matrix(parity_gen), compute_uv=False)
         dense_ev = np.linalg.eigvals(parity_gen.matrix)
@@ -623,11 +662,9 @@ class TestReflectionBlocks:
         balanced = _per_class(blocks, _balanced_blocks(parity_gen))
         sv_blocks = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in balanced]))
         assert np.abs(sv_blocks[::-1] - sv).max() <= 1e-13 * sv[0]
-        assert np.abs(rep.smallest_singular_values - sv[-8:][::-1]).max() <= 1e-13 * sv[0]
-        kernel_tol = bounded.KERNEL_SV_FACTOR * bounded.MACHINE_EPS * sv[0]
-        assert rep.kernel_tolerance == pytest.approx(kernel_tol, rel=1e-13)
-        assert rep.kernel_dimension == int((sv <= kernel_tol).sum())
+        assert rep.kernel_dimension == _svd_kernel_count(sv)
         assert rep.zero_cluster_count == int((np.abs(dense_ev) <= rep.zero_tol).sum())
+        _assert_cluster_gap(rep)
 
     def test_projectors_have_block_shapes(self, parity_gen):
         projectors = _projectors(bounded.kernel_and_projection(parity_gen))
@@ -727,25 +764,31 @@ class TestReflectionBlocks:
     def test_no_dense_call_on_the_whole_matrix(self, monkeypatch):
         shapes = []
         seen = []
+        solve, svdvals = np.linalg.solve, np.linalg.svdvals
 
-        def record(owner, name, operands=1):
+        def record(owner, name, operands=slice(1)):
             fn = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                shapes.extend((np.shape(a), seen[-1]) for a in args[:operands])
+                shapes.extend((np.shape(a), seen[-1]) for a in args[operands])
                 return fn(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        for owner, name in ((np.linalg, "eigvals"), (np.linalg, "svd"),
+        for owner, name in ((np.linalg, "eigvals"), (np.linalg, "svd"), (np.linalg, "svdvals"),
                             (sla, "schur"), (sla, "expm")):
             record(owner, name)
-        assemble, solve = bounded.assemble_generator, np.linalg.solve
+        # dgees and dtrsen take the matrix second
+        for name in ("dgees", "dtrsen"):
+            record(sla.lapack, name, operands=slice(1, 2))
+        assemble = bounded.assemble_generator
 
         def assembled(*args):
-            # the ghost solve belongs to assembly, so it runs unrecorded
+            # the ghost solve and its singular values belong to assembly, so they
+            # run unrecorded
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "solve", solve)
+                m.setattr(np.linalg, "svdvals", svdvals)
                 gen = assemble(*args)
             seen.append(gen.state_size)
             return gen
@@ -753,7 +796,7 @@ class TestReflectionBlocks:
         monkeypatch.setattr(bounded, "assemble_generator", assembled)
         free = bounded.assemble_generator(bounded.interval(), 40, bounded.free())
         damped = bounded.assemble_generator(bounded.rectangle(), 12, bounded.lt_variant())
-        record(np.linalg, "solve", operands=2)
+        record(np.linalg, "solve", operands=slice(2))
         bounded.spectrum(damped)
         bounded.decay_rate_experiment(damped)
         seen.append(free.state_size)
@@ -766,6 +809,35 @@ class TestReflectionBlocks:
             assert max(shape) <= n // 2, (shape, n)
 
 
+def _record_factorizations(monkeypatch):
+    """calls[name]: a copy of the operand of every dgees (with compute_v; a
+    workspace query factors nothing), dtrsen (with wantq), eigvals, svd, svdvals
+    and expm call, and one entry per block fold; assembly runs unrecorded."""
+    calls, svdvals = collections.defaultdict(list), np.linalg.svdvals
+    flagged = {"dgees": (1, "compute_v"), "dtrsen": (1, "wantq")}
+    for owner, name in ((sla.lapack, "dgees"), (sla.lapack, "dtrsen"), (np.linalg, "eigvals"),
+                        (np.linalg, "svd"), (np.linalg, "svdvals"), (sla, "expm"),
+                        (bounded, "_class_block")):
+        def wrapper(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            if kwargs.get("lwork") != -1:
+                at, flag = flagged.get(_name, (0, None))
+                operand = np.array(args[at])
+                calls[_name].append((operand, kwargs.get(flag, 1)) if flag else operand)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    assemble = bounded.assemble_generator
+
+    def assembled(*args):
+        # the ghost system's singular values belong to assembly
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svdvals", svdvals)
+            return assemble(*args)
+
+    monkeypatch.setattr(bounded, "assemble_generator", assembled)
+    return calls
+
+
 class TestFactorizationBudget:
     @pytest.mark.parametrize("case, holding", [
         ((bounded.interval(), 100, bounded.free()), [0, 1]),
@@ -776,14 +848,7 @@ class TestFactorizationBudget:
         gen, twin = bounded.assemble_generator(*case), bounded.assemble_generator(*case)
         blocks, (_, zero_tol, _), forms = gen.reflection_blocks, twin.schur_spectrum, [
             T for T, *_ in twin.block_schur]
-        calls = {"eigvals": [], "svd": [], "schur": [], "expm": [], "dtrsen": []}
-        for owner, name in ((np.linalg, "eigvals"), (np.linalg, "svd"), (sla, "schur"),
-                            (sla, "expm"), (sla.lapack, "dtrsen")):
-            def wrapper(*args, _fn=getattr(owner, name), _name=name, **kwargs):
-                calls[_name].append(np.array(args[1 if _name == "dtrsen" else 0]))
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
+        calls = _record_factorizations(monkeypatch)
         fit = bounded.decay_rate_experiment(gen)
         dt = fit.times[1] - fit.times[0]
         # twin holds the forms decay took, unsorted; the blocks that hold a cluster
@@ -794,34 +859,58 @@ class TestFactorizationBudget:
                 if np.abs(ev).min() <= zero_tol] == holding
         slow = [np.count_nonzero((np.abs(ev) > zero_tol) & (dt * ev.real >= bounded.LOG_TINY))
                 for *_, ev in twin.block_schur]
-        # one Schur form of every balanced block, the largest first, and no eigvals;
-        # dtrsen reorders the forms of the holding blocks cluster first, then those
-        # with a slow mode slow first, and expm sees only the quasi-triangular k x k
-        # slow factors
-        assert calls["eigvals"] == []
-        balanced = _balanced_blocks(gen)
-        assert len(calls["schur"]) == len(balanced)
-        for a, b in zip(calls["schur"], sorted(balanced, key=lambda b: -len(b))):
+        # one Schur form with Z of every balanced block, the largest first, each
+        # folded once, and no eigvals or SVD; dtrsen reorders the forms of the
+        # holding blocks cluster first, then those with a slow mode slow first, and
+        # expm sees only the quasi-triangular k x k slow factors
+        assert calls["eigvals"] == calls["svd"] == calls["svdvals"] == []
+        balanced = sorted(_balanced_blocks(gen), key=lambda b: -len(b))
+        assert len(calls["_class_block"]) == len(balanced)
+        assert [v for _, v in calls["dgees"]] == [1] * len(balanced)
+        for (a, _), b in zip(calls["dgees"], balanced):
             assert np.array_equal(a, b)
         reordered = [forms[c] for c in holding] + [T for T, k in zip(forms, slow) if k]
         assert len(calls["dtrsen"]) == len(reordered)
-        for a, b in zip(calls["dtrsen"], reordered):
+        for (a, _), b in zip(calls["dtrsen"], reordered):
             assert np.array_equal(a, b)
         assert [len(a) for a in calls["expm"]] == [k for k in slow if k]
         for a in calls["expm"]:
             assert np.array_equal(np.tril(a, -2), np.zeros_like(a))
-        # the projection is kept; spectrum adds one eigvals and one SVD per block,
-        # each of the block balanced_block builds (B_E once)
+        # the projection is kept
         bounded.kernel_and_projection(gen)
-        assert len(calls["schur"]) == len(blocks.sizes)
+        assert len(calls["dgees"]) == len(blocks.sizes)
+        # spectrum takes one Schur form without Z of every balanced block, the
+        # largest first, each folded once; dtrsen without Q moves each holding
+        # block's cluster first, and svdvals sees only those d_c x d_c T11
+        calls.clear()
+        kept, cluster_values = [], bounded._cluster_values
+        monkeypatch.setattr(bounded, "_cluster_values", lambda T, *args: kept.append(
+            T is not None) or cluster_values(T, *args))
+        rep = bounded.spectrum(gen)
+        # the record keeps past zero_tol only the holding blocks' forms
+        assert [c for c, k in enumerate(kept) if k] == holding
         assert calls["eigvals"] == calls["svd"] == []
-        bounded.spectrum(gen)
-        assert len(calls["schur"]) == len(blocks.sizes)
-        built = [gen.balanced_block(c) for c in range(len(blocks.sizes))]
-        for name in ("eigvals", "svd"):
-            assert len(calls[name]) == len(built)
-            for a, b in zip(calls[name], built):
-                assert np.array_equal(a, b)
+        assert len(calls["_class_block"]) == len(balanced)
+        assert [v for _, v in calls["dgees"]] == [0] * len(balanced)
+        for (a, _), b in zip(calls["dgees"], balanced):
+            assert np.array_equal(a, b)
+        assert [(len(a), q) for a, q in calls["dtrsen"]] == [(blocks.sizes[c], 0) for c in holding]
+        for a, _ in calls["dtrsen"]:
+            assert np.array_equal(np.tril(a, -2), np.zeros_like(a))
+        assert all(a.shape[0] == a.shape[1] <= 3 for a in calls["svdvals"])
+        assert sum(blocks.counts[c] * len(a) for c, a in zip(holding, calls["svdvals"],
+                                                             strict=True)) == rep.zero_cluster_count
+
+    def test_converge_factors_each_block_once(self, monkeypatch):
+        calls = _record_factorizations(monkeypatch)
+        bounded.convergence_study(bounded.interval(), bounded.free(), (16, 32, 64))
+        # per grid: both parities, one Schur form without Z and one fold each, and
+        # no kernel count: no reordering and no singular values, though both
+        # blocks hold cluster eigenvalues
+        assert calls["eigvals"] == calls["svd"] == calls["svdvals"] == calls["dtrsen"] == []
+        sizes = [24, 24, 48, 48, 96, 96]
+        assert [(len(a), v) for a, v in calls["dgees"]] == [(n, 0) for n in sizes]
+        assert len(calls["_class_block"]) == 6
 
 
 class TestExport:

@@ -516,8 +516,8 @@ class TestEncoded:
 
 
 GENERATOR_KEYS = {"block_sizes", "ghost_condition", "symmetry_residual"}
-SPECTRUM_KEYS = {"decay_margin", "eigenvalues", "grid", "kernel_dimension", "kernel_tolerance",
-                 "largest_modulus", "max_real_part", "smallest_singular_values",
+SPECTRUM_KEYS = {"cluster_singular_values", "decay_margin", "eigenvalues", "grid",
+                 "kernel_dimension", "kernel_floor", "largest_modulus", "max_real_part",
                  "zero_cluster_count", "zero_tol"}
 DECAY_KEYS = {"decaying", "fitted_rate", "idempotency_residual", "pairing_condition",
               "projector_dimension", "relative_gap", "seed", "spectral_rate", "window_start"}
@@ -649,10 +649,11 @@ class TestOutputs:
 
 
 class TestImports:
-    def test_only_decay_loads_scipy_linalg(self, tmp_path):
-        # importing the CLI loads no scipy; of these commands only decay,
-        # for its Schur forms and expm, pulls in scipy.linalg.  converge on
-        # 8,16,32 runs every solve and then fails its order check (exit 2)
+    def test_only_the_bounded_commands_load_scipy_linalg(self, tmp_path):
+        # importing the CLI loads no scipy; roots, multscan, sweep and evolve run
+        # without scipy.linalg, and spectrum, converge and decay each pull it in
+        # for their Schur forms.  converge on 8,16,32 runs every solve and then
+        # fails its order check (exit 2)
         src = os.path.dirname(os.path.dirname(cli.__file__))
         script = ("import json, sys\nfrom thermoplate import cli\n"
                   "out, argvs = sys.argv[1], json.loads(sys.argv[2])\n"
@@ -662,16 +663,23 @@ class TestImports:
                   "    code = cli.main([*argv, '--out', f'{out}/{i}'])\n"
                   "    seen[argv[0]] = [code, 'scipy.linalg' in sys.modules]\n"
                   "print(json.dumps(seen))\n")
-        argvs = [["roots"], ["spectrum", "--grid", "20"], ["converge", "--grids", "8,16,32"],
-                 ["decay", "--grid", "20"]]
+        # a process per command that loads it, the others before the first of them
+        groups = [[["roots"], ["multscan"], ["sweep"], ["evolve", "--modes", "16"],
+                   ["spectrum", "--grid", "20"]],
+                  [["converge", "--grids", "8,16,32"]], [["decay", "--grid", "20"]]]
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), json.dumps(argvs)],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        seen = {}
+        for n, argvs in enumerate(groups):
+            proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / str(n)),
+                                   json.dumps(argvs)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            seen.update(json.loads(proc.stdout.splitlines()[-1]))
         ok, check = cli.EXIT_OK, cli.EXIT_CHECK
-        assert json.loads(proc.stdout.splitlines()[-1]) == {
-            "import": [], "roots": [ok, False], "spectrum": [ok, False],
-            "converge": [check, False], "decay": [ok, True]}
+        assert seen == {
+            "import": [], "roots": [ok, False], "multscan": [ok, False], "sweep": [ok, False],
+            "evolve": [ok, False], "spectrum": [ok, True], "converge": [check, True],
+            "decay": [ok, True]}
 
 
 class TestReproducibility:

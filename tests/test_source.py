@@ -126,7 +126,7 @@ def test_one_mode_table():
 
 
 def test_one_block_builder():
-    # every eigvals, SVD and Schur form factors the block that
+    # every Schur form factors the block that
     # DiscreteGenerator.balanced_block folds anew for it: _class_block is named
     # only there, and no code reads an attribute named blocks, so that a second
     # block builder or a block cache cannot return unseen
@@ -143,3 +143,13 @@ def test_one_block_builder():
             if isinstance(node, ast.Attribute) and node.attr == "blocks":
                 found.append(f"{path.name}:{node.lineno} reads .blocks")
     assert not found, found
+
+
+def test_one_eigenvalue_source():
+    # one real Schur form per balanced block is the bounded commands' only
+    # eigenvalue source, and the kernel is counted on the cluster block T11
+    # (svdvals): an eigvals path or a whole-block SVD would be a second one
+    found = [f"bounded.py:{n}" for n, line in
+             enumerate((PACKAGE / "bounded.py").read_text().splitlines(), 1)
+             if re.search(r"\beigvals\b|linalg\.svd\(", line)]
+    assert not found, f"a second eigenvalue source: {found}"
