@@ -22,14 +22,15 @@ one mode table, distinct_s, gives each of its modes a distinct s.
 evolve_many transforms each field once and applies each distinct s, for a
 batch of times at once, to every half-spectrum mode sharing it, each
 propagator entry gathered from one contiguous (batch, distinct s) block.
-Exact Hermitian completion, X[-k] = conj(X[k]), fills the other half, and
-each batch is inverse-transformed in place by a complex ifftn, C-contiguous
-for its residue maxima and per-node copies.  The imaginary residue thus
-measures the rounding of the inverse transform and of the self-conjugate
-columns 0 and M/2, which rfftn makes Hermitian only to rounding; an irfftn
-would discard it unseen.  The Laplace oracle reads those batches directly,
-with no per-node state.  The resolvent, the norms and random_state read the
-half spectrum too, the weights cached per grid and order.
+Exact Hermitian completion, X[-k] = conj(X[k]), fills the other half, and a
+complex ifftn inverts each field in place in one buffer that every field and
+batch reuses; its real part goes to a fresh real batch, whose nodes are views
+of it.  The imaginary residue thus measures the rounding of the inverse
+transform and of the self-conjugate columns 0 and M/2, which rfftn makes
+Hermitian only to rounding; an irfftn would discard it unseen.  The Laplace
+oracle reads those real batches directly, with no per-node state.  The
+resolvent, the norms and random_state read the half spectrum too, the
+weights cached per grid and order.
 
 resolvent_bound_sweep sends to LAPACK's SVD only the 3x3 matrices whose
 largest |entry| reaches a third of the stack's largest, since
@@ -74,7 +75,8 @@ _R_REAL, _P_PAIR, _Q_PAIR = _real_projectors()
 # below the cut the dropped term shrinks like tau^16, the entries like tau^2.
 _TAYLOR_CUT = 0.25
 _TAYLOR = [np.linalg.matrix_power(_A1, k) / math.factorial(k) for k in range(16)]
-#: mode-times per batch of evolve_many; bounds its working set, never its results
+#: mode-times per batch of evolve_many; bounds its working set, never its results:
+#: 16 bytes per mode-time in the complex buffer, 24 in each yielded real batch
 _BATCH_MODE_TIMES = 2 ** 14
 
 
@@ -268,12 +270,13 @@ def _complete_hermitian(full: np.ndarray) -> np.ndarray:
 
 
 def _evolve_batches(state: StateField, ts):
-    """Yield (fields, residues) for each batch of times in ts, in order.
+    """Yield (batch, residues) for each batch of times in ts, in order.
 
-    fields holds the three C-contiguous complex fields of shape
-    (batch,) + grid shape; residues holds each node's relative imaginary
-    residue.  A batch with a residue above IMAG_RESIDUE_TOL raises
-    NumericalError before it is yielded.
+    batch is a fresh real (3, n) + grid array, fields u, v, theta of n nodes,
+    copied out of one complex (n,) + grid buffer that every field reuses;
+    residues holds each node's relative imaginary residue, its maxima taken
+    before the buffer is reused.  A batch with a residue above
+    IMAG_RESIDUE_TOL raises NumericalError before it is yielded.
     """
     ts = np.asarray(ts, dtype=float).ravel()
     g = state.grid
@@ -288,37 +291,37 @@ def _evolve_batches(state: StateField, ts):
     entry = np.empty(shape)
     product, acc = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     for lo in range(0, ts.size, step):
-        fields = None  # release the previous batch before building the next
+        batch = None  # release the previous batch before building the next
         # entry-major (3, 3, batch, distinct s): each entry gathers from one
         # contiguous block into a C-contiguous (batch,) + half-shape array
         P = np.ascontiguousarray(np.moveaxis(_distinct_propagators(s, ts[lo:lo + step]),
                                              (2, 3), (0, 1)))
         n = P.shape[2]
-        gathered, term, total = entry[:n], product[:n], acc[:n]
+        if lo == 0:  # after the first build, clear of its transient copy
+            full = np.empty(shape[:1] + g.shape, dtype=complex)
+        gathered, term, total, spectrum = entry[:n], product[:n], acc[:n], full[:n]
         flat = gathered.reshape(n, -1)
-        fields = []
+        batch = np.empty((3, n) + g.shape)
+        real, imag = np.zeros(n), np.zeros(n)
         for i in range(3):
             # P[i, 0] U0 + P[i, 1] U1 + P[i, 2] U2, in that order ("clip": unbuffered),
             # summed in contiguous buffers (summing in the strided half of full made
-            # the 16x16 Laplace oracle about 8 % slower); the last sum lands in a
-            # C-contiguous batch, which the in-place inverse FFT keeps for the
-            # residue maxima and per-node copies
-            full = np.empty((n,) + g.shape, dtype=complex)
+            # the 16x16 Laplace oracle about 8 % slower); the last lands in the buffer
             np.take(P[i, 0], inverse, axis=1, out=flat, mode="clip")
             np.multiply(gathered, U[0], out=total)
             np.take(P[i, 1], inverse, axis=1, out=flat, mode="clip")
             total += np.multiply(gathered, U[1], out=term)
             np.take(P[i, 2], inverse, axis=1, out=flat, mode="clip")
-            np.add(total, np.multiply(gathered, U[2], out=term), out=full[..., :shape[-1]])
-            _complete_hermitian(full)
-            fields.append(np.fft.ifftn(full, axes=axes, norm="ortho", out=full))
-        real = np.max([np.abs(f.real).reshape(len(f), -1).max(axis=1) for f in fields], axis=0)
-        imag = np.max([np.abs(f.imag).reshape(len(f), -1).max(axis=1) for f in fields], axis=0)
+            np.add(total, np.multiply(gathered, U[2], out=term), out=spectrum[..., :shape[-1]])
+            np.fft.ifftn(_complete_hermitian(spectrum), axes=axes, norm="ortho", out=spectrum)
+            np.copyto(batch[i], spectrum.real)
+            np.maximum(real, np.abs(batch[i]).reshape(n, -1).max(axis=1), out=real)
+            np.maximum(imag, np.abs(spectrum.imag).reshape(n, -1).max(axis=1), out=imag)
         residues = imag / np.maximum(real, 1.0)
         for residue in residues:
             if residue > IMAG_RESIDUE_TOL:
                 raise NumericalError(f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL}")
-        yield fields, residues
+        yield batch, residues
 
 
 def evolve_many(state: StateField, ts):
@@ -327,12 +330,14 @@ def evolve_many(state: StateField, ts):
     One forward transform and the grid's distinct-s table serve every time; batches of
     times share one propagator build and one inverse transform per field.  A
     real initial state gives a real result up to rounding: each node's relative
-    imaginary residue is checked against IMAG_RESIDUE_TOL, then truncated.
+    imaginary residue is checked against IMAG_RESIDUE_TOL, then truncated.  A held
+    node views, and keeps alive, its whole batch: 24 bytes per mode-time, at most
+    _BATCH_MODE_TIMES * 24 bytes, or a single node when one node exceeds that budget.
     """
-    for fields, residues in _evolve_batches(state, ts):
+    for batch, residues in _evolve_batches(state, ts):
         for b, residue in enumerate(residues):
-            yield StateField(state.grid, *[f[b].real.copy() for f in fields]), residue
-        del fields  # release the batch before the next one is built
+            yield StateField(state.grid, *batch[:, b]), residue
+        del batch  # release the batch before the next one is built
 
 
 def evolve(state: StateField, t: float) -> tuple:
@@ -418,7 +423,11 @@ def laplace_transform_error(state: StateField, lam: complex, steps: int = 4096) 
     T = 40/Re(lam) makes the tail truncation error negligible against
     quadrature error.
     """
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
     lam = complex(lam)
+    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        raise ValueError(f"Laplace check needs a finite lambda, got {lam!r}")
     if lam.real <= 0:
         raise ValueError("Laplace check needs Re(lambda) > 0")
     ts = np.linspace(0.0, 40.0 / lam.real, steps + 1)
@@ -427,15 +436,15 @@ def laplace_transform_error(state: StateField, lam: complex, steps: int = 4096) 
     wgts[[0, -1]] *= 0.5
     acc = [np.zeros(state.grid.shape, dtype=complex) for _ in range(3)]
     lo = 0
-    for fields, residues in _evolve_batches(state, ts):
+    for batch, residues in _evolve_batches(state, ts):
         w = wgts[lo:lo + len(residues)].reshape((-1,) + (1,) * state.grid.dim)
         lo += len(residues)
         # row 0 holds the running sum: reducing over axis 0 adds node by node, in
         # order, so every sum is formed as with per-node states
         stack = np.empty((len(w) + 1,) + state.grid.shape, dtype=complex)
-        for a, f in zip(acc, fields):
+        for a, f in zip(acc, batch):
             stack[0] = a
-            np.multiply(f.real, w, out=stack[1:])
+            np.multiply(f, w, out=stack[1:])
             np.add.reduce(stack, axis=0, out=a)
     ref = apply_resolvent(state, lam)
     gap = e_norm(state.grid, *[a - r for a, r in zip(acc, ref)])
@@ -489,7 +498,7 @@ def save_state(path, state: StateField) -> None:
         fh.write(struct.pack(f"<{g.dim}I", *g.modes))
         fh.write(struct.pack(f"<{g.dim}d", *g.lengths))
         for f in state.fields():
-            fh.write(np.ascontiguousarray(f, dtype="<f8").tobytes())
+            fh.write(memoryview(np.ascontiguousarray(f, dtype="<f8")))
 
 
 def _read_exact(fh, size: int) -> bytes:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import tracemalloc
 import warnings
 
@@ -324,6 +325,23 @@ class TestEvolution:
         for out, _ in torus.evolve_many(st, ts):
             assert all(f.flags.c_contiguous for f in out.fields())
 
+    def test_nodes_are_views_of_one_real_batch(self):
+        # 64 nodes fill one 16x16 batch: one real (3, 64) + grid array, and every
+        # node's fields are C-contiguous views of its batch, with no complex base
+        grid = torus.TorusGrid((16, 16), (TWO_PI, TWO_PI))
+        st = torus.random_state(grid, np.random.default_rng(6))
+        ts = np.linspace(0.0, 1.0, 64)
+        (batch, residues), = torus._evolve_batches(st, ts)
+        assert batch.dtype == np.float64 and batch.shape == (3, 64, 16, 16)
+        nodes = list(torus.evolve_many(st, ts))
+        owner = nodes[0][0].u.base
+        assert owner.dtype == np.float64 and owner.shape == batch.shape
+        for b, (node, residue) in enumerate(nodes):
+            assert residue == residues[b]
+            for i, f in enumerate(node.fields()):
+                assert f.flags.c_contiguous and f.base is owner
+                assert np.shares_memory(f, owner) and np.array_equal(f, batch[i, b])
+
     @pytest.mark.parametrize("modes", [(8,), (8, 16), (512, 512)])
     def test_hermitian_completion_matches_the_complex_transform(self, modes):
         # every completed mode is exactly the conjugate of its mirror -k mod M;
@@ -536,6 +554,21 @@ class TestResolvent:
         rel = torus.laplace_transform_error(bump_state(grid128), 2.0)
         assert rel <= 1e-3
 
+    @pytest.mark.parametrize("steps, lam, match", [
+        (0, 2.0, "steps must be a positive integer"),
+        (-3, 2.0, "steps must be a positive integer"),
+        (4096, math.inf, "finite lambda"),
+        (4096, complex(2.0, math.nan), "finite lambda"),
+    ])
+    def test_laplace_rejects_bad_arguments_before_any_work(self, grid128, steps, lam, match,
+                                                          monkeypatch):
+        def no_evolution(*args):
+            raise AssertionError("the evolution ran")
+
+        monkeypatch.setattr(torus, "_evolve_batches", no_evolution)
+        with pytest.raises(ValueError, match=match):
+            torus.laplace_transform_error(bump_state(grid128), lam, steps=steps)
+
     @pytest.mark.parametrize("modes", [(128,), (16, 16)])
     def test_laplace_oracle_matches_the_node_by_node_sum(self, modes):
         # the batched accumulation adds node by node, in the same order
@@ -663,9 +696,21 @@ class TestTwoDimensional:
 
 class TestWorkingSet:
     def test_evolve_peak_at_512(self):
+        # at 512^2 a batch holds one node: the half spectra U (6 MB), the entry
+        # buffer (1 MB), the product and sum buffers (2 + 2 MB), the propagator
+        # table (1.7 MB), the complex buffer (4 MB), the real batch (6 MB) and one
+        # |.| temporary (2 MB) add up to 24.7 MB
         grid = torus.TorusGrid((512, 512), (TWO_PI, TWO_PI))
         st = torus.random_state(grid, np.random.default_rng(1))
-        assert traced_peak(lambda: torus.evolve(st, 0.5)) <= 45 * 2 ** 20
+        assert traced_peak(lambda: torus.evolve(st, 0.5)) <= 27 * 2 ** 20
+
+    def test_evolve_command_peak_at_512(self, tmp_path):
+        # the initial state, the full step and the half step (6 MB each) are held
+        # while the second half step runs (24.7 MB, as above); the grid's
+        # distinct-s index, half-spectrum s and two Sobolev weight orders (1 MB
+        # each) add up to 46.7 MB
+        argv = ["evolve", "--dim", "2", "--modes", "512", "--out", str(tmp_path)]
+        assert traced_peak(lambda: cli.main(argv)) <= 49 * 2 ** 20
 
     def test_laplace_oracle_peak(self):
         st = bump_state(torus.TorusGrid((16, 16), (TWO_PI, TWO_PI)))
@@ -721,6 +766,20 @@ class TestSerialization:
             match = "bad magic" if cut < 4 else "truncated state file"
             with pytest.raises(ValueError, match=match):
                 torus.load_state(path)
+
+    def test_save_state_writes_the_documented_layout(self, tmp_path):
+        # u is a transposed, non-contiguous view, so the copy path is covered too
+        grid = torus.TorusGrid((8, 16), (TWO_PI, 3.0))
+        rng = np.random.default_rng(2)
+        u = rng.standard_normal((16, 8)).T
+        assert not u.flags.c_contiguous
+        st = torus.StateField(grid, u, rng.standard_normal((8, 16)), rng.standard_normal((8, 16)))
+        path = tmp_path / "state.bin"
+        torus.save_state(path, st)
+        want = (b"TPLT" + struct.pack("<II", 1, 2) + struct.pack("<2I", 8, 16)
+                + struct.pack("<2d", TWO_PI, 3.0)
+                + b"".join(np.ascontiguousarray(f, dtype="<f8").tobytes() for f in st.fields()))
+        assert path.read_bytes() == want
 
     def test_trailing_bytes_detected(self, tmp_path, grid128):
         path = tmp_path / "state.bin"
